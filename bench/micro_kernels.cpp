@@ -6,7 +6,8 @@
 // QSNC_BENCH_OUT):
 //  * a kernel-dispatch sweep over the model-zoo GEMM shapes comparing the
 //    scalar reference, AVX2, and integer (igemm) paths at one thread, with
-//    speedup-vs-matching-scalar per row;
+//    speedup-vs-matching-scalar per row, plus the quant backend's integer
+//    engine on dyadic lenet-mini at B=1 and B=8 (int_engine_lenet_b*);
 //  * a thread-scaling sweep over {1, 2, 4, hw_max} threads for the GEMM
 //    and conv hot paths, with speedup-vs-1-thread per row.
 // QSNC_REQUIRE_SIMD=1 makes the binary exit nonzero when the AVX2 kernels
@@ -20,11 +21,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/dynamic_fixed_point.h"
 #include "core/fixed_point.h"
+#include "core/int_quant_engine.h"
 #include "core/weight_clustering.h"
+#include "data/synthetic_mnist.h"
+#include "models/model_zoo.h"
 #include "nn/gemm.h"
 #include "nn/igemm.h"
 #include "nn/im2col.h"
@@ -180,6 +186,67 @@ void BM_RateEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_RateEncode)->Arg(4)->Arg(8);
 
+// The quant serving backend's integer engine on dyadic lenet-mini: every
+// weight on its 8-bit dynamic-fixed-point grid, 4-bit signals, synthetic
+// digits encoded the way QuantBackend::infer_batch encodes them.
+constexpr int kEngineBits = 4;
+// Multiply-accumulates per lenet image: conv1 6x25 by 784 positions,
+// conv2 12x150 by 100, fc 300x16, fc 16x10.
+constexpr double kLenetMacs =
+    6 * 25 * 784 + 12 * 150 * 100 + 300 * 16 + 16 * 10;
+
+std::unique_ptr<core::IntQuantEngine> dyadic_lenet_engine() {
+  nn::Rng rng(9);
+  nn::Network net = models::make_lenet_mini(rng);
+  for (nn::Param* p : net.params()) {
+    if (p->value.rank() < 2) continue;
+    const int fl = core::choose_fraction_bits(p->value.abs_max(), 8);
+    for (int64_t i = 0; i < p->value.numel(); ++i) {
+      p->value[i] = core::dfp_quantize(p->value[i], 8, fl);
+    }
+  }
+  return core::IntQuantEngine::build(net, {1, 28, 28}, kEngineBits);
+}
+
+nn::Tensor encoded_digits(int64_t batch) {
+  nn::Rng rng(10);
+  const data::SyntheticMnistConfig config;
+  const float scale =
+      std::min(16.0f, static_cast<float>(core::signal_max(kEngineBits)));
+  nn::Tensor x({batch, 1, 28, 28});
+  for (int64_t b = 0; b < batch; ++b) {
+    const nn::Tensor digit = data::render_digit(b % 10, rng, config);
+    for (int64_t i = 0; i < digit.numel(); ++i) {
+      x[b * digit.numel() + i] =
+          core::quantize_input_signal(digit[i] * scale, kEngineBits);
+    }
+  }
+  return x;
+}
+
+// range(0) = batch, range(1) = 1 for the AVX2 kernels, 0 forced scalar;
+// one thread.
+void BM_IntQuantEngine(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  const bool avx2 = state.range(1) != 0;
+  const bool prev_force = nn::simd::set_force_scalar(!avx2);
+  const int prev_threads = util::num_threads();
+  util::set_num_threads(1);
+  const std::unique_ptr<core::IntQuantEngine> engine = dyadic_lenet_engine();
+  const nn::Tensor x = encoded_digits(batch);
+  for (auto _ : state) {
+    nn::Tensor logits = engine->forward(x);
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetLabel(avx2 && nn::simd::use_avx2() ? "avx2" : "scalar");
+  util::set_num_threads(prev_threads);
+  nn::simd::set_force_scalar(prev_force);
+}
+BENCHMARK(BM_IntQuantEngine)
+    ->ArgsProduct({{1, 8}, {0, 1}})
+    ->ArgNames({"batch", "avx2"});
+
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep -> BENCH_kernels.json
 // ---------------------------------------------------------------------------
@@ -284,6 +351,29 @@ void run_dispatch_sweep(std::vector<SweepRow>& rows) {
                     flops / int_scalar / 1e9, 1.0});
     rows.push_back({"igemm_simd_" + tag, 1, int_simd,
                     flops / int_simd / 1e9, int_scalar / int_simd});
+  }
+
+  // The whole integer engine, input to logits, on dyadic lenet-mini.
+  const std::unique_ptr<core::IntQuantEngine> engine = dyadic_lenet_engine();
+  for (int64_t batch : {int64_t{1}, int64_t{8}}) {
+    const nn::Tensor x = encoded_digits(batch);
+    const double flops = 2.0 * kLenetMacs * static_cast<double>(batch);
+    double seconds[2];
+    for (bool force_scalar : {true, false}) {
+      const bool prev_force = nn::simd::set_force_scalar(force_scalar);
+      auto run = [&] {
+        nn::Tensor logits = engine->forward(x);
+        benchmark::DoNotOptimize(logits.data());
+      };
+      run();  // warm-up
+      seconds[force_scalar ? 0 : 1] = time_best(run, reps * 4);
+      nn::simd::set_force_scalar(prev_force);
+    }
+    const std::string tag = "int_engine_lenet_b" + std::to_string(batch);
+    rows.push_back({tag + "_scalar", 1, seconds[0], flops / seconds[0] / 1e9,
+                    1.0});
+    rows.push_back({tag + "_simd", 1, seconds[1], flops / seconds[1] / 1e9,
+                    seconds[0] / seconds[1]});
   }
   util::set_num_threads(prev);
 }

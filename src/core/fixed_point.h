@@ -41,6 +41,22 @@ class IntegerSignalQuantizer final : public nn::SignalQuantizer {
   float max_value_;
 };
 
+/// ReLU followed by IntegerSignalQuantizer::apply, returned as the integer
+/// signal: `float(relu_quantize_signal(o, q.max_value()))` has the same
+/// bits as `q.apply(o > 0 ? o : 0)` for every o, NaN included (+0.0,
+/// never -0.0, for anything that rounds to zero). `max_value` is an
+/// integer-valued float below 2^23. Rounding is std::round's
+/// half-away-from-zero, done with one truncation and an exact compare
+/// (`v - trunc(v)` is exact for 0 <= v < 2^23) so the loop around it
+/// needs no libcall and no floor(v + 0.5), which would round
+/// 0.49999997f up.
+inline int32_t relu_quantize_signal(float o, float max_value) {
+  float v = o > 0.0f ? o : 0.0f;
+  v = v < max_value ? v : max_value;
+  const int32_t t = static_cast<int32_t>(v);
+  return t + (v - static_cast<float>(t) >= 0.5f ? 1 : 0);
+}
+
 /// Rounds a float to the nearest weight-grid level k*s/2^N,
 /// k in [-2^{N-1}, 2^{N-1}], returning the quantized value.
 float quantize_weight_to_grid(float w, int bits, float scale);

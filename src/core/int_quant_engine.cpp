@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/dynamic_fixed_point.h"
+#include "core/fixed_point.h"
 #include "nn/im2col.h"
 #include "nn/layers/batchnorm.h"
 #include "nn/layers/conv2d.h"
@@ -21,10 +23,8 @@ namespace qsnc::core {
 
 namespace {
 
-// Per-thread scratch for the conv hot loop, mirroring Conv2d::forward's
-// reuse pattern (never allocates inside the batch loop after warm-up).
-thread_local std::vector<float> tl_cols;
-thread_local util::aligned_vector<int16_t> tl_icols;
+// Per-thread int32 accumulators of the conv hot loop (never allocates
+// inside the batch loop after warm-up).
 thread_local util::aligned_vector<int32_t> tl_iacc;
 
 // Recovers the integer representation w = w_int * 2^-fl of a weight tensor,
@@ -77,12 +77,72 @@ bool dot_product_exact(int64_t signal_peak, int32_t abs_max_int,
   return signal_peak * int64_t{abs_max_int} * k_dim < (int64_t{1} << 24);
 }
 
+// Crossbar epilogue, y = float(acc) * step + bias. Both conversions are
+// exact (see the header), so y is the float GEMM's value plus the bias,
+// rounded once as the layer rounds it. Adding a +0.0 bias for a layer
+// without one is exact too: float(acc) * step is never -0.0. A signal
+// output folds in the following ReLU and M-bit rounding. The bias is one
+// value per conv row or one per dense column; both loops vectorize.
+inline void store(float y, float, float* out) { *out = y; }
+inline void store(float y, float peak, int16_t* out) {
+  *out = static_cast<int16_t>(relu_quantize_signal(y, peak));
+}
+
+template <typename Out>
+void epilogue(const int32_t* acc, int64_t count, float step, float bias,
+              float peak, Out* out) {
+  for (int64_t i = 0; i < count; ++i) {
+    store(static_cast<float>(acc[i]) * step + bias, peak, out + i);
+  }
+}
+
+template <typename Out>
+void epilogue(const int32_t* acc, int64_t count, float step,
+              const float* bias, float peak, Out* out) {
+  for (int64_t i = 0; i < count; ++i) {
+    store(static_cast<float>(acc[i]) * step + bias[i], peak, out + i);
+  }
+}
+
+// MaxPool2d::forward's window walk and `v > best` comparison over
+// `planes` [h x w] planes, on int16 signals or floats alike: signals are
+// exact in float, so their maxima match the float path's. Windows never
+// cross the plane edge (pool extents are conv_out_extent with no padding),
+// so MaxPool2d's edge checks are dropped.
+template <typename T>
+void max_pool(const T* in, int64_t planes, int64_t in_h, int64_t in_w,
+              int64_t kernel, int64_t stride, int64_t out_h, int64_t out_w,
+              T* out) {
+  const T lowest = std::numeric_limits<T>::has_infinity
+                       ? -std::numeric_limits<T>::infinity()
+                       : std::numeric_limits<T>::lowest();
+  for (int64_t c = 0; c < planes; ++c) {
+    const T* plane = in + c * in_h * in_w;
+    for (int64_t oy = 0; oy < out_h; ++oy) {
+      for (int64_t ox = 0; ox < out_w; ++ox) {
+        const T* window = plane + oy * stride * in_w + ox * stride;
+        T best = lowest;
+        for (int64_t ky = 0; ky < kernel; ++ky) {
+          for (int64_t kx = 0; kx < kernel; ++kx) {
+            const T v = window[ky * in_w + kx];
+            if (v > best) best = v;
+          }
+        }
+        *out++ = best;
+      }
+    }
+  }
+}
+
 }  // namespace
 
-IntQuantEngine::IntQuantEngine(int signal_bits, std::vector<Op> ops,
+IntQuantEngine::IntQuantEngine(int signal_bits, nn::Shape input_chw,
+                               nn::Shape output, std::vector<Op> ops,
                                size_t crossbars)
     : signal_bits_(signal_bits),
-      quantizer_(signal_bits),
+      signal_peak_(static_cast<float>(signal_max(signal_bits))),
+      input_chw_(std::move(input_chw)),
+      output_(std::move(output)),
       ops_(std::move(ops)),
       crossbar_layers_(crossbars) {}
 
@@ -121,6 +181,7 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
       op.out_h = nn::conv_out_extent(op.in_h, op.kernel, op.stride, op.pad);
       op.out_w = nn::conv_out_extent(op.in_w, op.kernel, op.stride, op.pad);
       if (op.out_h <= 0 || op.out_w <= 0) return nullptr;
+      op.out_numel = op.out_c * op.out_h * op.out_w;
       const int64_t patch = op.in_c * op.kernel * op.kernel;
       const nn::Tensor& w = conv->weight().value;  // OIHW == [out_c x patch]
       op.wq.resize(static_cast<size_t>(w.numel()));
@@ -130,9 +191,11 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
           !dot_product_exact(signal_peak, max_int, patch)) {
         return nullptr;
       }
-      op.use_bias = conv->uses_bias();
-      const nn::Tensor& b = conv->bias().value;
-      op.bias.assign(b.data(), b.data() + b.numel());
+      op.bias.assign(static_cast<size_t>(op.out_c), 0.0f);
+      if (conv->uses_bias()) {
+        const nn::Tensor& b = conv->bias().value;
+        op.bias.assign(b.data(), b.data() + b.numel());
+      }
       shape = {op.out_c, op.out_h, op.out_w};
       domain = Domain::kFloat;
       ops.push_back(std::move(op));
@@ -144,39 +207,52 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
       }
       Op op;
       op.kind = OpKind::kDense;
-      op.in_features = dense->in_features();
-      op.out_features = dense->out_features();
+      const int64_t in = dense->in_features();
+      const int64_t out = dense->out_features();
+      op.out_numel = out;
       const nn::Tensor& w = dense->weight().value;  // [out x in]
       util::aligned_vector<int16_t> wq(static_cast<size_t>(w.numel()));
       int32_t max_int = 0;
       if (!quantize_weights_exact(w.data(), w.numel(), wq.data(), &op.step,
                                   &max_int) ||
-          !dot_product_exact(signal_peak, max_int, op.in_features)) {
+          !dot_product_exact(signal_peak, max_int, in)) {
         return nullptr;
       }
       // igemm_prepacked computes x * B, so pack B = W^T [in x out].
-      util::aligned_vector<int16_t> wt(
-          static_cast<size_t>(op.in_features * op.out_features));
-      for (int64_t kk = 0; kk < op.in_features; ++kk) {
-        for (int64_t j = 0; j < op.out_features; ++j) {
-          wt[static_cast<size_t>(kk * op.out_features + j)] =
-              wq[static_cast<size_t>(j * op.in_features + kk)];
+      util::aligned_vector<int16_t> wt(static_cast<size_t>(in * out));
+      for (int64_t kk = 0; kk < in; ++kk) {
+        for (int64_t j = 0; j < out; ++j) {
+          wt[static_cast<size_t>(kk * out + j)] =
+              wq[static_cast<size_t>(j * in + kk)];
         }
       }
-      op.wq_packed =
-          nn::IGemmPackedB(wt.data(), op.in_features, op.out_features);
-      op.use_bias = dense->params().size() == 2;  // bias listed iff enabled
-      const nn::Tensor& b = dense->bias().value;
-      op.bias.assign(b.data(), b.data() + b.numel());
-      shape = {op.out_features};
+      op.wq_packed = nn::IGemmPackedB(wt.data(), in, out);
+      op.bias.assign(static_cast<size_t>(out), 0.0f);
+      if (dense->params().size() == 2) {  // bias listed iff enabled
+        const nn::Tensor& b = dense->bias().value;
+        op.bias.assign(b.data(), b.data() + b.numel());
+      }
+      shape = {out};
       domain = Domain::kFloat;
       ops.push_back(std::move(op));
       ++crossbars;
     } else if (dynamic_cast<nn::ReLU*>(&layer) != nullptr) {
-      Op op;
-      op.kind = OpKind::kReLU;
-      ops.push_back(std::move(op));
-      domain = Domain::kInt;  // ReLU + M-bit rounding restores integers
+      // ReLU + M-bit rounding restores integers; on signals it is the
+      // identity. Right after a crossbar layer (only shape-only layers
+      // between) it folds into that layer's epilogue.
+      if (domain == Domain::kFloat) {
+        Op& last = ops.back();  // the float domain starts at a crossbar
+        if (last.kind == OpKind::kConv || last.kind == OpKind::kDense) {
+          last.int_out = true;
+        } else {
+          Op op;
+          op.kind = OpKind::kReLU;
+          op.out_numel = last.out_numel;
+          op.int_out = true;
+          ops.push_back(std::move(op));
+        }
+      }
+      domain = Domain::kInt;
     } else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&layer)) {
       if (shape.size() != 3) return nullptr;
       Op op;
@@ -189,15 +265,14 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
       op.out_h = nn::conv_out_extent(op.in_h, op.kernel, op.stride, 0);
       op.out_w = nn::conv_out_extent(op.in_w, op.kernel, op.stride, 0);
       if (op.out_h <= 0 || op.out_w <= 0) return nullptr;
+      op.out_numel = op.in_c * op.out_h * op.out_w;
+      op.int_out = domain == Domain::kInt;
       shape = {op.in_c, op.out_h, op.out_w};
       ops.push_back(std::move(op));
     } else if (dynamic_cast<nn::Flatten*>(&layer) != nullptr) {
+      // Activations are flat per image already; only the shape changes.
       if (shape.size() != 3) return nullptr;
-      Op op;
-      op.kind = OpKind::kFlatten;
-      op.in_features = shape[0] * shape[1] * shape[2];
-      shape = {op.in_features};
-      ops.push_back(std::move(op));
+      shape = {shape[0] * shape[1] * shape[2]};
     } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
       // Inference dropout returns its input unchanged; no op needed.
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
@@ -214,123 +289,118 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
     }
   }
   if (crossbars == 0) return nullptr;  // nothing to accelerate
-  return std::unique_ptr<IntQuantEngine>(
-      new IntQuantEngine(signal_bits, std::move(ops), crossbars));
+  return std::unique_ptr<IntQuantEngine>(new IntQuantEngine(
+      signal_bits, input_chw, std::move(shape), std::move(ops), crossbars));
 }
 
 nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
-  if (encoded.rank() != 4) {
+  if (encoded.rank() != 4 || encoded.dim(1) != input_chw_[0] ||
+      encoded.dim(2) != input_chw_[1] || encoded.dim(3) != input_chw_[2]) {
     throw std::invalid_argument(
-        "IntQuantEngine::forward: expected [N, C, H, W], got " +
+        "IntQuantEngine::forward: expected [N, " +
+        std::to_string(input_chw_[0]) + ", " + std::to_string(input_chw_[1]) +
+        ", " + std::to_string(input_chw_[2]) + "], got " +
         nn::shape_to_string(encoded.shape()));
   }
   const int64_t n = encoded.dim(0);
-  nn::Tensor act = encoded;
+  // The activations are int16 signals or floats, [n x per-image numel]
+  // either way; each op reads one and writes a fresh one.
+  util::aligned_vector<int16_t> signals(static_cast<size_t>(encoded.numel()));
+  const float* e = encoded.data();
+  for (size_t i = 0; i < signals.size(); ++i) {
+    signals[i] = static_cast<int16_t>(e[i]);
+  }
+  std::vector<float> floats;
+  util::aligned_vector<int16_t> signals_out;
+  std::vector<float> floats_out;
+
   for (const Op& op : ops_) {
+    const size_t out_size = static_cast<size_t>(n * op.out_numel);
+    if (op.int_out) {
+      signals_out.resize(out_size);
+    } else {
+      floats_out.resize(out_size);
+    }
     switch (op.kind) {
       case OpKind::kConv: {
-        const int64_t patch = op.in_c * op.kernel * op.kernel;
+        const int64_t in_numel = op.in_c * op.in_h * op.in_w;
         const int64_t out_hw = op.out_h * op.out_w;
-        const int64_t image_numel = op.in_c * op.in_h * op.in_w;
-        nn::Tensor out({n, op.out_c, op.out_h, op.out_w});
         util::parallel_for(0, n, 1, [&](int64_t n0, int64_t n1) {
-          std::vector<float>& cols = tl_cols;
-          util::aligned_vector<int16_t>& icols = tl_icols;
-          util::aligned_vector<int32_t>& iacc = tl_iacc;
-          cols.resize(static_cast<size_t>(patch * out_hw));
-          icols.resize(static_cast<size_t>(patch * out_hw));
-          iacc.resize(static_cast<size_t>(op.out_c * out_hw));
+          util::aligned_vector<int32_t>& acc = tl_iacc;
+          acc.resize(static_cast<size_t>(op.out_numel));
           for (int64_t img = n0; img < n1; ++img) {
-            nn::im2col(act.data() + img * image_numel, op.in_c, op.in_h,
-                       op.in_w, op.kernel, op.kernel, op.stride, op.pad,
-                       cols.data());
-            for (size_t i = 0; i < icols.size(); ++i) {
-              icols[i] = static_cast<int16_t>(cols[i]);
-            }
-            nn::igemm(op.wq.data(), icols.data(), iacc.data(), op.out_c,
-                      patch, out_hw);
-            float* out_img = out.data() + img * op.out_c * out_hw;
+            nn::igemm_conv(op.wq.data(), signals.data() + img * in_numel,
+                           op.in_c, op.in_h, op.in_w, op.kernel, op.stride,
+                           op.pad, op.out_c, acc.data());
             for (int64_t oc = 0; oc < op.out_c; ++oc) {
+              const int64_t at = img * op.out_numel + oc * out_hw;
+              const int32_t* row = acc.data() + oc * out_hw;
               const float b = op.bias[static_cast<size_t>(oc)];
-              const int32_t* acc_row = iacc.data() + oc * out_hw;
-              float* out_row = out_img + oc * out_hw;
-              for (int64_t i = 0; i < out_hw; ++i) {
-                float y = static_cast<float>(acc_row[i]) * op.step;
-                if (op.use_bias) y += b;
-                out_row[i] = y;
+              if (op.int_out) {
+                epilogue(row, out_hw, op.step, b, signal_peak_,
+                         signals_out.data() + at);
+              } else {
+                epilogue(row, out_hw, op.step, b, signal_peak_,
+                         floats_out.data() + at);
               }
             }
           }
         });
-        act = std::move(out);
         break;
       }
       case OpKind::kDense: {
-        const int64_t in = op.in_features;
-        const int64_t out_f = op.out_features;
-        util::aligned_vector<int16_t> ix(static_cast<size_t>(n * in));
-        for (size_t i = 0; i < ix.size(); ++i) {
-          ix[i] = static_cast<int16_t>(act[static_cast<int64_t>(i)]);
-        }
-        util::aligned_vector<int32_t> iacc(static_cast<size_t>(n * out_f));
-        nn::igemm_prepacked(ix.data(), op.wq_packed, iacc.data(), n);
-        nn::Tensor out({n, out_f});
+        util::aligned_vector<int32_t> acc(out_size);
+        nn::igemm_prepacked(signals.data(), op.wq_packed, acc.data(), n);
         for (int64_t row = 0; row < n; ++row) {
-          const int32_t* acc_row = iacc.data() + row * out_f;
-          float* out_row = out.data() + row * out_f;
-          for (int64_t j = 0; j < out_f; ++j) {
-            float y = static_cast<float>(acc_row[j]) * op.step;
-            if (op.use_bias) y += op.bias[static_cast<size_t>(j)];
-            out_row[j] = y;
+          const int64_t at = row * op.out_numel;
+          if (op.int_out) {
+            epilogue(acc.data() + at, op.out_numel, op.step, op.bias.data(),
+                     signal_peak_, signals_out.data() + at);
+          } else {
+            epilogue(acc.data() + at, op.out_numel, op.step, op.bias.data(),
+                     signal_peak_, floats_out.data() + at);
           }
         }
-        act = std::move(out);
         break;
       }
       case OpKind::kReLU: {
-        for (int64_t i = 0; i < act.numel(); ++i) {
-          const float v = act[i] > 0.0f ? act[i] : 0.0f;
-          act[i] = quantizer_.apply(v);
+        for (size_t i = 0; i < out_size; ++i) {
+          signals_out[i] = static_cast<int16_t>(
+              relu_quantize_signal(floats[i], signal_peak_));
         }
         break;
       }
       case OpKind::kMaxPool: {
-        // Same loop structure and comparison as MaxPool2d::forward so
-        // results (including tie handling) are bit-identical.
-        nn::Tensor out({n, op.in_c, op.out_h, op.out_w});
-        int64_t out_idx = 0;
-        for (int64_t img = 0; img < n; ++img) {
-          for (int64_t c = 0; c < op.in_c; ++c) {
-            const float* plane =
-                act.data() + (img * op.in_c + c) * op.in_h * op.in_w;
-            for (int64_t oy = 0; oy < op.out_h; ++oy) {
-              for (int64_t ox = 0; ox < op.out_w; ++ox, ++out_idx) {
-                float best = -std::numeric_limits<float>::infinity();
-                for (int64_t ky = 0; ky < op.kernel; ++ky) {
-                  const int64_t iy = oy * op.stride + ky;
-                  if (iy >= op.in_h) break;
-                  for (int64_t kx = 0; kx < op.kernel; ++kx) {
-                    const int64_t ix2 = ox * op.stride + kx;
-                    if (ix2 >= op.in_w) break;
-                    const float v = plane[iy * op.in_w + ix2];
-                    if (v > best) best = v;
-                  }
-                }
-                out[out_idx] = best;
-              }
-            }
-          }
+        const int64_t planes = n * op.in_c;
+        if (op.int_out) {
+          max_pool(signals.data(), planes, op.in_h, op.in_w, op.kernel,
+                   op.stride, op.out_h, op.out_w, signals_out.data());
+        } else {
+          max_pool(floats.data(), planes, op.in_h, op.in_w, op.kernel,
+                   op.stride, op.out_h, op.out_w, floats_out.data());
         }
-        act = std::move(out);
-        break;
-      }
-      case OpKind::kFlatten: {
-        act = act.reshape({n, op.in_features});
         break;
       }
     }
+    if (op.int_out) {
+      signals.swap(signals_out);
+    } else {
+      floats.swap(floats_out);
+    }
   }
-  return act;
+
+  nn::Shape shape = output_;
+  shape.insert(shape.begin(), n);
+  nn::Tensor out(shape);
+  float* o = out.data();
+  if (ops_.back().int_out) {
+    for (size_t i = 0; i < signals.size(); ++i) {
+      o[i] = static_cast<float>(signals[i]);
+    }
+  } else {
+    std::copy(floats.begin(), floats.end(), o);
+  }
+  return out;
 }
 
 std::vector<int64_t> IntQuantEngine::predict(const nn::Tensor& encoded) const {

@@ -18,6 +18,14 @@
 // to the fake-quant float path while eliminating every fp32 multiply from
 // the hot loop.
 //
+// Signals stay int16 from the encoded input to the last crossbar layer:
+// each conv gathers its int16 image straight into the igemm panel
+// (nn::igemm_conv), a crossbar layer followed by ReLU rounds its float
+// epilogue to the next layer's int16 signals in the same pass
+// (relu_quantize_signal), and max-pool and dense read int16. Float
+// activations exist only between a crossbar layer and a later ReLU (e.g.
+// conv -> max-pool -> ReLU) and for the float logits.
+//
 // build() checks the conditions per layer and returns nullptr when any
 // layer fails them (e.g. unclustered He-normal float weights) or uses an
 // unsupported layer type; callers then keep the float path unchanged.
@@ -27,7 +35,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/fixed_point.h"
 #include "nn/igemm.h"
 #include "nn/network.h"
 #include "nn/tensor.h"
@@ -63,7 +70,7 @@ class IntQuantEngine {
   size_t crossbar_layers() const { return crossbar_layers_; }
 
  private:
-  enum class OpKind { kConv, kDense, kReLU, kMaxPool, kFlatten };
+  enum class OpKind { kConv, kDense, kReLU, kMaxPool };
 
   struct Op {
     OpKind kind;
@@ -71,21 +78,27 @@ class IntQuantEngine {
     int64_t in_c = 0, in_h = 0, in_w = 0;
     int64_t out_c = 0, out_h = 0, out_w = 0;
     int64_t kernel = 0, stride = 0, pad = 0;
-    // Dense extents.
-    int64_t in_features = 0, out_features = 0;
+    int64_t out_numel = 0;  // per-image output elements
+    // The op writes int16 signals rather than floats. Always for ReLU; for
+    // a crossbar layer when the ReLU after it is folded into its epilogue;
+    // for max-pool when its input is signals. An op reads signals iff the
+    // op before it wrote them (the encoded input counts as signals).
+    bool int_out = false;
     // Integer weights: conv keeps the row-major [out_c x patch] matrix,
     // dense a prepacked W^T [in x out] panel.
     util::aligned_vector<int16_t> wq;
     nn::IGemmPackedB wq_packed;
-    std::vector<float> bias;
-    bool use_bias = false;
-    float step = 1.0f;  // 2^-fl of this layer's weight grid
+    std::vector<float> bias;  // all +0.0 when the layer has no bias
+    float step = 1.0f;        // 2^-fl of this layer's weight grid
   };
 
-  IntQuantEngine(int signal_bits, std::vector<Op> ops, size_t crossbars);
+  IntQuantEngine(int signal_bits, nn::Shape input_chw, nn::Shape output,
+                 std::vector<Op> ops, size_t crossbars);
 
   int signal_bits_;
-  IntegerSignalQuantizer quantizer_;
+  float signal_peak_;     // 2^M - 1
+  nn::Shape input_chw_;   // per-image input shape
+  nn::Shape output_;      // per-image output shape
   std::vector<Op> ops_;
   size_t crossbar_layers_;
 };

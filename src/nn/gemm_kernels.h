@@ -94,6 +94,20 @@ void pack_ib_panel(const int16_t* b, int64_t k, int64_t n, int16_t* panel);
 void avx2_igemm_acc_rows(const int16_t* a, const int16_t* b_panel, int32_t* c,
                          int64_t k, int64_t n, int64_t i0, int64_t i1);
 
+/// int16 slack avx2_pack_gather_panel may read on either side of `src`.
+inline constexpr int64_t kGatherSlack = kINR;
+
+/// Writes the pack_ib_panel layout of the implicit [k x n] operand
+///   B[kk][j] = src[row_off[kk] + col_off[j]]
+/// (an im2col matrix when src is a zero-padded image) without building B.
+/// Column runs with consecutive offsets load as whole vectors, so a
+/// stride-1 conv costs a few vector ops per 16 columns; other tiles fall
+/// back to one load per element. `panel` must be 32-byte aligned and src
+/// readable kGatherSlack int16 beyond every offset it is given.
+void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
+                            int64_t k, const int32_t* col_off, int64_t n,
+                            int16_t* panel);
+
 /// acc[c] += vals[e] * panel[rows[e] * cols + c] over all events e — the
 /// integer row-drive combine of the SNC event engine.
 void avx2_iaccumulate_rows(const int32_t* rows, const int32_t* vals,

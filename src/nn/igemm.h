@@ -26,6 +26,18 @@ void igemm(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
 void igemm_acc(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
                int64_t k, int64_t n);
 
+/// One image's convolution as an integer GEMM:
+///   C[m x out_h*out_w] (int32) = W[m x patch] (int16) * cols
+/// where cols is nn::im2col's [channels*kernel*kernel x out_h*out_w]
+/// matrix of `image` [channels x height x width] (padding taps read 0)
+/// and W is the row-major OIHW weight matrix. The AVX2 path gathers the
+/// image straight into the pack_ib_panel layout of cols, with no
+/// intermediate matrix; the scalar path builds the int16 cols and runs the
+/// scalar loop. Overflow contract as igemm with k = patch.
+void igemm_conv(const int16_t* w, const int16_t* image, int64_t channels,
+                int64_t height, int64_t width, int64_t kernel, int64_t stride,
+                int64_t pad, int64_t m, int32_t* c);
+
 /// B operand packed once and reused across calls (static layer weights).
 /// Keeps both the raw row-major copy (scalar path) and the vpmaddwd panel
 /// (AVX2 path), so dispatch may flip per call without repacking.

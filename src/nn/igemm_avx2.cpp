@@ -77,7 +77,9 @@ inline void imkNx16(const int16_t* const* arow, int64_t rows,
     for (int64_t r = 0; r < rows; ++r) {
       const int16_t a0 = arow[r][k0];
       const int16_t a1 = has_hi ? arow[r][k0 + 1] : int16_t{0};
-      if (a0 == 0 && a1 == 0) continue;  // spike-count signals are sparse
+      // A zero pair adds nothing: zero weights when A is a conv's weight
+      // matrix, zero signals when A is a dense layer's activations.
+      if (a0 == 0 && a1 == 0) continue;
       const __m256i v = pair_bcast(a0, a1);
       acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(v, b0));
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(v, b1));
@@ -120,6 +122,84 @@ void avx2_igemm_acc_rows(const int16_t* a, const int16_t* b_panel, int32_t* c,
         crow[r] = c + (ib + r) * n + j0;
       }
       imkNx16(arow, rows, b_panel + jt * kp * 2 * kINR, k, crow, jw);
+    }
+  }
+}
+
+namespace {
+
+// Loaded from kLaneMaskTable + kINR - l: int16 lanes >= l all ones.
+alignas(64) constexpr int16_t kLaneMaskTable[2 * kINR] = {
+    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
+
+inline __m256i lanes_from(int64_t l) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLaneMaskTable + kINR - l));
+}
+
+// Column runs per tile the vector path handles: a stride-1 conv tile
+// spans at most ceil(16 / out_w) + 1 output rows.
+constexpr int kMaxRuns = 4;
+
+}  // namespace
+
+void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
+                            int64_t k, const int32_t* col_off, int64_t n,
+                            int16_t* panel) {
+  const int64_t kp = k_pairs(k);
+  for (int64_t j0 = 0; j0 < n; j0 += kINR) {
+    const int32_t* col = col_off + j0;
+    const int64_t jw = std::min(kINR, n - j0);
+    // Split the tile into runs of consecutive source offsets. Run r starts
+    // at some lane l_r and reads lane l at src + base[r] + l; from[r]
+    // selects lanes >= l_r, so each later run overwrites the lanes past
+    // its start. More runs than kMaxRuns take one load per element.
+    int64_t base[kMaxRuns];
+    __m256i from[kMaxRuns];
+    int runs = 0;
+    for (int64_t l = 0; l < jw && runs <= kMaxRuns; ++l) {
+      if (l > 0 && col[l] == col[l - 1] + 1) continue;
+      if (runs < kMaxRuns) {
+        base[runs] = col[l] - l;
+        from[runs] = lanes_from(l);
+      }
+      ++runs;
+    }
+    const __m256i live = lanes_from(jw);  // dead lanes are zero
+    int16_t* tile = panel + (j0 / kINR) * kp * 2 * kINR;
+    if (runs > kMaxRuns) {
+      for (int64_t p = 0; p < kp; ++p) {
+        const int16_t* s0 = src + row_off[2 * p];
+        const int16_t* s1 = 2 * p + 1 < k ? src + row_off[2 * p + 1] : nullptr;
+        int16_t* dst = tile + p * 2 * kINR;
+        for (int64_t l = 0; l < kINR; ++l) {
+          dst[2 * l] = l < jw ? s0[col[l]] : int16_t{0};
+          dst[2 * l + 1] = l < jw && s1 != nullptr ? s1[col[l]] : int16_t{0};
+        }
+      }
+      continue;
+    }
+    const auto row = [&](const int16_t* s) {
+      __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + base[0]));
+      for (int r = 1; r < runs; ++r) {
+        const __m256i w =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + base[r]));
+        v = _mm256_blendv_epi8(v, w, from[r]);
+      }
+      return _mm256_andnot_si256(live, v);
+    };
+    for (int64_t p = 0; p < kp; ++p) {
+      const __m256i lo_k = row(src + row_off[2 * p]);
+      const __m256i hi_k = 2 * p + 1 < k ? row(src + row_off[2 * p + 1])
+                                         : _mm256_setzero_si256();
+      // Interleave the two k rows per column: (b[2p][j], b[2p+1][j]).
+      const __m256i a = _mm256_unpacklo_epi16(lo_k, hi_k);
+      const __m256i b = _mm256_unpackhi_epi16(lo_k, hi_k);
+      __m256i* dst = reinterpret_cast<__m256i*>(tile + p * 2 * kINR);
+      _mm256_store_si256(dst, _mm256_permute2x128_si256(a, b, 0x20));
+      _mm256_store_si256(dst + 1, _mm256_permute2x128_si256(a, b, 0x31));
     }
   }
 }
@@ -177,6 +257,8 @@ void avx2_iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
 
 void avx2_igemm_acc_rows(const int16_t*, const int16_t*, int32_t*, int64_t,
                          int64_t, int64_t, int64_t) {}
+void avx2_pack_gather_panel(const int16_t*, const int32_t*, int64_t,
+                            const int32_t*, int64_t, int16_t*) {}
 void avx2_iaccumulate_rows(const int32_t*, const int32_t*, int64_t,
                            const int16_t*, int64_t, int32_t*) {}
 void avx2_iaccumulate_rows_batch(const int32_t*, const int32_t*, int64_t,

@@ -1,6 +1,5 @@
 #include "serve/backend.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "nn/rng.h"
@@ -46,20 +45,18 @@ QuantBackend::QuantBackend(nn::Network& net, nn::Shape input_chw, int bits)
           16.0f, static_cast<float>(core::signal_max(bits)))),
       quantizer_(std::make_unique<core::IntegerSignalQuantizer>(bits)) {
   net_.set_signal_quantizer(quantizer_.get());
-  const char* env = std::getenv("QSNC_QUANT_INT");
-  if (env == nullptr || std::string(env) != "0") {
-    engine_ = core::IntQuantEngine::build(net_, input_chw_, bits_);
-  }
+  engine_ = core::IntQuantEngine::build(net_, input_chw_, bits_);
 }
 
 QuantBackend::~QuantBackend() { net_.set_signal_quantizer(nullptr); }
 
 std::vector<int64_t> QuantBackend::infer_batch(const nn::Tensor& batch) {
   check_batch_shape(batch, input_chw_);
-  nn::Tensor encoded = batch;
-  encoded *= input_scale_;
+  nn::Tensor encoded(batch.shape());
+  const float* pixels = batch.data();
+  float* signals = encoded.data();
   for (int64_t i = 0; i < encoded.numel(); ++i) {
-    encoded[i] = core::quantize_input_signal(encoded[i], bits_);
+    signals[i] = core::quantize_input_signal(pixels[i] * input_scale_, bits_);
   }
   if (engine_ != nullptr) return engine_->predict(encoded);
   return net_.predict(encoded);

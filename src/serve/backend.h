@@ -89,7 +89,7 @@ class Fp32Backend final : public Backend {
 /// true-integer GEMM path instead of fp32 — provably bit-identical
 /// predictions (see int_quant_engine.h), no float multiplies in the hot
 /// loop. Networks that fail the engine's exactness checks keep the float
-/// path unchanged. Set QSNC_QUANT_INT=0 to force the float path.
+/// path unchanged.
 class QuantBackend final : public Backend {
  public:
   QuantBackend(nn::Network& net, nn::Shape input_chw, int bits);

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -540,9 +541,14 @@ void send_all(int fd, const std::vector<uint8_t>& bytes) {
   }
 }
 
-volatile std::sig_atomic_t g_signal_stop = 0;
+// Written by the signal handler, read and reset by run_until_signal on
+// other threads. A lock-free atomic is both async-signal-safe and
+// race-free; a volatile sig_atomic_t is only the former.
+std::atomic<int> g_signal_stop{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the stop flag is written from a signal handler");
 
-void on_stop_signal(int) { g_signal_stop = 1; }
+void on_stop_signal(int) { g_signal_stop.store(1); }
 
 }  // namespace
 
@@ -810,7 +816,7 @@ void SocketServer::stop() {
 }
 
 void SocketServer::run_until_signal() {
-  g_signal_stop = 0;
+  g_signal_stop.store(0);
   struct sigaction action{};
   action.sa_handler = on_stop_signal;
   sigemptyset(&action.sa_mask);
@@ -818,7 +824,7 @@ void SocketServer::run_until_signal() {
   struct sigaction old_term{};
   ::sigaction(SIGINT, &action, &old_int);
   ::sigaction(SIGTERM, &action, &old_term);
-  while (!g_signal_stop && !stopping_.load()) {
+  while (g_signal_stop.load() == 0 && !stopping_.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   ::sigaction(SIGINT, &old_int, nullptr);

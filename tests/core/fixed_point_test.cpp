@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ios>
+#include <limits>
+#include <vector>
+
+#include "nn/layers/relu.h"
+#include "nn/tensor.h"
 
 namespace qsnc::core {
 namespace {
@@ -55,6 +62,66 @@ TEST(IntegerSignalQuantizerTest, OutputAlwaysIntegral) {
     EXPECT_FLOAT_EQ(o, std::round(o));
     EXPECT_GE(o, 0.0f);
     EXPECT_LE(o, 31.0f);
+  }
+}
+
+// relu_quantize_signal against the real thing: an nn::ReLU layer with the
+// quantizer attached, compared bit for bit (sign of zero included).
+void expect_fused_matches_relu_then_quantizer(int bits,
+                                              const std::vector<float>& xs) {
+  IntegerSignalQuantizer q(bits);
+  nn::ReLU relu;
+  relu.set_quantizer(&q);
+  nn::Tensor in({static_cast<int64_t>(xs.size())});
+  std::memcpy(in.data(), xs.data(), xs.size() * sizeof(float));
+  const nn::Tensor want = relu.forward(in, false);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float got =
+        static_cast<float>(relu_quantize_signal(xs[i], q.max_value()));
+    const float w = want.data()[i];
+    ASSERT_EQ(std::memcmp(&got, &w, sizeof(float)), 0)
+        << "M=" << bits << " o=" << std::hexfloat << xs[i] << ": fused "
+        << got << ", ReLU+apply " << w;
+  }
+}
+
+// `count` consecutive floats on either side of x, x itself included.
+void push_neighbours(float x, int count, std::vector<float>& out) {
+  float lo = x, hi = x;
+  out.push_back(x);
+  for (int i = 0; i < count; ++i) {
+    lo = std::nextafter(lo, -std::numeric_limits<float>::infinity());
+    hi = std::nextafter(hi, std::numeric_limits<float>::infinity());
+    out.push_back(lo);
+    out.push_back(hi);
+  }
+}
+
+TEST(ReluQuantizeSignalTest, BitIdenticalToReluThenQuantizer) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (int bits : {1, 2, 4, 8, 15, 16}) {
+    const float max_v = static_cast<float>(signal_max(bits));
+    std::vector<float> xs = {-0.0f, 0.0f, -1.0f, -0.5f, -0.49999997f,
+                             -1e-30f, -1e30f, -kInf, 0.49999997f, 0.5f,
+                             max_v - 0.5f, max_v + 0.5f, max_v + 1.0f,
+                             1e9f, 3e38f, kInf,
+                             std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::denorm_min()};
+    push_neighbours(max_v - 0.5f, 64, xs);
+    push_neighbours(max_v + 0.5f, 64, xs);
+    // 64 floats either side of every k and k + 0.5 in the signal range,
+    // checked in chunks to keep the tensors small.
+    for (int64_t k = 0; k <= signal_max(bits); ++k) {
+      push_neighbours(static_cast<float>(k), 64, xs);
+      push_neighbours(static_cast<float>(k) + 0.5f, 64, xs);
+      if (xs.size() >= (size_t{1} << 16)) {
+        expect_fused_matches_relu_then_quantizer(bits, xs);
+        if (HasFatalFailure()) return;
+        xs.clear();
+      }
+    }
+    expect_fused_matches_relu_then_quantizer(bits, xs);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/dynamic_fixed_point.h"
 #include "core/fixed_point.h"
+#include "models/model_zoo.h"
 #include "nn/layers/conv2d.h"
 #include "nn/layers/dense.h"
 #include "nn/layers/flatten.h"
@@ -26,21 +28,11 @@ namespace {
 constexpr int kBits = 4;
 const nn::Shape kInputShape{1, 12, 12};
 
-// Conv -> ReLU -> Pool -> Conv -> ReLU -> Flatten -> Dense with every
-// weight snapped to the dyadic 1/16 grid, which is what the deployed
+// Every weight snapped to the dyadic 1/16 grid, which is what the deployed
 // fixed-point models look like and what the engine's exactness checks
 // require. Biases stay arbitrary floats — the epilogue adds them in fp32
 // either way.
-nn::Network make_dyadic_net(uint64_t seed) {
-  nn::Rng rng(seed);
-  nn::Network net;
-  net.emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::MaxPool2d>(2, 2);
-  net.emplace<nn::Conv2d>(4, 6, 3, 1, 0, rng);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Flatten>();
-  net.emplace<nn::Dense>(96, 10, rng);
+void snap_to_dyadic_grid(nn::Network& net, nn::Rng& rng) {
   for (nn::Param* p : net.params()) {
     if (p->value.shape().size() >= 2) {
       for (int64_t i = 0; i < p->value.numel(); ++i) {
@@ -52,14 +44,29 @@ nn::Network make_dyadic_net(uint64_t seed) {
       }
     }
   }
+}
+
+nn::Network make_dyadic_net(uint64_t seed) {
+  // Conv -> ReLU -> Pool -> Conv -> ReLU -> Flatten -> Dense.
+  nn::Rng rng(seed);
+  nn::Network net;
+  net.emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Conv2d>(4, 6, 3, 1, 0, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(96, 10, rng);
+  snap_to_dyadic_grid(net, rng);
   return net;
 }
 
 // Pixel batch in [0, 1], encoded the way QuantBackend encodes before
 // handing to either execution path.
-nn::Tensor random_pixels(int64_t n, uint64_t seed) {
+nn::Tensor random_pixels(int64_t n, uint64_t seed,
+                         const nn::Shape& chw = kInputShape) {
   nn::Rng rng(seed);
-  nn::Tensor batch({n, kInputShape[0], kInputShape[1], kInputShape[2]});
+  nn::Tensor batch({n, chw[0], chw[1], chw[2]});
   for (int64_t i = 0; i < batch.numel(); ++i) batch[i] = rng.uniform();
   return batch;
 }
@@ -188,8 +195,8 @@ TEST(IntQuantEngineTest, BitIdenticalAcrossThreadCountsAndDispatch) {
   util::set_num_threads(original);
 }
 
-// QuantBackend must serve identical predictions whether the integer
-// engine is active or disabled via QSNC_QUANT_INT=0 — the engine is a
+// QuantBackend on its integer engine must serve exactly the predictions of
+// the fake-quant float path on the same encoded batch — the engine is a
 // pure execution-path swap, never a behavior change.
 TEST(IntQuantEngineTest, QuantBackendPathSwapIsInvisible) {
   const nn::Tensor pixels = random_pixels(7, 21);
@@ -199,13 +206,10 @@ TEST(IntQuantEngineTest, QuantBackendPathSwapIsInvisible) {
   EXPECT_TRUE(with_engine.integer_engine_active());
   const std::vector<int64_t> got = with_engine.infer_batch(pixels);
 
-  ASSERT_EQ(setenv("QSNC_QUANT_INT", "0", 1), 0);
   nn::Network net_float = make_dyadic_net(59);
-  serve::QuantBackend without_engine(net_float, kInputShape, kBits);
-  ASSERT_EQ(unsetenv("QSNC_QUANT_INT"), 0);
-  EXPECT_FALSE(without_engine.integer_engine_active());
-
-  EXPECT_EQ(got, without_engine.infer_batch(pixels));
+  IntegerSignalQuantizer quantizer(kBits);
+  net_float.set_signal_quantizer(&quantizer);
+  EXPECT_EQ(got, net_float.predict(encode(pixels)));
 }
 
 TEST(IntQuantEngineTest, QuantBackendStaysOnFloatPathForFloatWeights) {
@@ -220,6 +224,130 @@ TEST(IntQuantEngineTest, QuantBackendStaysOnFloatPathForFloatWeights) {
   // Still serves correctly shaped predictions through the float path.
   const auto preds = backend.infer_batch(random_pixels(3, 1));
   EXPECT_EQ(preds.size(), 3u);
+}
+
+// Builds the engine for `net` and pins its logits, bit for bit, to the
+// fake-quant float path on one encoded batch: at 1, 2 and 4 threads, with
+// the AVX2 kernels and forced scalar.
+void expect_engine_matches_float_path(nn::Network& net, const nn::Shape& chw,
+                                      int64_t batch, uint64_t seed) {
+  auto engine = IntQuantEngine::build(net, chw, kBits);
+  ASSERT_NE(engine, nullptr);
+  const nn::Tensor encoded = encode(random_pixels(batch, seed, chw));
+
+  IntegerSignalQuantizer quantizer(kBits);
+  net.set_signal_quantizer(&quantizer);
+  const nn::Tensor want = net.forward(encoded, false);
+  net.set_signal_quantizer(nullptr);
+
+  const int original = util::num_threads();
+  for (int threads : {1, 2, 4}) {
+    util::set_num_threads(threads);
+    for (bool force_scalar : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " force_scalar=" + std::to_string(force_scalar));
+      ForceScalarGuard guard(force_scalar);
+      expect_bitwise_equal(engine->forward(encoded), want);
+    }
+  }
+  util::set_num_threads(original);
+}
+
+TEST(IntQuantEngineTest, StrideTwoConvMatchesFloatPath) {
+  nn::Rng rng(61);
+  nn::Network net;
+  net.emplace<nn::Conv2d>(1, 4, 3, 2, 1, rng);  // 12x12 -> 6x6
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2d>(4, 5, 3, 2, 0, rng);  // 6x6 -> 2x2
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(5 * 2 * 2, 10, rng);
+  snap_to_dyadic_grid(net, rng);
+  expect_engine_matches_float_path(net, kInputShape, 5, 62);
+}
+
+// A pool between a crossbar layer and its ReLU runs on floats; the ReLU
+// after it converts them to signals.
+TEST(IntQuantEngineTest, PoolBeforeReLURunsInTheFloatDomain) {
+  nn::Rng rng(63);
+  nn::Network net;
+  net.emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2d>(4, 3, 3, 1, 0, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(3 * 2 * 2, 10, rng);
+  snap_to_dyadic_grid(net, rng);
+  expect_engine_matches_float_path(net, kInputShape, 6, 64);
+}
+
+// Patches of 27 and 45 taps leave an unpaired last k row; outputs of 9x5
+// and 7x3 fill no 16-lane tile evenly, and rows of 5 and 3 pixels split a
+// tile into more runs than the vector gather takes.
+TEST(IntQuantEngineTest, OddPatchAndNarrowOutputsMatchFloatPath) {
+  const nn::Shape chw{3, 9, 5};
+  nn::Rng rng(65);
+  nn::Network net;
+  net.emplace<nn::Conv2d>(3, 5, 3, 1, 1, rng);  // 9x5, patch 27
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2d>(5, 4, 3, 1, 0, rng);  // 7x3, patch 45
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(4 * 7 * 3, 10, rng);
+  snap_to_dyadic_grid(net, rng);
+  expect_engine_matches_float_path(net, chw, 7, 66);
+}
+
+// The output is the last ReLU's signals, converted back to float; the
+// bias-free layers take the +0.0-bias epilogue.
+TEST(IntQuantEngineTest, NetEndingInReLUMatchesFloatPath) {
+  nn::Rng rng(67);
+  nn::Network net;
+  net.emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng, /*use_bias=*/false);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Flatten>();
+  net.emplace<nn::Dense>(4 * 6 * 6, 12, rng, /*use_bias=*/false);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Dense>(12, 10, rng);
+  net.emplace<nn::ReLU>();
+  snap_to_dyadic_grid(net, rng);
+  expect_engine_matches_float_path(net, kInputShape, 5, 68);
+}
+
+// lenet-mini as the quant serving benchmark deploys it: weights on their
+// 8-bit dynamic-fixed-point grids.
+nn::Network make_dyadic_lenet() {
+  nn::Rng rng(9);
+  nn::Network net = models::make_lenet_mini(rng);
+  for (nn::Param* p : net.params()) {
+    if (p->value.rank() < 2) continue;
+    const int fl = choose_fraction_bits(p->value.abs_max(), 8);
+    for (int64_t i = 0; i < p->value.numel(); ++i) {
+      p->value[i] = dfp_quantize(p->value[i], 8, fl);
+    }
+  }
+  return net;
+}
+
+TEST(IntQuantEngineTest, DyadicLenetThroughQuantBackendMatchesFloatPath) {
+  const nn::Shape chw{1, 28, 28};
+  for (int64_t batch : {1, 3, 8}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    nn::Network reference = make_dyadic_lenet();
+    expect_engine_matches_float_path(reference, chw, batch, 70 + batch);
+
+    nn::Network served = make_dyadic_lenet();
+    serve::QuantBackend backend(served, chw, kBits);
+    ASSERT_TRUE(backend.integer_engine_active());
+    const nn::Tensor pixels = random_pixels(batch, 80 + batch, chw);
+    IntegerSignalQuantizer quantizer(kBits);
+    reference.set_signal_quantizer(&quantizer);
+    EXPECT_EQ(backend.infer_batch(pixels), reference.predict(encode(pixels)));
+    reference.set_signal_quantizer(nullptr);
+  }
 }
 
 }  // namespace

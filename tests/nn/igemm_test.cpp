@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/gemm_kernels.h"
+#include "nn/im2col.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
 
@@ -220,6 +222,123 @@ TEST(IAccumulateRowsTest, EmptyEventListLeavesAccumulatorUntouched) {
   std::vector<int32_t> acc{1, 2, 3};
   iaccumulate_rows(nullptr, nullptr, 0, panel.data(), 3, acc.data());
   EXPECT_EQ(acc, (std::vector<int32_t>{1, 2, 3}));
+}
+
+struct ConvGeometry {
+  int64_t channels, height, width, kernel, stride, pad, m;
+};
+
+// The int16 im2col matrix of a signal image, via the float nn::im2col.
+std::vector<int16_t> im2col_i16(const std::vector<int16_t>& image,
+                                const ConvGeometry& g, int64_t* k_out,
+                                int64_t* n_out) {
+  const int64_t out_h = conv_out_extent(g.height, g.kernel, g.stride, g.pad);
+  const int64_t out_w = conv_out_extent(g.width, g.kernel, g.stride, g.pad);
+  const int64_t k = g.channels * g.kernel * g.kernel;
+  const int64_t n = out_h * out_w;
+  const std::vector<float> fimage(image.begin(), image.end());
+  std::vector<float> cols(static_cast<size_t>(k * n));
+  im2col(fimage.data(), g.channels, g.height, g.width, g.kernel, g.kernel,
+         g.stride, g.pad, cols.data());
+  *k_out = k;
+  *n_out = n;
+  return std::vector<int16_t>(cols.begin(), cols.end());
+}
+
+// Stride 1 and 2, padding, odd patches (odd k pairs), out_hw not a multiple
+// of 16, and output rows narrower than a 16-lane tile (the per-lane gather
+// fallback) next to the lenet-mini shapes.
+class IGemmConvTest : public ::testing::TestWithParam<ConvGeometry> {};
+
+TEST_P(IGemmConvTest, MatchesIm2colThenIgemmOnEveryPath) {
+  const ConvGeometry g = GetParam();
+  Rng rng(g.channels * 131 + g.height * 17 + g.kernel * 5 + g.stride + g.pad);
+  std::vector<int16_t> image = random_i16(g.channels * g.height * g.width,
+                                          15, rng);
+  for (auto& x : image) x = static_cast<int16_t>(std::abs(x));
+  for (size_t i = 0; i < image.size(); i += 2) image[i] = 0;  // sparse
+  const auto w = random_i16(g.m * g.channels * g.kernel * g.kernel, 127, rng);
+
+  int64_t k = 0, n = 0;
+  const std::vector<int16_t> cols = im2col_i16(image, g, &k, &n);
+  std::vector<int32_t> want(static_cast<size_t>(g.m * n), 0);
+  naive_igemm_acc(w.data(), cols.data(), want.data(), g.m, k, n);
+
+  for (bool force_scalar : {false, true}) {
+    ForceScalarGuard guard(force_scalar);
+    std::vector<int32_t> got(static_cast<size_t>(g.m * n), -7);
+    igemm_conv(w.data(), image.data(), g.channels, g.height, g.width,
+               g.kernel, g.stride, g.pad, g.m, got.data());
+    EXPECT_EQ(got, want) << "force_scalar=" << force_scalar;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, IGemmConvTest,
+    ::testing::Values(ConvGeometry{1, 28, 28, 5, 1, 2, 6},   // lenet conv1
+                      ConvGeometry{6, 14, 14, 5, 1, 0, 12},  // lenet conv2
+                      ConvGeometry{3, 7, 9, 3, 1, 1, 5},     // odd patch 27
+                      ConvGeometry{2, 11, 10, 3, 2, 1, 4},   // stride 2
+                      ConvGeometry{3, 9, 3, 3, 1, 0, 7},     // out_w 1
+                      ConvGeometry{1, 6, 5, 2, 1, 0, 3},     // out_w 4
+                      ConvGeometry{4, 5, 5, 5, 1, 0, 9},     // one output
+                      ConvGeometry{2, 8, 8, 1, 1, 0, 5}),    // 1x1, k 2
+    [](const ::testing::TestParamInfo<ConvGeometry>& info) {
+      const ConvGeometry& g = info.param;
+      return "c" + std::to_string(g.channels) + "_" +
+             std::to_string(g.height) + "x" + std::to_string(g.width) + "_k" +
+             std::to_string(g.kernel) + "_s" + std::to_string(g.stride) +
+             "_p" + std::to_string(g.pad) + "_m" + std::to_string(g.m);
+    });
+
+// The AVX2 gather must emit exactly pack_ib_panel's layout, zero padding
+// included, not just a panel whose live lanes happen to give the same C.
+TEST(IGemmConvTest, GatherPanelEqualsPackedIm2col) {
+  if (!simd::use_avx2()) GTEST_SKIP() << "AVX2 kernels inactive";
+  for (const ConvGeometry& g : {ConvGeometry{3, 7, 9, 3, 1, 1, 1},
+                                ConvGeometry{1, 28, 28, 5, 1, 2, 1},
+                                ConvGeometry{2, 11, 10, 3, 2, 1, 1},
+                                ConvGeometry{3, 9, 3, 3, 1, 0, 1}}) {
+    Rng rng(g.height * 7 + g.width);
+    std::vector<int16_t> image = random_i16(g.channels * g.height * g.width,
+                                            15, rng);
+    int64_t k = 0, n = 0;
+    const std::vector<int16_t> cols = im2col_i16(image, g, &k, &n);
+    util::aligned_vector<int16_t> want(
+        static_cast<size_t>(kernels::ib_panel_int16s(k, n)));
+    kernels::pack_ib_panel(cols.data(), k, n, want.data());
+
+    // Offsets into the image zero-padded by g.pad, as igemm_conv builds it.
+    const int64_t hp = g.height + 2 * g.pad, wp = g.width + 2 * g.pad;
+    const int64_t slack = kernels::kGatherSlack;
+    std::vector<int16_t> padded(
+        static_cast<size_t>(g.channels * hp * wp + 2 * slack), 0);
+    for (int64_t c = 0; c < g.channels; ++c) {
+      for (int64_t y = 0; y < g.height; ++y) {
+        for (int64_t x = 0; x < g.width; ++x) {
+          padded[static_cast<size_t>(slack + (c * hp + y + g.pad) * wp + x +
+                                     g.pad)] =
+              image[static_cast<size_t>((c * g.height + y) * g.width + x)];
+        }
+      }
+    }
+    const int64_t out_w = conv_out_extent(g.width, g.kernel, g.stride, g.pad);
+    std::vector<int32_t> row_off, col_off;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int64_t c = kk / (g.kernel * g.kernel);
+      const int64_t ky = kk / g.kernel % g.kernel, kx = kk % g.kernel;
+      row_off.push_back(static_cast<int32_t>((c * hp + ky) * wp + kx));
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      col_off.push_back(
+          static_cast<int32_t>((j / out_w * wp + j % out_w) * g.stride));
+    }
+    util::aligned_vector<int16_t> got(want.size(), -1);
+    kernels::avx2_pack_gather_panel(padded.data() + slack, row_off.data(), k,
+                                    col_off.data(), n, got.data());
+    EXPECT_EQ(got, want) << "geometry " << g.channels << "x" << g.height
+                         << "x" << g.width << " k" << g.kernel;
+  }
 }
 
 }  // namespace
