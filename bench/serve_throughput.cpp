@@ -26,7 +26,6 @@ using namespace qsnc;
 
 struct SweepPoint {
   std::string backend;
-  std::string engine;  // snc only: "event" | "dense"; "-" otherwise
   uint32_t max_batch;
   uint64_t completed = 0;
   uint64_t rejected = 0;
@@ -52,15 +51,13 @@ std::vector<nn::Tensor> make_images(int n) {
 }
 
 SweepPoint run_point(serve::BackendKind backend, uint32_t max_batch,
-                     int requests, int producers, double seconds_cap,
-                     bool snc_dense_reference = false) {
+                     int requests, int producers, double seconds_cap) {
   serve::ModelRegistry registry;
   serve::ModelConfig cfg;
   cfg.architecture = "lenet-mini";
   cfg.backend = backend;
   cfg.bits = 4;
   cfg.init_seed = 9;
-  cfg.snc_dense_reference = snc_dense_reference;
   registry.add("m", cfg);
 
   serve::BatchOptions opts;
@@ -104,9 +101,6 @@ SweepPoint run_point(serve::BackendKind backend, uint32_t max_batch,
   const serve::ModelStatsSnapshot stats = core.stats().front();
   SweepPoint point;
   point.backend = serve::backend_kind_name(backend);
-  point.engine = backend == serve::BackendKind::kSnc
-                     ? (snc_dense_reference ? "dense" : "event")
-                     : "-";
   point.max_batch = max_batch;
   point.completed = stats.completed;
   point.rejected = client_rejects.load();
@@ -151,16 +145,6 @@ int main(int argc, char** argv) {
           run_point(backend, max_batch, n, producers, seconds_cap));
     }
   }
-  // One dense-reference snc row at the largest batch: the delta against
-  // the event-driven rows above is what zero-skipping buys end to end.
-  {
-    const int n = std::max(requests / 4, 32);
-    std::printf("running snc/dense max_batch=%-3u requests=%d ...\n",
-                batch_sizes.back(), n);
-    std::fflush(stdout);
-    points.push_back(run_point(serve::BackendKind::kSnc, batch_sizes.back(),
-                               n, producers, seconds_cap, true));
-  }
 
   const char* env = std::getenv("QSNC_BENCH_OUT");
   const std::string path = env ? env : "BENCH_serve.json";
@@ -176,12 +160,12 @@ int main(int argc, char** argv) {
     const SweepPoint& p = points[i];
     std::fprintf(
         f,
-        "    {\"backend\": \"%s\", \"engine\": \"%s\", \"max_batch\": %u, "
+        "    {\"backend\": \"%s\", \"max_batch\": %u, "
         "\"completed\": %llu, "
         "\"client_rejects\": %llu, \"seconds\": %.4g, \"qps\": %.5g, "
         "\"avg_batch\": %.3g, \"p50_us\": %llu, \"p95_us\": %llu, "
         "\"p99_us\": %llu}%s\n",
-        p.backend.c_str(), p.engine.c_str(), p.max_batch,
+        p.backend.c_str(), p.max_batch,
         static_cast<unsigned long long>(p.completed),
         static_cast<unsigned long long>(p.rejected), p.seconds, p.qps,
         p.avg_batch, static_cast<unsigned long long>(p.p50_us),
@@ -194,12 +178,12 @@ int main(int argc, char** argv) {
 
   std::printf("\n== serving throughput (lenet-mini, %d producers) ==\n",
               producers);
-  std::printf("%-6s %-6s %9s %10s %10s %9s %8s %8s %8s\n", "backend",
-              "engine", "max_batch", "completed", "QPS", "avg_batch",
+  std::printf("%-6s %9s %10s %10s %9s %8s %8s %8s\n", "backend",
+              "max_batch", "completed", "QPS", "avg_batch",
               "p50_us", "p95_us", "p99_us");
   for (const SweepPoint& p : points) {
-    std::printf("%-6s %-6s %9u %10llu %10.1f %9.2f %8llu %8llu %8llu\n",
-                p.backend.c_str(), p.engine.c_str(), p.max_batch,
+    std::printf("%-6s %9u %10llu %10.1f %9.2f %8llu %8llu %8llu\n",
+                p.backend.c_str(), p.max_batch,
                 static_cast<unsigned long long>(p.completed), p.qps,
                 p.avg_batch, static_cast<unsigned long long>(p.p50_us),
                 static_cast<unsigned long long>(p.p95_us),

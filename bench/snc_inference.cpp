@@ -1,22 +1,23 @@
-// SNC inference engine benchmark: event-driven vs dense-reference
-// execution of the spiking simulator on the model zoo.
+// SNC inference benchmark: the crossbar-stage runner (SncSystem::infer)
+// against the dense reference oracle (SncSystem::infer_reference) on the
+// model zoo.
 //
 // For each model (lenet / alexnet / resnet minis) and each integration
 // mode (ideal, online) the same images run through two identically
-// programmed SncSystems that differ only in SncConfig::engine. The bench
-// verifies the predictions match bit-for-bit, then reports images/sec for
-// both engines plus the activity counters that explain the gap: per-image
-// input events vs dense row drives (the O(nnz) work reduction, immune to
-// timer noise) and — in online mode — the fraction of window slots that
-// actually carried spikes, fed into the discrete-event timing simulator
-// to estimate what an event-driven slot sequencer buys in hardware.
+// programmed SncSystems, one per path. The bench verifies predictions and
+// logits match bit-for-bit, then reports images/sec for both plus the
+// activity counters that explain the gap: per-image input events vs dense
+// row drives (the O(nnz) work reduction, immune to timer noise) and — in
+// online mode — the fraction of window slots that actually carried
+// spikes, fed into the discrete-event timing simulator to estimate what
+// an event-driven slot sequencer buys in hardware.
 //
-// A second sweep measures the batch-native engine: the same images run
-// through SncSystem::infer_batch at B in {1, 2, 4, 8, 16} on both
-// engines, verifying predictions stay bit-identical to the per-image
-// loop at every B and reporting images/sec plus panel bytes streamed per
-// image (the union row pass amortizes each stage's conductance panel
-// across the batch, so bytes/image falls as B grows).
+// A second sweep runs the same images through SncSystem::infer_batch at B
+// in {1, 2, 4, 8, 16}, verifying predictions stay bit-identical to the
+// per-image loop at every B and reporting images/sec plus panel bytes
+// streamed per image (the union row pass amortizes each stage's
+// conductance panel across the batch, so bytes/image falls as B grows).
+// Exits 1 on any mismatch.
 //
 // Writes BENCH_snc.json (override with QSNC_BENCH_OUT).
 // Flags: --images N (ideal-mode images per model, default 8)
@@ -60,10 +61,11 @@ data::Sample sample_at(const ModelCase& model, int64_t i) {
   return model.images->get(i % model.images->size());
 }
 
-struct EngineRun {
+struct PathRun {
   double seconds = 0.0;
   double images_per_sec = 0.0;
   std::vector<int64_t> predictions;
+  std::vector<std::vector<double>> logits;
   snc::SncStats totals;  // stage entries summed over images
   int64_t images = 0;
 };
@@ -72,8 +74,8 @@ struct ModeResult {
   std::string model;
   std::string mode;
   int64_t images = 0;
-  EngineRun event;
-  EngineRun dense;
+  PathRun runner;     // infer()
+  PathRun reference;  // infer_reference()
   double speedup = 0.0;
   bool predictions_match = false;
   double input_sparsity = 0.0;
@@ -84,16 +86,19 @@ struct ModeResult {
   double timing_speedup = 0.0;          // online mode only
 };
 
-EngineRun run_engine(nn::Network& net, const ModelCase& model,
-                     const snc::SncConfig& cfg, int64_t images) {
+PathRun run_path(nn::Network& net, const ModelCase& model,
+                 const snc::SncConfig& cfg, int64_t images, bool reference) {
   snc::SncSystem system(net, model.input, cfg);
-  EngineRun run;
+  PathRun run;
   run.images = images;
   snc::SncStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < images; ++i) {
     const data::Sample s = sample_at(model, i);
-    run.predictions.push_back(system.infer(s.image, &stats));
+    run.predictions.push_back(reference
+                                  ? system.infer_reference(s.image, &stats)
+                                  : system.infer(s.image, &stats));
+    run.logits.push_back(system.last_logits());
     if (run.totals.stage.size() < stats.stage.size()) {
       run.totals.stage.resize(stats.stage.size());
     }
@@ -116,16 +121,15 @@ EngineRun run_engine(nn::Network& net, const ModelCase& model,
   return run;
 }
 
-// One point of the batch-native sweep: model x mode x engine x B.
+// One point of the batch sweep: model x mode x B.
 struct BatchPoint {
   std::string model;
   std::string mode;
-  std::string engine;
   int64_t batch = 0;
   int64_t images = 0;
   double images_per_sec = 0.0;
   double panel_bytes_per_image = 0.0;
-  bool predictions_match = false;  // vs per-image infer() on this engine
+  bool predictions_match = false;  // vs per-image infer()
 };
 
 std::vector<int64_t> parse_int_list(const std::string& csv) {
@@ -140,10 +144,10 @@ std::vector<int64_t> parse_int_list(const std::string& csv) {
   return out;
 }
 
-// Runs the batch-native sweep for one (model, mode, engine): a per-image
-// reference pass pins the expected predictions, then each batch size re-
-// runs the same images through infer_batch on a freshly programmed system
-// (construction is outside the timer; batch tensors are pre-assembled).
+// Runs the batch sweep for one (model, mode): a per-image pass pins the
+// expected predictions, then each batch size re-runs the same images
+// through infer_batch on a freshly programmed system (construction is
+// outside the timer; batch tensors are pre-assembled).
 void run_batch_sweep(const ModelCase& model, nn::Network& net,
                      snc::SncConfig cfg, snc::IntegrationMode mode,
                      const std::vector<int64_t>& sizes, int64_t images,
@@ -152,57 +156,50 @@ void run_batch_sweep(const ModelCase& model, nn::Network& net,
   const bool online = mode == snc::IntegrationMode::kOnline;
   const int64_t chw = nn::shape_numel(model.input);
 
-  for (const bool dense : {false, true}) {
-    cfg.engine = dense ? snc::SncEngine::kDenseReference
-                       : snc::SncEngine::kEventDriven;
-    std::vector<int64_t> reference;
-    {
-      snc::SncSystem system(net, model.input, cfg);
-      for (int64_t i = 0; i < images; ++i) {
-        reference.push_back(system.infer(sample_at(model, i).image));
-      }
+  std::vector<int64_t> reference;
+  {
+    snc::SncSystem system(net, model.input, cfg);
+    for (int64_t i = 0; i < images; ++i) {
+      reference.push_back(system.infer(sample_at(model, i).image));
     }
-    for (const int64_t batch_size : sizes) {
-      if (batch_size < 1 || batch_size > images) continue;
-      std::vector<nn::Tensor> batches;
-      for (int64_t start = 0; start < images; start += batch_size) {
-        const int64_t b = std::min(batch_size, images - start);
-        nn::Tensor t({b, model.input[0], model.input[1], model.input[2]});
-        for (int64_t j = 0; j < b; ++j) {
-          const data::Sample s = sample_at(model, start + j);
-          std::copy(s.image.data(), s.image.data() + chw,
-                    t.data() + j * chw);
-        }
-        batches.push_back(std::move(t));
+  }
+  for (const int64_t batch_size : sizes) {
+    if (batch_size < 1 || batch_size > images) continue;
+    std::vector<nn::Tensor> batches;
+    for (int64_t start = 0; start < images; start += batch_size) {
+      const int64_t b = std::min(batch_size, images - start);
+      nn::Tensor t({b, model.input[0], model.input[1], model.input[2]});
+      for (int64_t j = 0; j < b; ++j) {
+        const data::Sample s = sample_at(model, start + j);
+        std::copy(s.image.data(), s.image.data() + chw, t.data() + j * chw);
       }
-
-      snc::SncSystem system(net, model.input, cfg);
-      const int64_t bytes0 = system.panel_bytes_streamed();
-      std::vector<int64_t> preds;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const nn::Tensor& t : batches) {
-        const std::vector<int64_t> p = system.infer_batch(t);
-        preds.insert(preds.end(), p.begin(), p.end());
-      }
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t0)
-              .count();
-
-      BatchPoint point;
-      point.model = model.name;
-      point.mode = online ? "online" : "ideal";
-      point.engine = dense ? "dense" : "event";
-      point.batch = batch_size;
-      point.images = images;
-      point.images_per_sec =
-          seconds > 0.0 ? static_cast<double>(images) / seconds : 0.0;
-      point.panel_bytes_per_image =
-          static_cast<double>(system.panel_bytes_streamed() - bytes0) /
-          static_cast<double>(images);
-      point.predictions_match = preds == reference;
-      out.push_back(point);
+      batches.push_back(std::move(t));
     }
+
+    snc::SncSystem system(net, model.input, cfg);
+    const int64_t bytes0 = system.panel_bytes_streamed();
+    std::vector<int64_t> preds;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const nn::Tensor& t : batches) {
+      const std::vector<int64_t> p = system.infer_batch(t);
+      preds.insert(preds.end(), p.begin(), p.end());
+    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+
+    BatchPoint point;
+    point.model = model.name;
+    point.mode = online ? "online" : "ideal";
+    point.batch = batch_size;
+    point.images = images;
+    point.images_per_sec =
+        seconds > 0.0 ? static_cast<double>(images) / seconds : 0.0;
+    point.panel_bytes_per_image =
+        static_cast<double>(system.panel_bytes_streamed() - bytes0) /
+        static_cast<double>(images);
+    point.predictions_match = preds == reference;
+    out.push_back(point);
   }
 }
 
@@ -217,35 +214,36 @@ ModeResult run_mode(const ModelCase& model, nn::Network& net,
   result.mode = online ? "online" : "ideal";
   result.images = images;
 
-  cfg.engine = snc::SncEngine::kEventDriven;
-  result.event = run_engine(net, model, cfg, images);
-  cfg.engine = snc::SncEngine::kDenseReference;
-  result.dense = run_engine(net, model, cfg, images);
+  result.runner = run_path(net, model, cfg, images, false);
+  result.reference = run_path(net, model, cfg, images, true);
 
+  // Exact logits too: the runner must reproduce the oracle's arithmetic,
+  // not merely its argmax.
   result.predictions_match =
-      result.event.predictions == result.dense.predictions;
-  result.speedup = result.event.images_per_sec > 0.0 &&
-                           result.dense.images_per_sec > 0.0
-                       ? result.event.images_per_sec /
-                             result.dense.images_per_sec
+      result.runner.predictions == result.reference.predictions &&
+      result.runner.logits == result.reference.logits;
+  result.speedup = result.runner.images_per_sec > 0.0 &&
+                           result.reference.images_per_sec > 0.0
+                       ? result.runner.images_per_sec /
+                             result.reference.images_per_sec
                        : 0.0;
   const double inv = 1.0 / static_cast<double>(images);
-  result.input_sparsity = result.event.totals.input_sparsity();
+  result.input_sparsity = result.runner.totals.input_sparsity();
   result.events_per_image =
-      static_cast<double>(result.event.totals.input_events()) * inv;
+      static_cast<double>(result.runner.totals.input_events()) * inv;
   result.dense_drives_per_image =
-      static_cast<double>(result.event.totals.dense_row_drives()) * inv;
+      static_cast<double>(result.runner.totals.dense_row_drives()) * inv;
   result.spikes_per_image =
-      static_cast<double>(result.event.totals.total_spikes) * inv;
+      static_cast<double>(result.runner.totals.total_spikes) * inv;
 
   if (online) {
     // Slot occupancy over every (stage, position) window, feeding the
     // timing simulator: an event-driven sequencer only issues slots that
     // carry at least one spike.
-    const int64_t T = result.event.totals.window_slots;
+    const int64_t T = result.runner.totals.window_slots;
     int64_t occupied = 0;
     int64_t windows = 0;
-    for (const snc::SncStageStats& st : result.event.totals.stage) {
+    for (const snc::SncStageStats& st : result.runner.totals.stage) {
       occupied += st.occupied_slots;
       windows += st.positions;
     }
@@ -254,7 +252,7 @@ ModeResult run_mode(const ModelCase& model, nn::Network& net,
                           static_cast<double>(windows * T)
                     : 0.0;
     const int64_t layers =
-        static_cast<int64_t>(result.event.totals.stage.size());
+        static_cast<int64_t>(result.runner.totals.stage.size());
     const int64_t active = static_cast<int64_t>(
         result.occupied_slot_fraction * static_cast<double>(T) + 0.999);
     const snc::TimingResult dense_t = snc::simulate_window(layers, T);
@@ -360,13 +358,14 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"model\": \"%s\", \"mode\": \"%s\", \"images\": %lld, "
-        "\"images_per_sec_event\": %.5g, \"images_per_sec_dense\": %.5g, "
-        "\"speedup_vs_dense\": %.4g, \"predictions_match\": %s, "
+        "\"images_per_sec_infer\": %.5g, "
+        "\"images_per_sec_reference\": %.5g, "
+        "\"speedup_vs_reference\": %.4g, \"predictions_match\": %s, "
         "\"input_sparsity\": %.4f, \"events_per_image\": %.1f, "
         "\"dense_row_drives_per_image\": %.1f, \"spikes_per_image\": %.1f, "
         "\"occupied_slot_fraction\": %.4f, \"timing_speedup\": %.4g}%s\n",
         r.model.c_str(), r.mode.c_str(), static_cast<long long>(r.images),
-        r.event.images_per_sec, r.dense.images_per_sec, r.speedup,
+        r.runner.images_per_sec, r.reference.images_per_sec, r.speedup,
         r.predictions_match ? "true" : "false", r.input_sparsity,
         r.events_per_image, r.dense_drives_per_image, r.spikes_per_image,
         r.occupied_slot_fraction, r.timing_speedup,
@@ -377,11 +376,9 @@ int main(int argc, char** argv) {
     const BatchPoint& p = batch_points[i];
     std::fprintf(
         f,
-        "    {\"model\": \"%s\", \"mode\": \"%s\", \"engine\": \"%s\", "
-        "\"batch\": %lld, \"images\": %lld, \"images_per_sec\": %.5g, "
+        "    {\"model\": \"%s\", \"mode\": \"%s\", \"batch\": %lld, \"images\": %lld, \"images_per_sec\": %.5g, "
         "\"panel_bytes_per_image\": %.5g, \"predictions_match\": %s}%s\n",
-        p.model.c_str(), p.mode.c_str(), p.engine.c_str(),
-        static_cast<long long>(p.batch), static_cast<long long>(p.images),
+        p.model.c_str(), p.mode.c_str(), static_cast<long long>(p.batch), static_cast<long long>(p.images),
         p.images_per_sec, p.panel_bytes_per_image,
         p.predictions_match ? "true" : "false",
         i + 1 < batch_points.size() ? "," : "");
@@ -389,29 +386,30 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
-  std::printf("\n== SNC inference: event-driven vs dense (threads=%d) ==\n",
+  std::printf("\n== SNC inference: infer() vs infer_reference() "
+              "(threads=%d) ==\n",
               threads);
   std::printf("%-8s %-6s %6s %10s %10s %8s %9s %7s %10s\n", "model", "mode",
-              "images", "ev img/s", "dn img/s", "speedup", "sparsity",
+              "images", "img/s", "ref img/s", "speedup", "sparsity",
               "match", "slot-occ");
   for (const ModeResult& r : results) {
     std::printf("%-8s %-6s %6lld %10.2f %10.2f %7.2fx %8.1f%% %7s %9.1f%%\n",
                 r.model.c_str(), r.mode.c_str(),
-                static_cast<long long>(r.images), r.event.images_per_sec,
-                r.dense.images_per_sec, r.speedup,
+                static_cast<long long>(r.images), r.runner.images_per_sec,
+                r.reference.images_per_sec, r.speedup,
                 100.0 * r.input_sparsity,
                 r.predictions_match ? "yes" : "NO",
                 100.0 * r.occupied_slot_fraction);
   }
   if (!batch_points.empty()) {
-    std::printf("\n== batch-native sweep (panel bytes amortized over the "
+    std::printf("\n== infer_batch sweep (panel bytes amortized over the "
                 "batch) ==\n");
-    std::printf("%-8s %-6s %-6s %6s %10s %14s %7s\n", "model", "mode",
-                "engine", "batch", "img/s", "panel MB/img", "match");
+    std::printf("%-8s %-6s %6s %10s %14s %7s\n", "model", "mode", "batch",
+                "img/s", "panel MB/img", "match");
     for (const BatchPoint& p : batch_points) {
-      std::printf("%-8s %-6s %-6s %6lld %10.2f %14.3f %7s\n",
-                  p.model.c_str(), p.mode.c_str(), p.engine.c_str(),
-                  static_cast<long long>(p.batch), p.images_per_sec,
+      std::printf("%-8s %-6s %6lld %10.2f %14.3f %7s\n", p.model.c_str(),
+                  p.mode.c_str(), static_cast<long long>(p.batch),
+                  p.images_per_sec,
                   p.panel_bytes_per_image / (1024.0 * 1024.0),
                   p.predictions_match ? "yes" : "NO");
     }
@@ -419,7 +417,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", path.c_str());
   if (!all_match) {
     std::fprintf(stderr,
-                 "snc_inference: engines disagree on predictions!\n");
+                 "snc_inference: infer, infer_batch and infer_reference "
+                 "disagree!\n");
     return 1;
   }
   return 0;

@@ -108,12 +108,6 @@ void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
                             int64_t k, const int32_t* col_off, int64_t n,
                             int16_t* panel);
 
-/// acc[c] += vals[e] * panel[rows[e] * cols + c] over all events e — the
-/// integer row-drive combine of the SNC event engine.
-void avx2_iaccumulate_rows(const int32_t* rows, const int32_t* vals,
-                           int64_t n_events, const int16_t* panel,
-                           int64_t cols, int32_t* acc);
-
 /// Batched integer row-drive combine in the gather form of
 /// nn::iaccumulate_rows_batch (image-minor drives, acc image-major
 /// [batch x cols], overwritten); each event's level row is widened to

@@ -74,6 +74,13 @@ void igemm_acc_dispatch(const int16_t* a, const int16_t* b_raw,
   igemm_acc_on(simd::use_avx2(), a, b_raw, b_panel, c, m, k, n);
 }
 
+// Zeroes C[m x n]. An empty C may be a null pointer, which memset must not
+// be handed even for a zero length.
+void zero_output(int32_t* c, int64_t m, int64_t n) {
+  if (m * n == 0) return;
+  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(int32_t));
+}
+
 }  // namespace
 
 void igemm_acc(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
@@ -84,7 +91,7 @@ void igemm_acc(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
 
 void igemm(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
            int64_t k, int64_t n) {
-  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(int32_t));
+  zero_output(c, m, n);
   igemm_acc(a, b, c, m, k, n);
 }
 
@@ -126,7 +133,7 @@ void igemm_conv(const int16_t* w, const int16_t* image, int64_t channels,
   const int32_t* row_off = tl_offsets.data();
   const int32_t* col_off = row_off + k;
 
-  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(int32_t));
+  zero_output(c, m, n);
   if (simd::use_avx2()) {
     tl_ipanel.resize(static_cast<size_t>(kernels::ib_panel_int16s(k, n)));
     kernels::avx2_pack_gather_panel(src, row_off, k, col_off, n,
@@ -153,24 +160,8 @@ IGemmPackedB::IGemmPackedB(const int16_t* b, int64_t k, int64_t n)
 
 void igemm_prepacked(const int16_t* a, const IGemmPackedB& b, int32_t* c,
                      int64_t m) {
-  std::memset(c, 0, static_cast<size_t>(m * b.n()) * sizeof(int32_t));
+  zero_output(c, m, b.n());
   igemm_acc_dispatch(a, b.raw(), b.panel(), c, m, b.k(), b.n());
-}
-
-void iaccumulate_rows(const int32_t* rows, const int32_t* vals,
-                      int64_t n_events, const int16_t* panel, int64_t cols,
-                      int32_t* acc) {
-  if (simd::use_avx2()) {
-    kernels::avx2_iaccumulate_rows(rows, vals, n_events, panel, cols, acc);
-    return;
-  }
-  for (int64_t e = 0; e < n_events; ++e) {
-    const int32_t v = vals[e];
-    const int16_t* row = panel + rows[e] * cols;
-    for (int64_t j = 0; j < cols; ++j) {
-      acc[j] += v * static_cast<int32_t>(row[j]);
-    }
-  }
 }
 
 void iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,

@@ -66,13 +66,6 @@ class IGemmPackedB {
 void igemm_prepacked(const int16_t* a, const IGemmPackedB& b, int32_t* c,
                      int64_t m);
 
-/// acc[c] += vals[e] * panel[rows[e] * cols + c] for every event e — the
-/// integer form of the SNC packed-panel row drive (crossbar.h). vals carry
-/// spike counts, panel the signed weight levels; exact in int32.
-void iaccumulate_rows(const int32_t* rows, const int32_t* vals,
-                      int64_t n_events, const int16_t* panel, int64_t cols,
-                      int32_t* acc);
-
 /// Batched integer row drive in the gather form of
 /// nn::accumulate_rows_batch (gemm.h): drives are image-minor
 /// ([slot x batch]) and event e drives level row rows[e] with image b's
@@ -80,8 +73,9 @@ void iaccumulate_rows(const int32_t* rows, const int32_t* vals,
 ///   acc[b * cols + c] = sum over e of
 ///       drives[srcs[e] * batch + b] * panel[rows[e] * cols + c]
 /// (acc is overwritten). One pass over each event's level row serves the
-/// whole batch; exact in int32, so the result equals `batch` independent
-/// iaccumulate_rows calls bit for bit.
+/// whole batch — the integer form of the SNC packed-panel row drive
+/// (crossbar.h): drives carry spike counts, panel the signed weight
+/// levels. Exact in int32, so every schedule gives the same result.
 void iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                             int64_t n_events, const int32_t* drives,
                             int64_t batch, const int16_t* panel, int64_t cols,

@@ -68,11 +68,8 @@ std::vector<int64_t> QuantBackend::infer_batch(const nn::Tensor& batch) {
 
 SncBackend::SncBackend(nn::Network& net, nn::Shape input_chw,
                        const snc::SncConfig& config, int replicas,
-                       const ReplicaHealthConfig& health, bool batch_native)
-    : net_(net),
-      input_chw_(std::move(input_chw)),
-      health_(health),
-      batch_native_(batch_native) {
+                       const ReplicaHealthConfig& health)
+    : net_(net), input_chw_(std::move(input_chw)), health_(health) {
   int n = replicas > 0 ? replicas : util::num_threads();
   if (n < 1) n = 1;
   replica_configs_.reserve(static_cast<size_t>(n));
@@ -237,14 +234,13 @@ std::vector<int64_t> SncBackend::infer_batch(const nn::Tensor& batch) {
   }
   last_degraded_ = false;
   const int64_t n = check_batch_shape(batch, input_chw_);
-  if (batch_native_ && !(health_.enabled && health_.per_replica_seeds)) {
-    // Batch-native serving: the whole micro-batch window runs on ONE
-    // replica through the union-event batched engine, so each stage's
-    // conductance panel is streamed once per window instead of once per
-    // image. Predictions and per-image stats are bit-identical to the
-    // fan-out path below. Fault-diversity deployments (per_replica_seeds)
-    // keep the fan-out: their replicas are intentionally non-identical,
-    // and spraying images across them is the feature.
+  if (!(health_.enabled && health_.per_replica_seeds)) {
+    // The whole micro-batch window runs on ONE replica through
+    // SncSystem::infer_batch, so each stage's conductance panel is
+    // streamed once per window instead of once per image. Fault-diversity
+    // deployments (per_replica_seeds) fan out below instead: their
+    // replicas are intentionally non-identical, and spraying images
+    // across them is the feature.
     snc::SncSystem* system = acquire();
     std::vector<snc::SncStats> stats;
     std::vector<int64_t> predictions;

@@ -151,25 +151,23 @@ struct ReplicaHealthSnapshot {
 };
 
 /// Spike-level execution on a pool of identically programmed SncSystem
-/// replicas. Single-image inferences fan out over util::parallel_for; each
-/// in-flight image checks a replica out of a free list (blocking until one
-/// frees when the pool is oversubscribed — never deadlocks, since every
-/// checkout is returned at the end of its chunk).
+/// replicas. Each batch checks a replica out of a free list (blocking
+/// until one frees when the pool is oversubscribed — never deadlocks,
+/// since every checkout is returned when its work ends); under
+/// per_replica_seeds each image of the batch checks out its own.
 class SncBackend final : public Backend {
  public:
   /// Builds `replicas` systems programmed from `net` (replicas <= 0 picks
   /// the thread-pool size). `net` must already be BN-folded and weight-
   /// clustered per `config` (see ModelRegistry, which prepares it).
-  /// `batch_native` (the default) serves each micro-batch window through
-  /// SncSystem::infer_batch on one replica — bit-identical predictions,
-  /// panels streamed once per batch. Turning it off restores the
-  /// per-image replica fan-out; fault-diversity deployments
-  /// (health.per_replica_seeds) always fan out, since routing a window to
-  /// one replica would defeat the per-replica seed diversity.
+  /// Each micro-batch window runs through SncSystem::infer_batch on one
+  /// replica (panels streamed once per window). Fault-diversity
+  /// deployments (health.per_replica_seeds) fan the window's images out
+  /// across replicas instead, since routing a window to one replica would
+  /// defeat the per-replica seed diversity.
   SncBackend(nn::Network& net, nn::Shape input_chw,
              const snc::SncConfig& config, int replicas = 0,
-             const ReplicaHealthConfig& health = {},
-             bool batch_native = true);
+             const ReplicaHealthConfig& health = {});
 
   const std::string& kind() const override { return kind_; }
   const nn::Shape& input_shape() const override { return input_chw_; }
@@ -223,7 +221,6 @@ class SncBackend final : public Backend {
   // replica is idle (infer_batch entry), so no extra locking beyond mu_
   // for the free-list swap.
   ReplicaHealthConfig health_;
-  bool batch_native_ = true;
   std::vector<nn::Tensor> canary_;
   std::vector<int64_t> canary_reference_;
   std::vector<bool> quarantined_;

@@ -158,9 +158,6 @@ std::unique_ptr<ModelRegistry::Entry> ModelRegistry::build_entry(
         }
         snc_cfg.input_scale = std::min(
             16.0f, static_cast<float>(core::signal_max(config.bits)));
-        snc_cfg.engine = config.snc_dense_reference
-                             ? snc::SncEngine::kDenseReference
-                             : snc::SncEngine::kEventDriven;
         snc_cfg.seed = config.snc_seed;
         snc_cfg.device.variation_sigma = config.snc_variation_sigma;
         snc_cfg.device.stuck_on_rate = config.snc_stuck_on_rate;
@@ -169,7 +166,7 @@ std::unique_ptr<ModelRegistry::Entry> ModelRegistry::build_entry(
         snc_cfg.recovery.spare_cols = config.snc_spare_cols;
         backend = std::make_unique<SncBackend>(
             *net, entry->input_chw, snc_cfg, config.snc_replicas,
-            config.snc_health, config.snc_batch_native);
+            config.snc_health);
         break;
       }
     }

@@ -89,17 +89,6 @@ struct ModelConfig {
   /// SncSystem replica count for the snc backend; <= 0 uses the thread
   /// pool size.
   int snc_replicas = 0;
-  /// Run the snc backend on the dense reference engine instead of the
-  /// event-driven one (bit-identical outputs; used by equivalence benches
-  /// to measure what zero-skipping buys end to end).
-  bool snc_dense_reference = false;
-  /// Serve each micro-batch window through the batch-native engine on one
-  /// replica (bit-identical predictions, panels streamed once per
-  /// window). Off restores the per-image replica fan-out; deployments
-  /// with snc_health.per_replica_seeds always fan out regardless, since
-  /// per-replica fault diversity requires spraying images across the
-  /// differently-seeded replicas.
-  bool snc_batch_native = true;
 
   // --- snc device non-idealities + fault recovery ----------------------
   /// Programming-variation / stuck-fault rates injected into every

@@ -317,57 +317,6 @@ void DifferentialCrossbar::apply_drift(double dt, double rate, double sigma,
   for (int64_t c = 0; c < cols_; ++c) sync_panel_column(c);
 }
 
-void DifferentialCrossbar::accumulate_rows(const int32_t* rows,
-                                           const double* drives, int64_t n,
-                                           double* acc) const {
-  const int64_t width = 2 * cols_;
-  for (int64_t i = 0; i < n; ++i) {
-    const double v = drives[i];
-    const double* row = panel_.data() + static_cast<int64_t>(rows[i]) * width;
-    for (int64_t c = 0; c < width; ++c) acc[c] += v * row[c];
-  }
-}
-
-void DifferentialCrossbar::read_logical_columns(
-    const std::vector<double>& volts, std::vector<double>& plus_out,
-    std::vector<double>& minus_out) const {
-  if (static_cast<int64_t>(volts.size()) != rows_) {
-    throw std::invalid_argument(
-        "DifferentialCrossbar::read_logical_columns: bad voltage count");
-  }
-  plus_out.assign(static_cast<size_t>(cols_), 0.0);
-  minus_out.assign(static_cast<size_t>(cols_), 0.0);
-  for (int64_t r = 0; r < rows_; ++r) {
-    const double v = volts[static_cast<size_t>(r)];
-    if (v == 0.0) continue;
-    const double* row = panel_.data() + r * 2 * cols_;
-    for (int64_t c = 0; c < cols_; ++c) {
-      plus_out[static_cast<size_t>(c)] += v * row[2 * c];
-      minus_out[static_cast<size_t>(c)] += v * row[2 * c + 1];
-    }
-  }
-}
-
-void DifferentialCrossbar::read_logical_columns_spiking(
-    const std::vector<uint8_t>& spikes, double v_read,
-    std::vector<double>& plus_out, std::vector<double>& minus_out) const {
-  if (static_cast<int64_t>(spikes.size()) != rows_) {
-    throw std::invalid_argument(
-        "DifferentialCrossbar::read_logical_columns_spiking: bad spike "
-        "count");
-  }
-  plus_out.assign(static_cast<size_t>(cols_), 0.0);
-  minus_out.assign(static_cast<size_t>(cols_), 0.0);
-  for (int64_t r = 0; r < rows_; ++r) {
-    if (spikes[static_cast<size_t>(r)] == 0) continue;
-    const double* row = panel_.data() + r * 2 * cols_;
-    for (int64_t c = 0; c < cols_; ++c) {
-      plus_out[static_cast<size_t>(c)] += v_read * row[2 * c];
-      minus_out[static_cast<size_t>(c)] += v_read * row[2 * c + 1];
-    }
-  }
-}
-
 std::vector<double> DifferentialCrossbar::read_columns_spiking(
     const std::vector<uint8_t>& spikes, double v_read) const {
   if (static_cast<int64_t>(spikes.size()) != rows_) {

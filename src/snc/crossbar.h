@@ -10,7 +10,8 @@
 // (IR-drop applied once) into a packed row-major panel, and the `_into`
 // read APIs accumulate straight out of that panel into caller-owned
 // buffers — no allocation, no per-access conductance math. The
-// vector-returning reads remain as thin wrappers for tests and benches.
+// vector-returning reads remain as thin wrappers for tests and for the SNC
+// reference oracle (SncSystem::infer_reference).
 #pragma once
 
 #include <cstdint>
@@ -119,8 +120,8 @@ class Crossbar {
 /// Fault-aware remapping: the pair may reserve `spare_cols` extra physical
 /// columns. Logical columns route to physical columns through an output
 /// mux (col_map); rebinding a faulty logical column onto a spare only
-/// rewrites panel entries, so the event-engine hot path (accumulate_rows
-/// over the logical panel) is untouched by remapping.
+/// rewrites panel entries, so the inference hot path (the SNC runner's
+/// kernels over the logical panel) is untouched by remapping.
 class DifferentialCrossbar {
  public:
   DifferentialCrossbar(int64_t rows, int64_t cols,
@@ -183,37 +184,17 @@ class DifferentialCrossbar {
   void apply_drift(double dt, double rate, double sigma, uint64_t seed);
 
   /// Packed interleaved effective-conductance panel [rows x 2*cols]: the
-  /// plus cell of logical column c at 2c, the minus cell at 2c+1. One
-  /// cache-friendly row pass feeds both accumulators while preserving the
-  /// per-array accumulation order (plus and minus sums each see rows in
-  /// ascending order, exactly like separate reads of plus()/minus()).
+  /// plus cell of logical column c at 2c, the minus cell at 2c+1 — a copy
+  /// of the two arrays' effective conductances at physical_column(c), kept
+  /// in sync by every write, bind and drift. One cache-friendly row pass
+  /// feeds both accumulators while preserving the per-array accumulation
+  /// order (plus and minus sums each see rows in ascending order, exactly
+  /// like separate reads of plus()/minus()).
   const double* packed_panel() const { return panel_.data(); }
-
-  /// Accumulates `n` row drives (strictly ascending row indices, voltage
-  /// per row) into `acc`, an interleaved buffer of 2*cols() entries
-  /// (plus current at 2c, minus at 2c+1). `acc` is NOT zeroed here, so
-  /// callers can fold multiple event lists into one read. Allocation-free:
-  /// this is the single-image event engine's crossbar read (the batch
-  /// runner drives packed_panel() through nn::accumulate_rows_batch).
-  void accumulate_rows(const int32_t* rows, const double* drives, int64_t n,
-                       double* acc) const;
 
   /// Differential column currents I_plus - I_minus for binary spikes.
   std::vector<double> read_columns_spiking(const std::vector<uint8_t>& spikes,
                                            double v_read) const;
-
-  /// Per-array logical-column currents through the column map (panel
-  /// reads, so remapped columns see their spare). Each output holds
-  /// cols() entries; accumulation is the same ascending-row order as
-  /// reading the plus()/minus() arrays directly — bit-identical to the
-  /// historical dense-reference reads for an identity mapping.
-  void read_logical_columns(const std::vector<double>& volts,
-                            std::vector<double>& plus_out,
-                            std::vector<double>& minus_out) const;
-  void read_logical_columns_spiking(const std::vector<uint8_t>& spikes,
-                                    double v_read,
-                                    std::vector<double>& plus_out,
-                                    std::vector<double>& minus_out) const;
 
   /// Signed level read back from the pair (ideal devices round-trip
   /// exactly; with variation this is the nearest level).

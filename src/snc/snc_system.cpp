@@ -51,11 +51,11 @@ struct SncSystem::Stage {
 
   // Integer row drives (SncConfig::integer_row_drives on an ideal device):
   // the signed level matrix transposed to the packed-panel orientation
-  // (ilevels[r * cols + c]) so nn::iaccumulate_rows can replace the analog
-  // conductance read. Empty when the stage runs the analog path.
+  // (ilevels[r * cols + c]) so nn::iaccumulate_rows_batch can replace the
+  // analog conductance read. Empty when the stage runs the analog path.
   util::aligned_vector<int16_t> ilevels;
 
-  // Event-engine im2col tap table (conv stages): taps[pos * rows + r] is
+  // Runner im2col tap table (conv stages): taps[pos * rows + r] is
   // the flat input index of receptive-field tap r at output position pos,
   // or -1 where the tap falls in the zero padding. Precomputed once at
   // construction so the gather is a table walk with no bounds arithmetic.
@@ -412,9 +412,9 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
 }
 
 namespace {
-// Fills the engine-independent dispatcher stats: geometry plus the
+// Fills the stage header of one image's stats: geometry plus the
 // programming-time fault counters (programming happened once, before any
-// engine ran), identically for the single-image and batched paths.
+// inference ran).
 void fill_stage_header(const FaultReport& fault, int64_t rows, int64_t cols,
                        int64_t positions, SncStageStats* stats) {
   if (stats == nullptr) return;
@@ -436,239 +436,28 @@ nn::Rng SncSystem::next_coding_rng() {
                            kCodingStreamBase + coding_streams_issued_++));
 }
 
-std::vector<int64_t> SncSystem::run_crossbar_stage(
-    const Stage& stage, const std::vector<int64_t>& input,
-    SncStageStats* stats, nn::Rng& coding_rng) {
-  const bool is_conv = stage.kind == Stage::Kind::kConv;
-  fill_stage_header(stage.fault, stage.xbar->rows(), stage.xbar->cols(),
-                    is_conv ? stage.out_h * stage.out_w : 1, stats);
-  return config_.engine == SncEngine::kDenseReference
-             ? run_crossbar_stage_dense(stage, input, stats, coding_rng)
-             : run_crossbar_stage_event(stage, input, stats, coding_rng);
-}
-
-// The pre-event-engine simulator, preserved verbatim as the bit-identical
-// reference: every row of every crossbar is driven at every position
-// through the allocating vector read APIs. Activity statistics are
-// counted the same way as in the event engine (they describe the signals,
-// not the execution strategy).
-std::vector<int64_t> SncSystem::run_crossbar_stage_dense(
-    const Stage& stage, const std::vector<int64_t>& input,
-    SncStageStats* stats, nn::Rng& coding_rng) {
+// The crossbar-stage runner. Once per stage the B input signals are copied
+// into one image-minor drive buffer (slot s = input index + 1, slot 0 an
+// all-zero slot that padding taps read) beside a union-nonzero mask over
+// the slots, and each image's input_events is summed from the per-input
+// fan-out table. Per position the collapsed ideal read keeps only the
+// taps whose slot is live in some image and hands the (panel row, slot)
+// list to one B-wide kernel. Slot modes keep their own gather, because
+// stochastic coding draws a full window from every image's stream for
+// every row. Per image the arithmetic is the dense oracle's sequence: a
+// tap that is zero for image b adds a signed zero product, which leaves
+// b's column sums unchanged, and the live taps keep their ascending-row
+// order — so logits, predictions, and per-image stats are bit-identical
+// at every batch size.
+void SncSystem::run_crossbar_stage(
+    const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
+    std::vector<std::vector<int64_t>>& outputs,
+    const std::vector<SncStageStats*>& stats,
+    std::vector<nn::Rng>& coding_rngs) {
+  const int64_t B = static_cast<int64_t>(inputs.size());
   const int64_t T = window_slots(config_.signal_bits);
   const int64_t kmax = int64_t{1} << (config_.weight_bits - 1);
-  const float step = stage.step;
-  // Differential conductance of one grid level: converts column currents
-  // (per unit read voltage) back to level units.
-  const double dg = (g_max(config_.device) - g_min(config_.device)) /
-                    static_cast<double>(kmax);
-
-  const int64_t rows = stage.xbar->rows();
-  const int64_t cols = stage.xbar->cols();
-  const bool is_conv = stage.kind == Stage::Kind::kConv;
-  const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
-  if (stage.final_readout) {
-    analog_readout_.assign(static_cast<size_t>(cols), 0.0);
-  }
-
-  std::vector<int64_t> output(
-      static_cast<size_t>(stage.out_c * positions), 0);
-  std::atomic<int64_t> event_count{0};
-  std::atomic<int64_t> occupied_count{0};
-  const int64_t width_bytes_analog =
-      2 * cols * static_cast<int64_t>(sizeof(double));
-
-  // Each position is one independent crossbar evaluation of the Eq-1
-  // mapped layer: crossbar state is read-only during inference and every
-  // position writes its own output stride, so positions fan out across
-  // the thread pool. Two cases must stay serial: stochastic coding (draws
-  // from the shared rng_ stream in position order) and the final analog
-  // readout (positions overwrite the shared readout register).
-  auto run_positions = [&](int64_t p0, int64_t p1) {
-    std::vector<double> volts(static_cast<size_t>(rows));
-    std::vector<int64_t> field(static_cast<size_t>(rows));
-    int64_t chunk_events = 0;
-    int64_t chunk_occupied = 0;
-    int64_t chunk_panel = 0;
-    const int64_t row_bytes =
-        width_bytes_analog;  // dense reference never runs integer drives
-    for (int64_t pos = p0; pos < p1; ++pos) {
-    // Gather the integer receptive field (im2col order: c, ky, kx).
-    if (is_conv) {
-      const int64_t oy = pos / stage.out_w;
-      const int64_t ox = pos % stage.out_w;
-      int64_t r = 0;
-      for (int64_t ic = 0; ic < stage.in_c; ++ic) {
-        for (int64_t ky = 0; ky < stage.kernel; ++ky) {
-          for (int64_t kx = 0; kx < stage.kernel; ++kx, ++r) {
-            const int64_t iy = oy * stage.stride - stage.pad + ky;
-            const int64_t ix = ox * stage.stride - stage.pad + kx;
-            field[static_cast<size_t>(r)] =
-                (iy >= 0 && iy < stage.in_h && ix >= 0 && ix < stage.in_w)
-                    ? input[static_cast<size_t>(
-                          (ic * stage.in_h + iy) * stage.in_w + ix)]
-                    : 0;
-          }
-        }
-      }
-    } else {
-      for (int64_t r = 0; r < rows; ++r) {
-        field[static_cast<size_t>(r)] = input[static_cast<size_t>(r)];
-      }
-    }
-    int64_t pos_nnz = 0;
-    for (int64_t r = 0; r < rows; ++r) {
-      if (field[static_cast<size_t>(r)] != 0) ++pos_nnz;
-    }
-    chunk_events += pos_nnz;
-
-    if (config_.mode == IntegrationMode::kIdealIntegration &&
-        !config_.stochastic_coding) {
-      // Linear synapses let the whole window collapse into one read with
-      // value-weighted word-line drive (mathematically identical to the
-      // slot-by-slot sum of deterministic trains).
-      for (int64_t r = 0; r < rows; ++r) {
-        volts[static_cast<size_t>(r)] =
-            static_cast<double>(field[static_cast<size_t>(r)]);
-      }
-      std::vector<double> plus;
-      std::vector<double> minus;
-      stage.xbar->read_logical_columns(volts, plus, minus);
-      chunk_panel += pos_nnz * row_bytes;
-      for (int64_t col = 0; col < cols; ++col) {
-        const double level_sum =
-            (plus[static_cast<size_t>(col)] - minus[static_cast<size_t>(col)]) /
-            dg;
-        const double y = static_cast<double>(step) * level_sum +
-                         static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-        int64_t count = core::round_half_up(y);
-        if (stage.rectify) count = std::clamp<int64_t>(count, 0, T);
-        output[static_cast<size_t>(col * positions + pos)] = count;
-        if (stage.final_readout) {
-          analog_readout_[static_cast<size_t>(col)] = y;
-        }
-      }
-    } else {
-      // Slot-by-slot spiking execution with physical IFC semantics.
-      std::vector<std::vector<uint8_t>> trains(static_cast<size_t>(rows));
-      for (int64_t r = 0; r < rows; ++r) {
-        trains[static_cast<size_t>(r)] =
-            config_.stochastic_coding
-                ? rate_encode_stochastic(field[static_cast<size_t>(r)],
-                                         config_.signal_bits, coding_rng)
-                : rate_encode(field[static_cast<size_t>(r)],
-                              config_.signal_bits);
-      }
-      // IFCs work in output-level units (threshold = charge of one output
-      // level); the bias plus the 0.5 rounding offset preloads each
-      // membrane. Spikes fired by the preload itself count toward the
-      // window total.
-      std::vector<IntegrateFire> units;
-      std::vector<SpikeCounter> counters;
-      units.reserve(static_cast<size_t>(cols));
-      counters.reserve(static_cast<size_t>(cols));
-      for (int64_t col = 0; col < cols; ++col) {
-        IntegrateFire u(1.0);
-        counters.emplace_back(config_.signal_bits);
-        const int64_t preload_fires = u.integrate(
-            static_cast<double>(stage.bias[static_cast<size_t>(col)]) + 0.5);
-        counters.back().count(preload_fires);
-        units.push_back(u);
-      }
-      std::vector<uint8_t> slot_spikes(static_cast<size_t>(rows));
-      for (int64_t t = 0; t < T; ++t) {
-        bool any_spike = false;
-        int64_t slot_fired = 0;
-        for (int64_t r = 0; r < rows; ++r) {
-          slot_spikes[static_cast<size_t>(r)] =
-              trains[static_cast<size_t>(r)][static_cast<size_t>(t)];
-          if (slot_spikes[static_cast<size_t>(r)] != 0) {
-            any_spike = true;
-            ++slot_fired;
-          }
-        }
-        if (any_spike) ++chunk_occupied;
-        chunk_panel += slot_fired * row_bytes;
-        std::vector<double> plus;
-        std::vector<double> minus;
-        stage.xbar->read_logical_columns_spiking(slot_spikes, 1.0, plus,
-                                                 minus);
-        for (int64_t col = 0; col < cols; ++col) {
-          const double level_sum = (plus[static_cast<size_t>(col)] -
-                                    minus[static_cast<size_t>(col)]) /
-                                   dg;
-          const int64_t fired = units[static_cast<size_t>(col)].integrate(
-              static_cast<double>(step) * level_sum);
-          counters[static_cast<size_t>(col)].count(fired);
-        }
-      }
-      for (int64_t col = 0; col < cols; ++col) {
-        int64_t count = counters[static_cast<size_t>(col)].value();
-        // The initial bias preload may already cross threshold; fires from
-        // integrate() at preload time were not counted, so re-derive: the
-        // counter has everything integrate() returned during the window.
-        if (!stage.rectify) {
-          // Final readout uses a wide digital counter: reconstruct the raw
-          // (possibly negative / above-T) sum from the ideal path instead.
-          for (int64_t r = 0; r < rows; ++r) {
-            volts[static_cast<size_t>(r)] =
-                static_cast<double>(field[static_cast<size_t>(r)]);
-          }
-          std::vector<double> p2;
-          std::vector<double> m2;
-          stage.xbar->read_logical_columns(volts, p2, m2);
-          const double y =
-              static_cast<double>(step) *
-                  ((p2[static_cast<size_t>(col)] -
-                    m2[static_cast<size_t>(col)]) /
-                   dg) +
-              static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-          count = core::round_half_up(y);
-          if (stage.final_readout) {
-            analog_readout_[static_cast<size_t>(col)] = y;
-          }
-        }
-        output[static_cast<size_t>(col * positions + pos)] = count;
-      }
-      if (!stage.rectify) chunk_panel += pos_nnz * row_bytes;
-    }
-    }
-    event_count.fetch_add(chunk_events, std::memory_order_relaxed);
-    occupied_count.fetch_add(chunk_occupied, std::memory_order_relaxed);
-    panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
-  };
-  if (!config_.stochastic_coding && !stage.final_readout) {
-    util::parallel_for(0, positions, 0, run_positions);
-  } else {
-    run_positions(0, positions);
-  }
-
-  if (stats != nullptr) {
-    stats->input_events = event_count.load(std::memory_order_relaxed);
-    stats->occupied_slots = occupied_count.load(std::memory_order_relaxed);
-    // add_skip stages report spikes after the digital skip add (see
-    // infer); raw pre-add counts are not what crosses the boundary.
-    if (!stage.add_skip) {
-      for (int64_t v : output) stats->spikes += std::max<int64_t>(v, 0);
-    }
-  }
-  return output;
-}
-
-// The event-driven engine. Per position it gathers the receptive field as
-// a sparse (row, value) event list through the precomputed tap table,
-// folds the events into interleaved plus/minus column sums straight out
-// of the crossbar's packed effective-conductance panel, and — in slot
-// modes — encodes spike trains only for the rows that can fire. Work is
-// O(nnz x cols) per read instead of O(rows x cols), and the loop performs
-// no allocations (scratch lives per parallel chunk). Every accumulation
-// order matches the dense reference, so results are bit-identical.
-std::vector<int64_t> SncSystem::run_crossbar_stage_event(
-    const Stage& stage, const std::vector<int64_t>& input,
-    SncStageStats* stats, nn::Rng& coding_rng) {
-  const int64_t T = window_slots(config_.signal_bits);
-  const int64_t kmax = int64_t{1} << (config_.weight_bits - 1);
-  const float step = stage.step;
+  const double step = static_cast<double>(stage.step);
   const double dg = (g_max(config_.device) - g_min(config_.device)) /
                     static_cast<double>(kmax);
 
@@ -678,198 +467,258 @@ std::vector<int64_t> SncSystem::run_crossbar_stage_event(
   const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
   const bool slot_mode = config_.mode != IntegrationMode::kIdealIntegration ||
                          config_.stochastic_coding;
-  if (stage.final_readout) {
-    analog_readout_.assign(static_cast<size_t>(cols), 0.0);
-  }
-
-  std::vector<int64_t> output(
-      static_cast<size_t>(stage.out_c * positions), 0);
-  std::atomic<int64_t> event_count{0};
-  std::atomic<int64_t> occupied_count{0};
-  const double* panel = stage.xbar->packed_panel();
-  const int64_t width = 2 * cols;
-
-  // Same fan-out contract as the dense reference: positions parallelize
-  // on deterministic non-readout stages; chunk boundaries are shape-only.
-  // Integer row drives: exact spike-count x level accumulation in int32
-  // via the packed int16 level panel (see SncConfig::integer_row_drives).
   const bool integer_drives = !stage.ilevels.empty();
+  const int64_t width = 2 * cols;
+  const double* panel = stage.xbar->packed_panel();
   const int64_t row_bytes =
       integer_drives ? cols * static_cast<int64_t>(sizeof(int16_t))
                      : width * static_cast<int64_t>(sizeof(double));
-  const int64_t slot_row_bytes = width * static_cast<int64_t>(sizeof(double));
+  const int64_t slot_row_bytes =
+      width * static_cast<int64_t>(sizeof(double));
 
-  auto run_positions = [&](int64_t p0, int64_t p1) {
-    // Per-chunk scratch: the position/slot loops below never allocate.
-    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
-    std::vector<double> event_vals(static_cast<size_t>(rows));
-    std::vector<int32_t> event_ivals(
-        integer_drives ? static_cast<size_t>(rows) : 0);
-    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(cols) : 0);
-    std::vector<double> acc(static_cast<size_t>(width));
-    std::vector<uint8_t> trains;     // event-major [nnz x T], slot modes
-    std::vector<IntegrateFire> units;
-    std::vector<SpikeCounter> counters;
-    if (slot_mode) {
-      trains.resize(static_cast<size_t>(rows * T));
-      units.assign(static_cast<size_t>(cols), IntegrateFire(1.0));
-      counters.assign(static_cast<size_t>(cols),
-                      SpikeCounter(config_.signal_bits));
+  std::vector<int64_t*> out(static_cast<size_t>(B));
+  for (int64_t b = 0; b < B; ++b) {
+    out[static_cast<size_t>(b)] = outputs[static_cast<size_t>(b)].data();
+  }
+
+  // Drive buffer (double, or int32 for integer drives), union mask, and
+  // per-image event counts, shared read-only by every position chunk.
+  const int64_t n_in = static_cast<int64_t>(stage.fanout.size());
+  const size_t n_drives = static_cast<size_t>((n_in + 1) * B);
+  std::vector<uint8_t> live(static_cast<size_t>(n_in + 1), 0);
+  std::vector<double> drives(integer_drives ? 0 : n_drives, 0.0);
+  std::vector<int32_t> idrives(integer_drives ? n_drives : 0, 0);
+  for (int64_t b = 0; b < B; ++b) {
+    const int64_t* in = inputs[static_cast<size_t>(b)].data();
+    int64_t events = 0;
+    for (int64_t i = 0; i < n_in; ++i) {
+      if (in[i] == 0) continue;
+      const size_t s = static_cast<size_t>((i + 1) * B + b);
+      live[static_cast<size_t>(i + 1)] = 1;
+      events += stage.fanout[static_cast<size_t>(i)];
+      if (integer_drives) {
+        idrives[s] = static_cast<int32_t>(in[i]);
+      } else {
+        drives[s] = static_cast<double>(in[i]);
+      }
     }
-    int64_t chunk_events = 0;
-    int64_t chunk_occupied = 0;
+    if (stats[static_cast<size_t>(b)] != nullptr) {
+      stats[static_cast<size_t>(b)]->input_events = events;
+    }
+  }
+
+  // Collapsed ideal read of one position over a (panel row, slot) event
+  // list: per-image column sums, then y = step * level_sum + bias rounded
+  // (and clamped on rectified stages) into every image's output. With
+  // integer drives the spike-count x level sum is computed exactly in
+  // int32 instead of being reconstructed from conductances.
+  auto collapsed_read = [&](int64_t pos, const int32_t* event_rows,
+                            const int32_t* event_slots, int64_t n,
+                            double* acc, int32_t* iacc) {
+    if (integer_drives) {
+      nn::iaccumulate_rows_batch(event_rows, event_slots, n, idrives.data(),
+                                 B, stage.ilevels.data(), cols, iacc);
+    } else {
+      nn::accumulate_rows_batch(event_rows, event_slots, n, drives.data(), B,
+                                panel, width, acc);
+    }
+    for (int64_t b = 0; b < B; ++b) {
+      int64_t* o = out[static_cast<size_t>(b)] + pos;
+      for (int64_t col = 0; col < cols; ++col) {
+        const double level_sum =
+            integer_drives
+                ? static_cast<double>(iacc[b * cols + col])
+                : (acc[b * width + 2 * col] - acc[b * width + 2 * col + 1]) /
+                      dg;
+        const double y =
+            step * level_sum +
+            static_cast<double>(stage.bias[static_cast<size_t>(col)]);
+        int64_t count = core::round_half_up(y);
+        if (stage.rectify) count = std::clamp<int64_t>(count, 0, T);
+        o[col * positions] = count;
+        if (stage.final_readout) {
+          readout_[static_cast<size_t>(b)][static_cast<size_t>(col)] = y;
+        }
+      }
+    }
+  };
+
+  std::vector<std::atomic<int64_t>> occupied_count(static_cast<size_t>(B));
+  for (std::atomic<int64_t>& c : occupied_count) {
+    c.store(0, std::memory_order_relaxed);
+  }
+
+  auto run_ideal = [&](int64_t p0, int64_t p1) {
+    // Per-chunk scratch; the position loop never allocates.
+    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
+    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
+    std::vector<double> acc(integer_drives ? 0
+                                           : static_cast<size_t>(B * width));
+    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
+                                             : 0);
+    int64_t chunk_panel = 0;
+    for (int64_t pos = p0; pos < p1; ++pos) {
+      // Branch-free tap filter: every tap is written, only live ones
+      // advance the list.
+      const int32_t* taps =
+          is_conv ? stage.taps.data() + pos * rows : nullptr;
+      int64_t n = 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        const int32_t slot = (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
+        event_rows[static_cast<size_t>(n)] = static_cast<int32_t>(r);
+        event_slots[static_cast<size_t>(n)] = slot;
+        n += live[static_cast<size_t>(slot)];
+      }
+      chunk_panel += n * row_bytes;
+      collapsed_read(pos, event_rows.data(), event_slots.data(), n,
+                     acc.data(), iacc.data());
+    }
+    panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
+  };
+
+  auto run_slots = [&](int64_t p0, int64_t p1) {
+    // Per-chunk scratch sized once for the whole batch; the position and
+    // slot loops below never allocate. fires[(b * T + t) * rows + i] is
+    // the i-th panel row (ascending) whose spike train fires in slot t of
+    // image b, nfire[b * T + t] how many there are.
+    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
+    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
+    std::vector<int64_t> vrow(static_cast<size_t>(B));
+    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
+                                             : 0);
+    std::vector<double> acc(static_cast<size_t>(B * width));
+    std::vector<int32_t> fires(static_cast<size_t>(B * T * rows));
+    std::vector<int32_t> nfire(static_cast<size_t>(B * T));
+    std::vector<uint8_t> train(static_cast<size_t>(T));
+    std::vector<uint8_t> union_fires(static_cast<size_t>(T));
+    // A spiking row drives its panel row at unit voltage: every event
+    // reads drive slot 0 of the one-entry `unit` buffer.
+    const std::vector<int32_t> unit_slots(static_cast<size_t>(rows), 0);
+    const double unit = 1.0;
+    std::vector<IntegrateFire> units(static_cast<size_t>(cols),
+                                     IntegrateFire(1.0));
+    std::vector<SpikeCounter> counters(static_cast<size_t>(cols),
+                                       SpikeCounter(config_.signal_bits));
+    std::vector<int64_t> chunk_occupied(static_cast<size_t>(B), 0);
     int64_t chunk_panel = 0;
 
     for (int64_t pos = p0; pos < p1; ++pos) {
-      // Gather nonzero receptive-field taps as (row, value) events. In
-      // slot modes the spike train of each event row is encoded in the
-      // same pass; stochastic coding still consumes a full window of
-      // draws for zero rows so the shared RNG stream stays aligned with
-      // the dense reference (which encodes every row).
+      // Union gather with spike-train encoding: the tap table is walked
+      // once per row for the whole batch, and each image's train is
+      // scattered branch-free into its per-slot firing lists. Stochastic
+      // coding consumes a full window of draws from every image's stream
+      // for every row (zero or not), exactly like the dense oracle, so
+      // stream-per-image alignment holds regardless of batch composition.
       const int32_t* taps =
           is_conv ? stage.taps.data() + pos * rows : nullptr;
-      int64_t nnz = 0;
+      std::fill(nfire.begin(), nfire.end(), 0);
+      int64_t nu = 0;  // union rows with at least one nonzero drive
       for (int64_t r = 0; r < rows; ++r) {
-        int64_t v;
-        if (is_conv) {
-          const int32_t tap = taps[r];
-          v = tap >= 0 ? input[static_cast<size_t>(tap)] : 0;
-        } else {
-          v = input[static_cast<size_t>(r)];
+        const int32_t tap = is_conv ? taps[r] : static_cast<int32_t>(r);
+        bool any = false;
+        for (int64_t b = 0; b < B; ++b) {
+          const int64_t v =
+              tap >= 0 ? inputs[static_cast<size_t>(b)]
+                               [static_cast<size_t>(tap)]
+                       : 0;
+          vrow[static_cast<size_t>(b)] = v;
+          any = any || v != 0;
         }
-        if (slot_mode && config_.stochastic_coding) {
-          rate_encode_stochastic_into(v, config_.signal_bits, coding_rng,
-                                      trains.data() + nnz * T);
-        } else if (slot_mode && v != 0) {
-          rate_encode_into(v, config_.signal_bits, trains.data() + nnz * T);
-        }
-        if (v != 0) {
-          event_rows[static_cast<size_t>(nnz)] = static_cast<int32_t>(r);
-          event_vals[static_cast<size_t>(nnz)] = static_cast<double>(v);
-          if (integer_drives) {
-            event_ivals[static_cast<size_t>(nnz)] = static_cast<int32_t>(v);
+        for (int64_t b = 0; b < B; ++b) {
+          const int64_t v = vrow[static_cast<size_t>(b)];
+          if (config_.stochastic_coding) {
+            rate_encode_stochastic_into(v, config_.signal_bits,
+                                        coding_rngs[static_cast<size_t>(b)],
+                                        train.data());
+          } else if (v != 0) {
+            rate_encode_into(v, config_.signal_bits, train.data());
           }
-          ++nnz;
-        }
-      }
-      chunk_events += nnz;
-
-      if (!slot_mode) {
-        // Collapsed ideal read: one value-weighted accumulate over the
-        // event rows (ascending), interleaved plus/minus. With integer
-        // drives the spike-count x level sum is computed exactly in int32
-        // instead of reconstructing it from conductances.
-        if (integer_drives) {
-          std::fill(iacc.begin(), iacc.end(), 0);
-          nn::iaccumulate_rows(event_rows.data(), event_ivals.data(), nnz,
-                               stage.ilevels.data(), cols, iacc.data());
-        } else {
-          std::fill(acc.begin(), acc.end(), 0.0);
-          stage.xbar->accumulate_rows(event_rows.data(), event_vals.data(),
-                                      nnz, acc.data());
-        }
-        chunk_panel += nnz * row_bytes;
-        for (int64_t col = 0; col < cols; ++col) {
-          const double level_sum =
-              integer_drives
-                  ? static_cast<double>(iacc[static_cast<size_t>(col)])
-                  : (acc[static_cast<size_t>(2 * col)] -
-                     acc[static_cast<size_t>(2 * col + 1)]) /
-                        dg;
-          const double y =
-              static_cast<double>(step) * level_sum +
-              static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-          int64_t count = core::round_half_up(y);
-          if (stage.rectify) count = std::clamp<int64_t>(count, 0, T);
-          output[static_cast<size_t>(col * positions + pos)] = count;
-          if (stage.final_readout) {
-            analog_readout_[static_cast<size_t>(col)] = y;
+          if (v == 0) continue;
+          int32_t* f = fires.data() + b * T * rows;
+          int32_t* nf = nfire.data() + b * T;
+          for (int64_t t = 0; t < T; ++t) {
+            f[t * rows + nf[t]] = static_cast<int32_t>(r);
+            nf[t] += train[static_cast<size_t>(t)];
+            union_fires[static_cast<size_t>(t)] |=
+                train[static_cast<size_t>(t)];
           }
         }
-        continue;
+        if (!any) continue;
+        event_rows[static_cast<size_t>(nu)] = static_cast<int32_t>(r);
+        event_slots[static_cast<size_t>(nu)] = tap + 1;
+        ++nu;
+        // A union row firing in slot t streams its panel row once for the
+        // whole batch.
+        for (int64_t t = 0; t < T; ++t) {
+          chunk_panel += union_fires[static_cast<size_t>(t)] * slot_row_bytes;
+          union_fires[static_cast<size_t>(t)] = 0;
+        }
       }
 
-      // Slot-by-slot spiking execution. Membrane preload as in the dense
-      // reference; each slot reduces to the event rows whose train fires
-      // in that slot. A slot in which no event fires deposits exactly
-      // zero charge in every IFC, so it is skipped outright.
-      for (int64_t col = 0; col < cols; ++col) {
-        units[static_cast<size_t>(col)].reset();
-        counters[static_cast<size_t>(col)].reset();
-        const int64_t preload_fires =
-            units[static_cast<size_t>(col)].integrate(
-                static_cast<double>(stage.bias[static_cast<size_t>(col)]) +
-                0.5);
-        counters[static_cast<size_t>(col)].count(preload_fires);
-      }
-      for (int64_t t = 0; t < T; ++t) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        bool any_spike = false;
-        for (int64_t e = 0; e < nnz; ++e) {
-          if (trains[static_cast<size_t>(e * T + t)] == 0) continue;
-          any_spike = true;
-          chunk_panel += slot_row_bytes;
-          const double* row =
-              panel + static_cast<int64_t>(
-                          event_rows[static_cast<size_t>(e)]) *
-                          width;
-          for (int64_t k = 0; k < width; ++k) {
-            acc[static_cast<size_t>(k)] += row[k];
+      // Slot-by-slot spiking execution, per image: the IFC membrane is
+      // preloaded with bias + 0.5 (spikes fired by the preload count), and
+      // each occupied slot drives the image's firing rows in one kernel
+      // call. A slot in which no row fires deposits zero charge and is
+      // skipped. Non-rectified stages (final readout / pre-skip-add raw
+      // counts) take their wide digital count from the collapsed ideal
+      // read instead, so their IFC banks are never read and only slot
+      // occupancy is counted.
+      for (int64_t b = 0; b < B; ++b) {
+        const int32_t* f = fires.data() + b * T * rows;
+        const int32_t* nf = nfire.data() + b * T;
+        int64_t& occupied = chunk_occupied[static_cast<size_t>(b)];
+        if (!stage.rectify) {
+          for (int64_t t = 0; t < T; ++t) occupied += nf[t] != 0;
+          continue;
+        }
+        for (int64_t col = 0; col < cols; ++col) {
+          units[static_cast<size_t>(col)].reset();
+          counters[static_cast<size_t>(col)].reset();
+          counters[static_cast<size_t>(col)].count(
+              units[static_cast<size_t>(col)].integrate(
+                  static_cast<double>(stage.bias[static_cast<size_t>(col)]) +
+                  0.5));
+        }
+        for (int64_t t = 0; t < T; ++t) {
+          if (nf[t] == 0) continue;
+          ++occupied;
+          nn::accumulate_rows_batch(f + t * rows, unit_slots.data(), nf[t],
+                                    &unit, 1, panel, width, acc.data());
+          for (int64_t col = 0; col < cols; ++col) {
+            const double level_sum = (acc[2 * col] - acc[2 * col + 1]) / dg;
+            counters[static_cast<size_t>(col)].count(
+                units[static_cast<size_t>(col)].integrate(step * level_sum));
           }
         }
-        if (!any_spike) continue;
-        ++chunk_occupied;
         for (int64_t col = 0; col < cols; ++col) {
-          const double level_sum =
-              (acc[static_cast<size_t>(2 * col)] -
-               acc[static_cast<size_t>(2 * col + 1)]) /
-              dg;
-          const int64_t fired = units[static_cast<size_t>(col)].integrate(
-              static_cast<double>(step) * level_sum);
-          counters[static_cast<size_t>(col)].count(fired);
-        }
-      }
-      if (!stage.rectify) {
-        // Non-rectified stages (final readout / pre-skip-add raw counts)
-        // re-derive the wide digital count from the collapsed ideal read,
-        // exactly like the dense reference — but with one event
-        // accumulate for all columns instead of a dense read per column.
-        if (integer_drives) {
-          std::fill(iacc.begin(), iacc.end(), 0);
-          nn::iaccumulate_rows(event_rows.data(), event_ivals.data(), nnz,
-                               stage.ilevels.data(), cols, iacc.data());
-        } else {
-          std::fill(acc.begin(), acc.end(), 0.0);
-          stage.xbar->accumulate_rows(event_rows.data(), event_vals.data(),
-                                      nnz, acc.data());
-        }
-        chunk_panel += nnz * row_bytes;
-        for (int64_t col = 0; col < cols; ++col) {
-          const double level_sum =
-              integer_drives
-                  ? static_cast<double>(iacc[static_cast<size_t>(col)])
-                  : (acc[static_cast<size_t>(2 * col)] -
-                     acc[static_cast<size_t>(2 * col + 1)]) /
-                        dg;
-          const double y =
-              static_cast<double>(step) * level_sum +
-              static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-          output[static_cast<size_t>(col * positions + pos)] =
-              core::round_half_up(y);
-          if (stage.final_readout) {
-            analog_readout_[static_cast<size_t>(col)] = y;
-          }
-        }
-      } else {
-        for (int64_t col = 0; col < cols; ++col) {
-          output[static_cast<size_t>(col * positions + pos)] =
+          out[static_cast<size_t>(b)][col * positions + pos] =
               counters[static_cast<size_t>(col)].value();
         }
       }
+      if (!stage.rectify) {
+        chunk_panel += nu * row_bytes;
+        collapsed_read(pos, event_rows.data(), event_slots.data(), nu,
+                       acc.data(), iacc.data());
+      }
     }
-    event_count.fetch_add(chunk_events, std::memory_order_relaxed);
-    occupied_count.fetch_add(chunk_occupied, std::memory_order_relaxed);
+    for (int64_t b = 0; b < B; ++b) {
+      occupied_count[static_cast<size_t>(b)].fetch_add(
+          chunk_occupied[static_cast<size_t>(b)], std::memory_order_relaxed);
+    }
     panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
+  };
+
+  // Positions parallelize on deterministic non-readout stages; chunk
+  // boundaries are shape-only, so the parallel schedule never affects
+  // results. Stochastic coding (per-image streams drawn in position
+  // order) and the final readout (positions overwrite readout_) stay
+  // serial.
+  auto run_positions = [&](int64_t p0, int64_t p1) {
+    if (slot_mode) {
+      run_slots(p0, p1);
+    } else {
+      run_ideal(p0, p1);
+    }
   };
   if (!config_.stochastic_coding && !stage.final_readout) {
     util::parallel_for(0, positions, 0, run_positions);
@@ -877,14 +726,161 @@ std::vector<int64_t> SncSystem::run_crossbar_stage_event(
     run_positions(0, positions);
   }
 
-  if (stats != nullptr) {
-    stats->input_events = event_count.load(std::memory_order_relaxed);
-    stats->occupied_slots = occupied_count.load(std::memory_order_relaxed);
-    if (!stage.add_skip) {
-      for (int64_t v : output) stats->spikes += std::max<int64_t>(v, 0);
+  for (int64_t b = 0; b < B; ++b) {
+    SncStageStats* st = stats[static_cast<size_t>(b)];
+    if (st == nullptr) continue;
+    st->occupied_slots = occupied_count[static_cast<size_t>(b)].load(
+        std::memory_order_relaxed);
+  }
+}
+
+// The dense oracle, kept deliberately naive and independent of the
+// runner's data structures: it gathers each receptive field with explicit
+// im2col arithmetic (no tap table), drives every row at every position
+// through the plus and minus arrays' own allocating reads, and maps
+// logical columns to physical ones with physical_column() — never through
+// the packed panel. Each array read accumulates v * g over ascending rows
+// with zero rows skipped, the same double sequence the runner's kernels
+// produce from the panel copy of those conductances, so the two agree
+// bit for bit exactly when the panel is in sync with the arrays. Runs
+// serially and streams no panel bytes.
+void SncSystem::run_reference_stage(
+    const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
+    std::vector<std::vector<int64_t>>& outputs,
+    const std::vector<SncStageStats*>& stats,
+    std::vector<nn::Rng>& coding_rngs) {
+  const int64_t T = window_slots(config_.signal_bits);
+  const int64_t kmax = int64_t{1} << (config_.weight_bits - 1);
+  const double step = static_cast<double>(stage.step);
+  // Differential conductance of one grid level: converts column currents
+  // (per unit read voltage) back to level units.
+  const double dg = (g_max(config_.device) - g_min(config_.device)) /
+                    static_cast<double>(kmax);
+  const DifferentialCrossbar& xbar = *stage.xbar;
+  const int64_t rows = xbar.rows();
+  const int64_t cols = xbar.cols();
+  const bool is_conv = stage.kind == Stage::Kind::kConv;
+  const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
+  const bool slot_mode = config_.mode != IntegrationMode::kIdealIntegration ||
+                         config_.stochastic_coding;
+  // Logical column c's charge in weight units from per-array currents.
+  auto charge = [&](const std::vector<double>& plus,
+                    const std::vector<double>& minus, int64_t c) {
+    const size_t pc = static_cast<size_t>(xbar.physical_column(c));
+    return step * ((plus[pc] - minus[pc]) / dg);
+  };
+
+  for (size_t b = 0; b < inputs.size(); ++b) {
+    const std::vector<int64_t>& input = inputs[b];
+    std::vector<int64_t>& output = outputs[b];
+    int64_t events = 0;
+    int64_t occupied = 0;
+    std::vector<double> volts(static_cast<size_t>(rows));
+    for (int64_t pos = 0; pos < positions; ++pos) {
+      // Gather the integer receptive field (im2col order: c, ky, kx).
+      const int64_t oy = is_conv ? pos / stage.out_w : 0;
+      const int64_t ox = is_conv ? pos % stage.out_w : 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        int64_t v = 0;
+        if (!is_conv) {
+          v = input[static_cast<size_t>(r)];
+        } else {
+          const int64_t ic = r / (stage.kernel * stage.kernel);
+          const int64_t ky = r / stage.kernel % stage.kernel;
+          const int64_t kx = r % stage.kernel;
+          const int64_t iy = oy * stage.stride - stage.pad + ky;
+          const int64_t ix = ox * stage.stride - stage.pad + kx;
+          if (iy >= 0 && iy < stage.in_h && ix >= 0 && ix < stage.in_w) {
+            v = input[static_cast<size_t>((ic * stage.in_h + iy) *
+                                              stage.in_w +
+                                          ix)];
+          }
+        }
+        volts[static_cast<size_t>(r)] = static_cast<double>(v);
+        if (v != 0) ++events;
+      }
+
+      // Collapsed ideal read: linear synapses let the whole window
+      // collapse into one value-weighted read.
+      const std::vector<double> plus = xbar.plus().read_columns(volts);
+      const std::vector<double> minus = xbar.minus().read_columns(volts);
+      std::vector<int64_t> counts(static_cast<size_t>(cols));
+      for (int64_t c = 0; c < cols; ++c) {
+        const double y =
+            charge(plus, minus, c) +
+            static_cast<double>(stage.bias[static_cast<size_t>(c)]);
+        counts[static_cast<size_t>(c)] = core::round_half_up(y);
+        if (stage.rectify) {
+          counts[static_cast<size_t>(c)] =
+              std::clamp<int64_t>(counts[static_cast<size_t>(c)], 0, T);
+        }
+        if (stage.final_readout) readout_[b][static_cast<size_t>(c)] = y;
+      }
+
+      if (slot_mode) {
+        // Slot-by-slot spiking execution with physical IFC semantics. IFCs
+        // work in output-level units (threshold = charge of one output
+        // level); the bias plus the 0.5 rounding offset preloads each
+        // membrane, and spikes fired by the preload count toward the
+        // window total. Non-rectified stages keep the collapsed read's
+        // wide digital count.
+        std::vector<std::vector<uint8_t>> trains(static_cast<size_t>(rows));
+        for (int64_t r = 0; r < rows; ++r) {
+          const int64_t v =
+              static_cast<int64_t>(volts[static_cast<size_t>(r)]);
+          trains[static_cast<size_t>(r)] =
+              config_.stochastic_coding
+                  ? rate_encode_stochastic(v, config_.signal_bits,
+                                           coding_rngs[b])
+                  : rate_encode(v, config_.signal_bits);
+        }
+        std::vector<IntegrateFire> units(static_cast<size_t>(cols),
+                                         IntegrateFire(1.0));
+        std::vector<SpikeCounter> counters(
+            static_cast<size_t>(cols), SpikeCounter(config_.signal_bits));
+        for (int64_t c = 0; c < cols; ++c) {
+          counters[static_cast<size_t>(c)].count(
+              units[static_cast<size_t>(c)].integrate(
+                  static_cast<double>(stage.bias[static_cast<size_t>(c)]) +
+                  0.5));
+        }
+        std::vector<uint8_t> spikes(static_cast<size_t>(rows));
+        for (int64_t t = 0; t < T; ++t) {
+          bool any_spike = false;
+          for (int64_t r = 0; r < rows; ++r) {
+            spikes[static_cast<size_t>(r)] =
+                trains[static_cast<size_t>(r)][static_cast<size_t>(t)];
+            any_spike = any_spike || spikes[static_cast<size_t>(r)] != 0;
+          }
+          if (!any_spike) continue;  // zero charge everywhere
+          ++occupied;
+          const std::vector<double> splus =
+              xbar.plus().read_columns_spiking(spikes, 1.0);
+          const std::vector<double> sminus =
+              xbar.minus().read_columns_spiking(spikes, 1.0);
+          for (int64_t c = 0; c < cols; ++c) {
+            counters[static_cast<size_t>(c)].count(
+                units[static_cast<size_t>(c)].integrate(
+                    charge(splus, sminus, c)));
+          }
+        }
+        if (stage.rectify) {
+          for (int64_t c = 0; c < cols; ++c) {
+            counts[static_cast<size_t>(c)] =
+                counters[static_cast<size_t>(c)].value();
+          }
+        }
+      }
+      for (int64_t c = 0; c < cols; ++c) {
+        output[static_cast<size_t>(c * positions + pos)] =
+            counts[static_cast<size_t>(c)];
+      }
+    }
+    if (stats[b] != nullptr) {
+      stats[b]->input_events = events;
+      stats[b]->occupied_slots = occupied;
     }
   }
-  return output;
 }
 
 std::vector<int64_t> SncSystem::run_pool_stage(
@@ -1001,386 +997,121 @@ std::vector<int64_t> SncSystem::encode_image(const float* pixels, int64_t n,
   return signal;
 }
 
-int64_t SncSystem::infer(const nn::Tensor& image, SncStats* stats) {
+std::vector<int64_t> SncSystem::run_network(const float* pixels,
+                                            int64_t count,
+                                            std::vector<SncStats>* stats,
+                                            StageRunner run_stage) {
+  const size_t B = static_cast<size_t>(count);
+  const int64_t T = window_slots(config_.signal_bits);
+  last_batch_logits_.assign(B, {});
+  readout_.clear();
+  if (stats != nullptr) {
+    stats->assign(B, SncStats{});
+    for (SncStats& s : *stats) {
+      s.window_slots = T;
+      s.stage.assign(crossbar_stage_count_, SncStageStats{});
+    }
+  }
+  std::vector<int64_t> preds;
+  if (B == 0) return preds;
+
+  // One coding stream per image, issued in image order — the streams do
+  // not depend on how images are grouped into calls.
+  std::vector<nn::Rng> coding_rngs;
+  coding_rngs.reserve(B);
+  for (size_t b = 0; b < B; ++b) coding_rngs.push_back(next_coding_rng());
+
+  const int64_t chw = input_chw_[0] * input_chw_[1] * input_chw_[2];
+  std::vector<std::vector<int64_t>> signals(B);
+  for (size_t b = 0; b < B; ++b) {
+    signals[b] = encode_image(
+        pixels + static_cast<int64_t>(b) * chw, chw,
+        stats != nullptr ? &(*stats)[b].total_spikes : nullptr);
+  }
+
+  std::vector<std::vector<int64_t>> skips(B);
+  size_t xbar_idx = 0;
+  for (const auto& stage : stages_) {
+    if (stage->kind != Stage::Kind::kConv &&
+        stage->kind != Stage::Kind::kDense) {
+      for (std::vector<int64_t>& signal : signals) {
+        signal = run_pool_stage(*stage, signal);
+      }
+      continue;
+    }
+    const int64_t positions =
+        stage->kind == Stage::Kind::kConv ? stage->out_h * stage->out_w : 1;
+    std::vector<SncStageStats*> st(B, nullptr);
+    for (size_t b = 0; b < B && stats != nullptr; ++b) {
+      st[b] = &(*stats)[b].stage[xbar_idx];
+      fill_stage_header(stage->fault, stage->xbar->rows(),
+                        stage->xbar->cols(), positions, st[b]);
+    }
+    ++xbar_idx;
+    if (stage->save_skip) skips = signals;
+    if (stage->final_readout) {
+      readout_.assign(B, std::vector<double>(
+                             static_cast<size_t>(stage->xbar->cols()), 0.0));
+    }
+    std::vector<std::vector<int64_t>> outs(
+        B, std::vector<int64_t>(
+               static_cast<size_t>(stage->out_c * positions), 0));
+    (this->*run_stage)(*stage, signals, outs, st, coding_rngs);
+    signals = std::move(outs);
+    for (size_t b = 0; b < B; ++b) {
+      // add_skip stages report spikes after the digital skip add: raw
+      // pre-add counts are not what crosses the boundary.
+      int64_t spikes = 0;
+      if (stage->add_skip) {
+        spikes = apply_skip_add(*stage, signals[b], skips[b]);
+      } else if (stats != nullptr) {
+        for (const int64_t v : signals[b]) spikes += std::max<int64_t>(v, 0);
+      }
+      if (stats != nullptr) {
+        st[b]->spikes = spikes;
+        ++(*stats)[b].layers;
+        (*stats)[b].total_spikes += spikes;
+      }
+    }
+  }
+
+  preds.assign(B, 0);
+  for (size_t b = 0; b < B; ++b) {
+    std::vector<double>& logits = last_batch_logits_[b];
+    if (!readout_.empty()) {
+      logits = std::move(readout_[b]);
+    } else {
+      logits.assign(signals[b].begin(), signals[b].end());
+    }
+    int64_t best = 0;
+    for (size_t j = 1; j < logits.size(); ++j) {
+      if (logits[j] > logits[static_cast<size_t>(best)]) {
+        best = static_cast<int64_t>(j);
+      }
+    }
+    preds[b] = best;
+  }
+  last_logits_ = last_batch_logits_.back();
+  readout_.clear();
+  return preds;
+}
+
+int64_t SncSystem::run_one(const nn::Tensor& image, SncStats* stats,
+                           StageRunner run_stage) {
   if (image.rank() != 3 || image.dim(0) != input_chw_[0] ||
       image.dim(1) != input_chw_[1] || image.dim(2) != input_chw_[2]) {
     throw std::invalid_argument("SncSystem::infer: image shape mismatch");
   }
-  const int64_t T = window_slots(config_.signal_bits);
-  analog_readout_.clear();
-  if (stats != nullptr) {
-    *stats = SncStats{};
-    stats->window_slots = T;
-    stats->stage.assign(crossbar_stage_count_, SncStageStats{});
-  }
-  nn::Rng coding_rng = next_coding_rng();
-
-  std::vector<int64_t> signal =
-      encode_image(image.data(), image.numel(),
-                   stats != nullptr ? &stats->total_spikes : nullptr);
-
-  std::vector<int64_t> skip;  // residual shortcut register
-  size_t xbar_idx = 0;
-  for (const auto& stage : stages_) {
-    if (stage->kind == Stage::Kind::kConv ||
-        stage->kind == Stage::Kind::kDense) {
-      SncStageStats* st = stats != nullptr ? &stats->stage[xbar_idx] : nullptr;
-      ++xbar_idx;
-      if (stage->save_skip) skip = signal;
-      signal = run_crossbar_stage(*stage, signal, st, coding_rng);
-      if (stats != nullptr) {
-        ++stats->layers;
-        if (!stage->add_skip) stats->total_spikes += st->spikes;
-      }
-      if (stage->add_skip) {
-        const int64_t post_add_spikes = apply_skip_add(*stage, signal, skip);
-        if (stats != nullptr) {
-          st->spikes = post_add_spikes;
-          stats->total_spikes += post_add_spikes;
-        }
-      }
-    } else {
-      signal = run_pool_stage(*stage, signal);
-    }
-  }
-
-  if (!analog_readout_.empty()) {
-    last_logits_ = analog_readout_;
-  } else {
-    last_logits_.assign(signal.begin(), signal.end());
-  }
-  int64_t best = 0;
-  for (size_t j = 1; j < last_logits_.size(); ++j) {
-    if (last_logits_[j] > last_logits_[static_cast<size_t>(best)]) {
-      best = static_cast<int64_t>(j);
-    }
-  }
-  return best;
+  std::vector<SncStats> batch_stats;
+  const int64_t pred = run_network(
+      image.data(), 1, stats != nullptr ? &batch_stats : nullptr,
+      run_stage)[0];
+  if (stats != nullptr) *stats = std::move(batch_stats[0]);
+  return pred;
 }
 
-// The batch-native runner. Once per stage the B input signals are copied
-// into one image-minor drive buffer (slot s = input index + 1, slot 0 an
-// all-zero slot that padding taps read) beside a union-nonzero mask over
-// the slots, and each image's input_events is summed from the per-input
-// fan-out table. Per position the collapsed ideal read keeps only the
-// taps whose slot is live in some image (every tap under the dense
-// reference) and hands the (panel row, slot) list to one B-wide kernel.
-// Slot modes keep their own gather, because stochastic coding draws a
-// full window from every image's stream for every row. Per image the
-// arithmetic is the single-image sequence: a tap that is zero for image b
-// adds a signed zero product, which leaves b's column sums unchanged, and
-// the live taps keep their ascending-row order — so logits, predictions,
-// and per-image stats are bit-identical at every batch size.
-void SncSystem::run_crossbar_stage_batch(
-    const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
-    std::vector<std::vector<int64_t>>& outputs,
-    const std::vector<SncStageStats*>& stats,
-    std::vector<nn::Rng>& coding_rngs) {
-  const int64_t B = static_cast<int64_t>(inputs.size());
-  const int64_t T = window_slots(config_.signal_bits);
-  const int64_t kmax = int64_t{1} << (config_.weight_bits - 1);
-  const double step = static_cast<double>(stage.step);
-  const double dg = (g_max(config_.device) - g_min(config_.device)) /
-                    static_cast<double>(kmax);
-
-  const int64_t rows = stage.xbar->rows();
-  const int64_t cols = stage.xbar->cols();
-  const bool is_conv = stage.kind == Stage::Kind::kConv;
-  const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
-  const bool slot_mode = config_.mode != IntegrationMode::kIdealIntegration ||
-                         config_.stochastic_coding;
-  // The dense reference drives every row at every position, the event
-  // engine only the union of nonzero rows; zero drives contribute nothing
-  // per image either way, so both reduce to the single-image sequences.
-  const bool dense_drive = config_.engine == SncEngine::kDenseReference;
-  // Integer drives are an event-engine path: the dense reference always
-  // reads the analog panel, so its batched form must as well.
-  const bool integer_drives = !stage.ilevels.empty() && !dense_drive;
-  const int64_t width = 2 * cols;
-  const double* panel = stage.xbar->packed_panel();
-  const int64_t row_bytes =
-      integer_drives ? cols * static_cast<int64_t>(sizeof(int16_t))
-                     : width * static_cast<int64_t>(sizeof(double));
-  const int64_t slot_row_bytes =
-      width * static_cast<int64_t>(sizeof(double));
-
-  std::vector<int64_t*> out(static_cast<size_t>(B));
-  for (int64_t b = 0; b < B; ++b) {
-    fill_stage_header(stage.fault, rows, cols, positions, stats[b]);
-    outputs[static_cast<size_t>(b)].assign(
-        static_cast<size_t>(stage.out_c * positions), 0);
-    out[static_cast<size_t>(b)] = outputs[static_cast<size_t>(b)].data();
-  }
-  if (stage.final_readout) {
-    batch_readout_.assign(static_cast<size_t>(B),
-                          std::vector<double>(static_cast<size_t>(cols), 0.0));
-  }
-
-  // Drive buffer (double, or int32 for integer drives), union mask, and
-  // per-image event counts, shared read-only by every position chunk.
-  const int64_t n_in = static_cast<int64_t>(stage.fanout.size());
-  const size_t n_drives = static_cast<size_t>((n_in + 1) * B);
-  std::vector<uint8_t> live(static_cast<size_t>(n_in + 1), 0);
-  std::vector<double> drives(integer_drives ? 0 : n_drives, 0.0);
-  std::vector<int32_t> idrives(integer_drives ? n_drives : 0, 0);
-  for (int64_t b = 0; b < B; ++b) {
-    const int64_t* in = inputs[static_cast<size_t>(b)].data();
-    int64_t events = 0;
-    for (int64_t i = 0; i < n_in; ++i) {
-      if (in[i] == 0) continue;
-      const size_t s = static_cast<size_t>((i + 1) * B + b);
-      live[static_cast<size_t>(i + 1)] = 1;
-      events += stage.fanout[static_cast<size_t>(i)];
-      if (integer_drives) {
-        idrives[s] = static_cast<int32_t>(in[i]);
-      } else {
-        drives[s] = static_cast<double>(in[i]);
-      }
-    }
-    if (stats[static_cast<size_t>(b)] != nullptr) {
-      stats[static_cast<size_t>(b)]->input_events = events;
-    }
-  }
-
-  // Collapsed ideal read of one position over a (panel row, slot) event
-  // list: per-image column sums, then y = step * level_sum + bias rounded
-  // (and clamped on rectified stages) into every image's output. With
-  // integer drives the spike-count x level sum is computed exactly in
-  // int32 instead of being reconstructed from conductances.
-  auto collapsed_read = [&](int64_t pos, const int32_t* event_rows,
-                            const int32_t* event_slots, int64_t n,
-                            double* acc, int32_t* iacc) {
-    if (integer_drives) {
-      nn::iaccumulate_rows_batch(event_rows, event_slots, n, idrives.data(),
-                                 B, stage.ilevels.data(), cols, iacc);
-    } else {
-      nn::accumulate_rows_batch(event_rows, event_slots, n, drives.data(), B,
-                                panel, width, acc);
-    }
-    for (int64_t b = 0; b < B; ++b) {
-      int64_t* o = out[static_cast<size_t>(b)] + pos;
-      for (int64_t col = 0; col < cols; ++col) {
-        const double level_sum =
-            integer_drives
-                ? static_cast<double>(iacc[b * cols + col])
-                : (acc[b * width + 2 * col] - acc[b * width + 2 * col + 1]) /
-                      dg;
-        const double y =
-            step * level_sum +
-            static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-        int64_t count = core::round_half_up(y);
-        if (stage.rectify) count = std::clamp<int64_t>(count, 0, T);
-        o[col * positions] = count;
-        if (stage.final_readout) {
-          batch_readout_[static_cast<size_t>(b)][static_cast<size_t>(col)] =
-              y;
-        }
-      }
-    }
-  };
-
-  std::vector<std::atomic<int64_t>> occupied_count(static_cast<size_t>(B));
-  for (std::atomic<int64_t>& c : occupied_count) {
-    c.store(0, std::memory_order_relaxed);
-  }
-
-  auto run_ideal = [&](int64_t p0, int64_t p1) {
-    // Per-chunk scratch; the position loop never allocates.
-    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
-    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
-    std::vector<double> acc(integer_drives ? 0
-                                           : static_cast<size_t>(B * width));
-    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
-                                             : 0);
-    int64_t chunk_panel = 0;
-    for (int64_t pos = p0; pos < p1; ++pos) {
-      // Branch-free tap filter: every tap is written, only live ones (all
-      // of them under the dense reference) advance the list.
-      const int32_t* taps =
-          is_conv ? stage.taps.data() + pos * rows : nullptr;
-      int64_t n = 0;
-      int64_t active = 0;  // taps live in at least one image
-      for (int64_t r = 0; r < rows; ++r) {
-        const int32_t slot = (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
-        const int64_t on = live[static_cast<size_t>(slot)];
-        event_rows[static_cast<size_t>(n)] = static_cast<int32_t>(r);
-        event_slots[static_cast<size_t>(n)] = slot;
-        active += on;
-        n += dense_drive ? 1 : on;
-      }
-      chunk_panel += active * row_bytes;
-      collapsed_read(pos, event_rows.data(), event_slots.data(), n,
-                     acc.data(), iacc.data());
-    }
-    panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
-  };
-
-  auto run_slots = [&](int64_t p0, int64_t p1) {
-    // Per-chunk scratch sized once for the whole batch; the position and
-    // slot loops below never allocate.
-    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
-    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
-    std::vector<int64_t> vrow(static_cast<size_t>(B));
-    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
-                                             : 0);
-    std::vector<double> acc(static_cast<size_t>(B * width));
-    std::vector<uint8_t> trains(static_cast<size_t>(rows * B * T));
-    std::vector<uint8_t> drain(static_cast<size_t>(T));
-    std::vector<IntegrateFire> units(static_cast<size_t>(B * cols),
-                                     IntegrateFire(1.0));  // [b * cols + col]
-    std::vector<SpikeCounter> counters(static_cast<size_t>(B * cols),
-                                       SpikeCounter(config_.signal_bits));
-    std::vector<uint8_t> img_any(static_cast<size_t>(B));
-    std::vector<int64_t> chunk_occupied(static_cast<size_t>(B), 0);
-    int64_t chunk_panel = 0;
-
-    for (int64_t pos = p0; pos < p1; ++pos) {
-      // Union gather with spike-train encoding: the tap table is walked
-      // once per row for the whole batch. Stochastic coding consumes a
-      // full window of draws from every image's stream for every row
-      // (zero or not, driven or not), exactly like the single-image
-      // engines, so stream-per-image alignment holds regardless of batch
-      // composition.
-      const int32_t* taps =
-          is_conv ? stage.taps.data() + pos * rows : nullptr;
-      int64_t nu = 0;      // union rows driven this position
-      int64_t active = 0;  // union rows with at least one nonzero drive
-      for (int64_t r = 0; r < rows; ++r) {
-        const int32_t tap = is_conv ? taps[r] : static_cast<int32_t>(r);
-        bool any = false;
-        for (int64_t b = 0; b < B; ++b) {
-          const int64_t v =
-              tap >= 0 ? inputs[static_cast<size_t>(b)]
-                               [static_cast<size_t>(tap)]
-                       : 0;
-          vrow[static_cast<size_t>(b)] = v;
-          any = any || v != 0;
-        }
-        const bool drive = dense_drive || any;
-        if (any) ++active;
-        if (drive) {
-          event_rows[static_cast<size_t>(nu)] = static_cast<int32_t>(r);
-          event_slots[static_cast<size_t>(nu)] = tap + 1;
-        }
-        uint8_t* tr = drive ? trains.data() + nu * B * T : nullptr;
-        for (int64_t b = 0; b < B; ++b) {
-          if (config_.stochastic_coding) {
-            rate_encode_stochastic_into(
-                vrow[static_cast<size_t>(b)], config_.signal_bits,
-                coding_rngs[static_cast<size_t>(b)],
-                drive ? tr + b * T : drain.data());
-          } else if (drive) {
-            rate_encode_into(vrow[static_cast<size_t>(b)],
-                             config_.signal_bits, tr + b * T);
-          }
-        }
-        if (drive) ++nu;
-      }
-
-      // Slot-by-slot spiking execution: per-image IFC banks, shared panel
-      // passes. A union row firing in slot t is streamed once and folded
-      // into every image whose train fires; an image with no firing event
-      // in a slot deposits zero charge and is skipped, exactly like the
-      // single-image engines.
-      for (int64_t b = 0; b < B; ++b) {
-        for (int64_t col = 0; col < cols; ++col) {
-          IntegrateFire& u = units[static_cast<size_t>(b * cols + col)];
-          SpikeCounter& cnt = counters[static_cast<size_t>(b * cols + col)];
-          u.reset();
-          cnt.reset();
-          const int64_t preload_fires = u.integrate(
-              static_cast<double>(stage.bias[static_cast<size_t>(col)]) +
-              0.5);
-          cnt.count(preload_fires);
-        }
-      }
-      for (int64_t t = 0; t < T; ++t) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        std::fill(img_any.begin(), img_any.end(), uint8_t{0});
-        bool any_spike = false;
-        for (int64_t e = 0; e < nu; ++e) {
-          const uint8_t* tr = trains.data() + e * B * T;
-          const double* row = nullptr;
-          for (int64_t b = 0; b < B; ++b) {
-            if (tr[b * T + t] == 0) continue;
-            if (row == nullptr) {
-              row = panel +
-                    static_cast<int64_t>(
-                        event_rows[static_cast<size_t>(e)]) *
-                        width;
-              chunk_panel += slot_row_bytes;
-              any_spike = true;
-            }
-            img_any[static_cast<size_t>(b)] = 1;
-            double* a = acc.data() + b * width;
-            for (int64_t k = 0; k < width; ++k) {
-              a[k] += row[k];
-            }
-          }
-        }
-        if (!any_spike) continue;
-        for (int64_t b = 0; b < B; ++b) {
-          if (img_any[static_cast<size_t>(b)] == 0) continue;
-          ++chunk_occupied[static_cast<size_t>(b)];
-          const double* a = acc.data() + b * width;
-          for (int64_t col = 0; col < cols; ++col) {
-            const double level_sum = (a[2 * col] - a[2 * col + 1]) / dg;
-            const int64_t fired =
-                units[static_cast<size_t>(b * cols + col)].integrate(
-                    step * level_sum);
-            counters[static_cast<size_t>(b * cols + col)].count(fired);
-          }
-        }
-      }
-      if (!stage.rectify) {
-        // Non-rectified stages (final readout / pre-skip-add raw counts)
-        // re-derive the wide digital count from the collapsed ideal read.
-        chunk_panel += active * row_bytes;
-        collapsed_read(pos, event_rows.data(), event_slots.data(), nu,
-                       acc.data(), iacc.data());
-      } else {
-        for (int64_t b = 0; b < B; ++b) {
-          for (int64_t col = 0; col < cols; ++col) {
-            out[static_cast<size_t>(b)][col * positions + pos] =
-                counters[static_cast<size_t>(b * cols + col)].value();
-          }
-        }
-      }
-    }
-    for (int64_t b = 0; b < B; ++b) {
-      occupied_count[static_cast<size_t>(b)].fetch_add(
-          chunk_occupied[static_cast<size_t>(b)], std::memory_order_relaxed);
-    }
-    panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
-  };
-
-  // Same fan-out contract as the single-image runners: positions
-  // parallelize on deterministic non-readout stages, chunk boundaries are
-  // shape-only, so the parallel schedule never affects results.
-  auto run_positions = [&](int64_t p0, int64_t p1) {
-    if (slot_mode) {
-      run_slots(p0, p1);
-    } else {
-      run_ideal(p0, p1);
-    }
-  };
-  if (!config_.stochastic_coding && !stage.final_readout) {
-    util::parallel_for(0, positions, 0, run_positions);
-  } else {
-    run_positions(0, positions);
-  }
-
-  for (int64_t b = 0; b < B; ++b) {
-    SncStageStats* st = stats[static_cast<size_t>(b)];
-    if (st == nullptr) continue;
-    st->occupied_slots = occupied_count[static_cast<size_t>(b)].load(
-        std::memory_order_relaxed);
-    if (!stage.add_skip) {
-      for (int64_t v : outputs[static_cast<size_t>(b)]) {
-        st->spikes += std::max<int64_t>(v, 0);
-      }
-    }
-  }
+int64_t SncSystem::infer(const nn::Tensor& image, SncStats* stats) {
+  return run_one(image, stats, &SncSystem::run_crossbar_stage);
 }
 
 std::vector<int64_t> SncSystem::infer_batch(const nn::Tensor& batch,
@@ -1390,99 +1121,13 @@ std::vector<int64_t> SncSystem::infer_batch(const nn::Tensor& batch,
     throw std::invalid_argument(
         "SncSystem::infer_batch: batch shape must be [B, C, H, W]");
   }
-  const int64_t B = batch.dim(0);
-  const int64_t T = window_slots(config_.signal_bits);
-  last_batch_logits_.assign(static_cast<size_t>(B), {});
-  batch_readout_.clear();
-  if (stats != nullptr) {
-    stats->assign(static_cast<size_t>(B), SncStats{});
-    for (SncStats& s : *stats) {
-      s.window_slots = T;
-      s.stage.assign(crossbar_stage_count_, SncStageStats{});
-    }
-  }
-  std::vector<int64_t> preds;
-  if (B == 0) return preds;
+  return run_network(batch.data(), batch.dim(0), stats,
+                     &SncSystem::run_crossbar_stage);
+}
 
-  // One coding stream per image, issued in image order — exactly the
-  // streams B consecutive infer() calls would draw.
-  std::vector<nn::Rng> coding_rngs;
-  coding_rngs.reserve(static_cast<size_t>(B));
-  for (int64_t b = 0; b < B; ++b) coding_rngs.push_back(next_coding_rng());
-
-  const int64_t chw = input_chw_[0] * input_chw_[1] * input_chw_[2];
-  std::vector<std::vector<int64_t>> signals(static_cast<size_t>(B));
-  for (int64_t b = 0; b < B; ++b) {
-    signals[static_cast<size_t>(b)] = encode_image(
-        batch.data() + b * chw, chw,
-        stats != nullptr ? &(*stats)[static_cast<size_t>(b)].total_spikes
-                         : nullptr);
-  }
-
-  std::vector<std::vector<int64_t>> skips(static_cast<size_t>(B));
-  size_t xbar_idx = 0;
-  for (const auto& stage : stages_) {
-    if (stage->kind == Stage::Kind::kConv ||
-        stage->kind == Stage::Kind::kDense) {
-      std::vector<SncStageStats*> st(static_cast<size_t>(B), nullptr);
-      if (stats != nullptr) {
-        for (int64_t b = 0; b < B; ++b) {
-          st[static_cast<size_t>(b)] =
-              &(*stats)[static_cast<size_t>(b)].stage[xbar_idx];
-        }
-      }
-      ++xbar_idx;
-      if (stage->save_skip) skips = signals;
-      std::vector<std::vector<int64_t>> outs(static_cast<size_t>(B));
-      run_crossbar_stage_batch(*stage, signals, outs, st, coding_rngs);
-      signals = std::move(outs);
-      for (int64_t b = 0; b < B && stats != nullptr; ++b) {
-        SncStats& s = (*stats)[static_cast<size_t>(b)];
-        ++s.layers;
-        if (!stage->add_skip) {
-          s.total_spikes += st[static_cast<size_t>(b)]->spikes;
-        }
-      }
-      if (stage->add_skip) {
-        for (int64_t b = 0; b < B; ++b) {
-          const int64_t post_add_spikes =
-              apply_skip_add(*stage, signals[static_cast<size_t>(b)],
-                             skips[static_cast<size_t>(b)]);
-          if (stats != nullptr) {
-            st[static_cast<size_t>(b)]->spikes = post_add_spikes;
-            (*stats)[static_cast<size_t>(b)].total_spikes += post_add_spikes;
-          }
-        }
-      }
-    } else {
-      for (int64_t b = 0; b < B; ++b) {
-        signals[static_cast<size_t>(b)] =
-            run_pool_stage(*stage, signals[static_cast<size_t>(b)]);
-      }
-    }
-  }
-
-  preds.assign(static_cast<size_t>(B), 0);
-  for (int64_t b = 0; b < B; ++b) {
-    std::vector<double>& logits = last_batch_logits_[static_cast<size_t>(b)];
-    if (!batch_readout_.empty()) {
-      logits = std::move(batch_readout_[static_cast<size_t>(b)]);
-    } else {
-      logits.assign(signals[static_cast<size_t>(b)].begin(),
-                    signals[static_cast<size_t>(b)].end());
-    }
-    int64_t best = 0;
-    for (size_t j = 1; j < logits.size(); ++j) {
-      if (logits[j] > logits[static_cast<size_t>(best)]) {
-        best = static_cast<int64_t>(j);
-      }
-    }
-    preds[static_cast<size_t>(b)] = best;
-  }
-  // Mirror what B sequential infer() calls leave behind for last_logits().
-  last_logits_ = last_batch_logits_.back();
-  batch_readout_.clear();
-  return preds;
+int64_t SncSystem::infer_reference(const nn::Tensor& image,
+                                   SncStats* stats) {
+  return run_one(image, stats, &SncSystem::run_reference_stage);
 }
 
 float SncSystem::read_back_weight(size_t layer, int64_t row,

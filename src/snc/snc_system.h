@@ -46,27 +46,6 @@ namespace qsnc::snc {
 
 enum class IntegrationMode { kIdealIntegration, kOnline };
 
-/// Inference engine selection.
-///  * kEventDriven — the production hot path: each stage's differential
-///    effective conductances are baked into a packed panel at programming
-///    time, receptive fields are gathered as sparse (row, value) event
-///    lists through precomputed im2col tap tables, and column sums
-///    accumulate only over nonzero rows — O(nnz x cols) per position
-///    instead of O(rows x cols), with zero allocations in the loop. In
-///    hardware terms: a zero signal emits zero spikes and draws no
-///    crossbar current (Eq 3's convergence is what makes signals sparse).
-///  * kDenseReference — the pre-event-engine simulator, kept as the
-///    bit-identical reference the equivalence tests and benches compare
-///    against: every row of every crossbar is driven at every position.
-/// Both engines produce bit-identical outputs, logits, and activity
-/// statistics for any config (the accumulation order per column is the
-/// same ascending-row order; zero rows contribute nothing either way) —
-/// except under `integer_row_drives`, an event-engine-only fast path
-/// whose final float conversion can differ from the analog read by
-/// double-precision epsilon (predictions and stats still match; see the
-/// flag's comment below).
-enum class SncEngine { kEventDriven, kDenseReference };
-
 /// Closed-loop fault-recovery knobs. All off by default: the legacy
 /// passive-injection deployment (per-write defect draws, no verify) is
 /// byte-identical when enabled() is false. When any knob is on, each
@@ -111,19 +90,19 @@ struct SncConfig {
   float input_scale = 16.0f;  // pixel -> signal-unit scale before encoding
   IntegrationMode mode = IntegrationMode::kIdealIntegration;
   bool stochastic_coding = false;  // Bernoulli instead of deterministic
-  SncEngine engine = SncEngine::kEventDriven;
-  /// Integer row drives (event engine only): when the device model is
-  /// ideal — no programming variation, no stuck cells, ideal wires, no
-  /// retention drift — a collapsed ideal read per column is exactly
-  /// sum(signal * level), so the engine accumulates spike counts against
-  /// the signed int16 level panel with nn::iaccumulate_rows instead of
-  /// driving the double-precision conductance panel, skipping the analog
-  /// round trip entirely. The integer sum is exact; only the final
+  /// Integer row drives: when the device model is ideal — no programming
+  /// variation, no stuck cells, ideal wires, no retention drift — a
+  /// collapsed ideal read per column is exactly sum(signal * level), so
+  /// the runner accumulates spike counts against the signed int16 level
+  /// panel with nn::iaccumulate_rows_batch instead of driving the
+  /// double-precision conductance panel, skipping the analog round trip
+  /// entirely. The integer sum is exact; only the final
   /// y = step * sum + bias float rounding can differ from the analog
-  /// reconstruction by double-precision epsilon, so predictions match and
-  /// logits agree to ~1e-9 relative. Ignored (analog path kept) when the
-  /// device is non-ideal, under drift recovery, or when a stage's
-  /// worst-case dot product could overflow int32.
+  /// reconstruction (and from infer_reference()) by double-precision
+  /// epsilon, so predictions match and logits agree to ~1e-9 relative.
+  /// Ignored (analog path kept) when the device is non-ideal, under drift
+  /// recovery, or when a stage's worst-case dot product could overflow
+  /// int32.
   bool integer_row_drives = false;
   MemristorConfig device;
   FaultRecoveryConfig recovery;
@@ -131,10 +110,10 @@ struct SncConfig {
 };
 
 /// Per-crossbar-stage activity counters for one inference. These are
-/// properties of the *signals*, not of the engine that executed them, so
-/// both engines report identical numbers (pinned by the equivalence
-/// tests); the event engine's work is proportional to `input_events`,
-/// the dense engine's to `dense_row_drives()`.
+/// properties of the *signals*, not of the code that executed them, so
+/// infer(), infer_batch() and infer_reference() report identical numbers
+/// (pinned by the equivalence tests); the runner's work is proportional
+/// to `input_events`, a dense simulator's to `dense_row_drives()`.
 struct SncStageStats {
   int64_t rows = 0;       // crossbar rows (receptive-field taps)
   int64_t cols = 0;       // crossbar columns (output channels)
@@ -150,8 +129,8 @@ struct SncStageStats {
   int64_t occupied_slots = 0;
 
   // Fault-tolerance counters. These are programming-time facts about the
-  // stage's crossbar (engine-independent, identical for both engines);
-  // all zero when FaultRecoveryConfig is disabled.
+  // stage's crossbar, identical on every inference path; all zero when
+  // FaultRecoveryConfig is disabled.
   int64_t write_retries = 0;      // extra write-verify attempts
   int64_t faults_detected = 0;    // pairs that exhausted the retry budget
   int64_t faults_compensated = 0;  // recovered via partner compensation
@@ -159,10 +138,10 @@ struct SncStageStats {
   int64_t remapped_cols = 0;      // logical columns routed onto spares
   int64_t refreshes = 0;          // drift-refresh reprogram passes
 
-  /// Row drives a dense engine performs for this stage.
+  /// Row drives a dense simulator performs for this stage.
   int64_t dense_row_drives() const { return rows * positions; }
-  /// Fraction of row drives skipped by the event engine: zero signals in
-  /// the receptive fields (1.0 = all-zero input, 0.0 = fully dense).
+  /// Fraction of row drives the runner skips: zero signals in the
+  /// receptive fields (1.0 = all-zero input, 0.0 = fully dense).
   double input_sparsity() const {
     const int64_t dense = dense_row_drives();
     return dense > 0
@@ -178,13 +157,13 @@ struct SncStats {
   int64_t window_slots = 0;   // T
   int64_t layers = 0;         // crossbar-backed stages executed
   /// Per-stage activity, one entry per crossbar-backed stage in network
-  /// order (filled whenever stats are requested, by either engine).
+  /// order (filled whenever stats are requested).
   std::vector<SncStageStats> stage;
 
   /// Totals over all crossbar stages.
   int64_t input_events() const;
   int64_t dense_row_drives() const;
-  /// Overall fraction of row drives the event engine skips.
+  /// Overall fraction of row drives the runner skips.
   double input_sparsity() const;
 };
 
@@ -196,50 +175,64 @@ class SncSystem {
             const SncConfig& config);
   ~SncSystem();  // out of line: Stage is an implementation detail
 
-  /// Spike-level inference of one [C, H, W] image with pixels in [0, 1].
-  /// Returns the predicted class. Hidden layers communicate through M-bit
-  /// counters; the output layer is read with an analog winner-take-all
-  /// (column charge comparison, as in the paper's substrate [12]), so
-  /// sub-spike logit differences still resolve the argmax.
+  /// Spike-level inference of one [C, H, W] image with pixels in [0, 1]:
+  /// infer_batch() at B=1. Returns the predicted class. Hidden layers
+  /// communicate through M-bit counters; the output layer is read with an
+  /// analog winner-take-all (column charge comparison, as in the paper's
+  /// substrate [12]), so sub-spike logit differences still resolve the
+  /// argmax.
   int64_t infer(const nn::Tensor& image, SncStats* stats = nullptr);
 
-  /// Batch-native inference of a [B, C, H, W] image stack, with host work
-  /// that follows input events. Per crossbar stage the B input signals are
-  /// copied once into an image-minor drive buffer beside a union-nonzero
-  /// mask, and each image's input_events is summed from a per-input tap
-  /// fan-out table baked at programming time. Per position the collapsed
-  /// ideal read keeps only the taps live in some image and runs one
-  /// register-blocked kernel (nn::accumulate_rows_batch, or
-  /// nn::iaccumulate_rows_batch on the integer_row_drives path) that
+  /// Inference of a [B, C, H, W] image stack through the crossbar-stage
+  /// runner, with host work that follows input events. Per crossbar stage
+  /// the B input signals are copied once into an image-minor drive buffer
+  /// beside a union-nonzero mask, and each image's input_events is summed
+  /// from a per-input tap fan-out table baked at programming time. Per
+  /// position the collapsed ideal read keeps only the taps live in some
+  /// image and runs one register-blocked kernel (nn::accumulate_rows_batch,
+  /// or nn::iaccumulate_rows_batch on the integer_row_drives path) that
   /// holds each image's column sums in registers across all event rows;
   /// each union row's panel is fetched from memory once per batch. Slot
-  /// modes (online integration, stochastic coding) keep a per-row union
-  /// gather that encodes every image's spike trains. Per-image spike
-  /// trains, IFC state, slot occupancy, stochastic-coding RNG streams, and
-  /// stats are exactly what B consecutive infer() calls produce: logits,
-  /// predictions, and per-image SncStats are bit-identical at every batch
-  /// size, on both engines, at any pool size and under either kernel
-  /// dispatch (panel_bytes_streamed() counts each union row once per
-  /// batch, so it matches infer() at B=1). Returns one predicted class
-  /// per image; `stats`, when non-null, is resized to B.
+  /// modes (online integration, stochastic coding) gather the union rows
+  /// once, encode every image's spike trains into per-slot firing-row
+  /// lists, and run the same kernel once per (image, occupied slot).
+  /// Per-image spike trains, IFC state, slot occupancy, stochastic-coding
+  /// RNG streams, and stats do not depend on the grouping: logits,
+  /// predictions, and per-image SncStats are bit-identical to
+  /// infer_reference() at every batch size (integer_row_drives aside, see
+  /// SncConfig), at any pool size and under either kernel dispatch.
+  /// Returns one predicted class per image; `stats`, when non-null, is
+  /// resized to B.
   std::vector<int64_t> infer_batch(const nn::Tensor& batch,
                                    std::vector<SncStats>* stats = nullptr);
 
-  /// Output-layer analog charges (weight units) of the last infer() call.
+  /// Reference oracle for tests and benches: the same network walk as
+  /// infer(), but every crossbar stage is a deliberately naive dense
+  /// simulator that drives every row at every position through each
+  /// physical array's own read (Crossbar::read_columns /
+  /// read_columns_spiking) and routes columns with physical_column(). It
+  /// never reads the packed panel the runner streams, so a panel that went
+  /// stale against its arrays (drift, remap, refresh) shows up as a
+  /// mismatch. Draws the next stochastic-coding stream like infer(), sets
+  /// last_logits(), and streams no panel bytes.
+  int64_t infer_reference(const nn::Tensor& image, SncStats* stats = nullptr);
+
+  /// Output-layer analog charges (weight units) of the last image run by
+  /// any of the calls above.
   const std::vector<double>& last_logits() const { return last_logits_; }
 
-  /// Per-image output-layer charges of the last infer_batch() call.
+  /// Per-image output-layer charges of the last call.
   const std::vector<std::vector<double>>& last_batch_logits() const {
     return last_batch_logits_;
   }
 
-  /// Cumulative conductance-panel bytes streamed by crossbar reads since
-  /// construction: each analog row pass counts 2*cols doubles, each
-  /// integer-level row pass cols int16s, identically in every engine (the
-  /// metric describes signal-driven panel traffic, like SncStageStats).
-  /// Batched inference streams each union event row once for the whole
-  /// batch, so bytes-per-image shrinking with batch size is exactly the
-  /// amortization the batch sweep bench reports.
+  /// Cumulative conductance-panel bytes streamed by the runner's crossbar
+  /// reads since construction: each analog row pass counts 2*cols
+  /// doubles, each integer-level row pass cols int16s (the metric
+  /// describes signal-driven panel traffic, like SncStageStats). A batch
+  /// streams each union event row once, so bytes-per-image shrinking with
+  /// batch size is exactly the amortization the batch sweep bench
+  /// reports; infer_reference() streams none.
   int64_t panel_bytes_streamed() const {
     return panel_bytes_.load(std::memory_order_relaxed);
   }
@@ -280,42 +273,51 @@ class SncSystem {
   struct Stage;
 
   /// Stochastic coding draws from a per-inference stream: image k of the
-  /// system's lifetime (counting across infer() and infer_batch() calls
-  /// in order) draws from stream_seed(config.seed, kCodingStreamBase + k)
-  /// in both engines. Stream-per-image seeding is what keeps stochastic
-  /// results bit-identical regardless of how images are grouped into
-  /// batches. The base tag keeps coding streams disjoint from the drift
-  /// streams (0xD21F7000 + stage) and the raw programming seed.
+  /// system's lifetime (counting across every inference call in order)
+  /// draws from stream_seed(config.seed, kCodingStreamBase + k).
+  /// Stream-per-image seeding is what keeps stochastic results
+  /// bit-identical regardless of how images are grouped into batches. The
+  /// base tag keeps coding streams disjoint from the drift streams
+  /// (0xD21F7000 + stage) and the raw programming seed.
   static constexpr uint64_t kCodingStreamBase = uint64_t{1} << 40;
   nn::Rng next_coding_rng();
 
-  std::vector<int64_t> run_crossbar_stage(const Stage& stage,
-                                          const std::vector<int64_t>& input,
-                                          SncStageStats* stats,
-                                          nn::Rng& coding_rng);
-  /// The pre-event-engine simulator (SncEngine::kDenseReference).
-  std::vector<int64_t> run_crossbar_stage_dense(
-      const Stage& stage, const std::vector<int64_t>& input,
-      SncStageStats* stats, nn::Rng& coding_rng);
-  /// The event-driven engine (SncEngine::kEventDriven).
-  std::vector<int64_t> run_crossbar_stage_event(
-      const Stage& stage, const std::vector<int64_t>& input,
-      SncStageStats* stats, nn::Rng& coding_rng);
-  /// Batch-native runner for both engines: stage-wide drive buffer and
-  /// union mask, fan-out event counts, one B-wide kernel call per
-  /// position (ideal read) or per-image IFC banks over a union gather
-  /// (slot modes). Fills outputs[b] and stats[b] (entries may be null);
-  /// coding_rngs[b] is image b's stochastic stream. Dense-reference
-  /// configs drive every row; the event engine drives the union of
-  /// nonzero rows. Either way each image's per-column arithmetic is the
-  /// exact single-image sequence, so results are bit-identical.
-  void run_crossbar_stage_batch(const Stage& stage,
-                                const std::vector<std::vector<int64_t>>& inputs,
-                                std::vector<std::vector<int64_t>>& outputs,
-                                const std::vector<SncStageStats*>& stats,
-                                std::vector<nn::Rng>& coding_rngs);
+  /// A crossbar-stage executor over a group of images: fills outputs[b]
+  /// (presized), the input_events and occupied_slots of stats[b] (entries
+  /// may be null) and, on the final readout stage, readout_[b].
+  /// coding_rngs[b] is image b's stochastic stream.
+  using StageRunner = void (SncSystem::*)(
+      const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
+      std::vector<std::vector<int64_t>>& outputs,
+      const std::vector<SncStageStats*>& stats,
+      std::vector<nn::Rng>& coding_rngs);
+  /// The crossbar-stage runner behind infer() and infer_batch(): stage-wide
+  /// drive buffer and union mask, fan-out event counts, one B-wide kernel
+  /// call per position (ideal read) or per (image, occupied slot) over a
+  /// union gather (slot modes).
+  void run_crossbar_stage(const Stage& stage,
+                          const std::vector<std::vector<int64_t>>& inputs,
+                          std::vector<std::vector<int64_t>>& outputs,
+                          const std::vector<SncStageStats*>& stats,
+                          std::vector<nn::Rng>& coding_rngs);
+  /// The dense oracle behind infer_reference().
+  void run_reference_stage(const Stage& stage,
+                           const std::vector<std::vector<int64_t>>& inputs,
+                           std::vector<std::vector<int64_t>>& outputs,
+                           const std::vector<SncStageStats*>& stats,
+                           std::vector<nn::Rng>& coding_rngs);
+  /// The network walk shared by every inference call: encodes `count`
+  /// [C, H, W] images starting at `pixels`, runs crossbar stages through
+  /// `run_stage` and the digital stages in place, and reads out logits and
+  /// predictions.
+  std::vector<int64_t> run_network(const float* pixels, int64_t count,
+                                   std::vector<SncStats>* stats,
+                                   StageRunner run_stage);
+  /// run_network over one [C, H, W] image (shape-checked).
+  int64_t run_one(const nn::Tensor& image, SncStats* stats,
+                  StageRunner run_stage);
 
-  /// Digital pool stages (shared verbatim by infer and infer_batch).
+  /// Digital pool stages.
   std::vector<int64_t> run_pool_stage(const Stage& stage,
                                       const std::vector<int64_t>& input) const;
   /// Digital pad-identity skip add in place; returns post-add spikes.
@@ -332,9 +334,8 @@ class SncSystem {
   size_t crossbar_stage_count_ = 0;
   std::vector<double> last_logits_;
   std::vector<std::vector<double>> last_batch_logits_;
-  std::vector<double> analog_readout_;  // filled by the final stage
-  /// Per-image final-stage charges of a batched run.
-  std::vector<std::vector<double>> batch_readout_;
+  /// Per-image final-stage charges of the running call.
+  std::vector<std::vector<double>> readout_;
   std::atomic<int64_t> panel_bytes_{0};
   uint64_t coding_streams_issued_ = 0;
   double elapsed_windows_ = 0.0;

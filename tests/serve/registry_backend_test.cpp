@@ -174,13 +174,15 @@ TEST(RegistryBackendTest, SncMatchesDirectSpikeInference) {
 }
 
 // Batch-native serving (one replica runs the whole window through
-// SncSystem::infer_batch) vs the per-image replica fan-out must be
-// bit-identical, and both must fold activity stats per image — a batched
-// window of 6 images counts as 6 images in activity_totals, not 1.
+// SncSystem::infer_batch) vs the per-image replica fan-out that
+// per_replica_seeds deployments take must agree, and both must fold
+// activity stats per image — a window of 6 images counts as 6 images in
+// activity_totals, not 1. The devices are ideal, so per-replica seeds
+// cannot change a prediction.
 TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
   const auto images = test_images({1, 28, 28}, 6);
   std::vector<int64_t> preds[2];
-  for (const bool batch_native : {false, true}) {
+  for (const bool fan_out : {false, true}) {
     ModelRegistry registry;
     ModelConfig cfg;
     cfg.architecture = "lenet-mini";
@@ -188,10 +190,12 @@ TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
     cfg.bits = kBits;
     cfg.init_seed = kSeed;
     cfg.snc_replicas = 2;
-    cfg.snc_batch_native = batch_native;
+    cfg.snc_health.enabled = fan_out;
+    cfg.snc_health.per_replica_seeds = fan_out;
     registry.add("m", cfg);
     Backend& backend = registry.backend("m");
-    preds[batch_native ? 1 : 0] = backend.infer_batch(as_batch(images));
+    preds[fan_out ? 1 : 0] = backend.infer_batch(as_batch(images));
+    EXPECT_FALSE(backend.last_batch_degraded());
 
     auto* snc = dynamic_cast<SncBackend*>(&backend);
     ASSERT_NE(snc, nullptr);

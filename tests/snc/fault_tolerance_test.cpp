@@ -2,7 +2,9 @@
 // compensation, spare-column remapping, and retention drift + refresh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/bn_folding.h"
@@ -235,10 +237,95 @@ TEST(FaultToleranceSystemTest, RecoveryIsDeterministicInSeed) {
   EXPECT_GT(ra.faults_detected, 0);
 }
 
+/// Exact agreement of one image's runner result with the oracle's:
+/// prediction, every logit bit, and the full per-stage stats.
+void expect_same_inference(int64_t pred, const std::vector<double>& logits,
+                           const SncStats& stats, int64_t want_pred,
+                           const std::vector<double>& want_logits,
+                           const SncStats& want, const std::string& ctx) {
+  EXPECT_EQ(pred, want_pred) << ctx;
+  EXPECT_EQ(logits, want_logits) << ctx;
+  EXPECT_EQ(stats.total_spikes, want.total_spikes) << ctx;
+  EXPECT_EQ(stats.layers, want.layers) << ctx;
+  ASSERT_EQ(stats.stage.size(), want.stage.size()) << ctx;
+  for (size_t s = 0; s < stats.stage.size(); ++s) {
+    const SncStageStats& a = stats.stage[s];
+    const SncStageStats& b = want.stage[s];
+    const std::string sctx = ctx + " stage " + std::to_string(s);
+    EXPECT_EQ(a.rows, b.rows) << sctx;
+    EXPECT_EQ(a.cols, b.cols) << sctx;
+    EXPECT_EQ(a.positions, b.positions) << sctx;
+    EXPECT_EQ(a.input_events, b.input_events) << sctx;
+    EXPECT_EQ(a.spikes, b.spikes) << sctx;
+    EXPECT_EQ(a.occupied_slots, b.occupied_slots) << sctx;
+    EXPECT_EQ(a.write_retries, b.write_retries) << sctx;
+    EXPECT_EQ(a.faults_detected, b.faults_detected) << sctx;
+    EXPECT_EQ(a.faults_compensated, b.faults_compensated) << sctx;
+    EXPECT_EQ(a.residual_faults, b.residual_faults) << sctx;
+    EXPECT_EQ(a.remapped_cols, b.remapped_cols) << sctx;
+    EXPECT_EQ(a.refreshes, b.refreshes) << sctx;
+  }
+}
+
+/// Stacks images [first, first + count) into one [B, C, H, W] tensor.
+nn::Tensor stack(const std::vector<nn::Tensor>& images, size_t first,
+                 size_t count) {
+  const int64_t numel = images[first].numel();
+  nn::Tensor batch({static_cast<int64_t>(count), 1, kImageHW, kImageHW});
+  for (size_t b = 0; b < count; ++b) {
+    std::copy(images[first + b].data(), images[first + b].data() + numel,
+              batch.data() + static_cast<int64_t>(b) * numel);
+  }
+  return batch;
+}
+
+/// Runs images through `oracle` one infer_reference() at a time and
+/// through `runner` grouped per `batch_sizes` (a group of 1 through
+/// infer(), larger ones through infer_batch()), expecting exact agreement.
+void expect_runner_matches_oracle(SncSystem& runner, SncSystem& oracle,
+                                  const std::vector<nn::Tensor>& images,
+                                  const std::vector<size_t>& batch_sizes,
+                                  const std::string& ctx) {
+  size_t next = 0;
+  for (const size_t batch_size : batch_sizes) {
+    ASSERT_LE(next + batch_size, images.size()) << ctx;
+    std::vector<int64_t> preds;
+    std::vector<std::vector<double>> logits;
+    std::vector<SncStats> stats;
+    if (batch_size == 1) {
+      stats.resize(1);
+      preds.push_back(runner.infer(images[next], &stats[0]));
+      logits.push_back(runner.last_logits());
+    } else {
+      preds = runner.infer_batch(stack(images, next, batch_size), &stats);
+      logits = runner.last_batch_logits();
+    }
+    for (size_t b = 0; b < batch_size; ++b) {
+      SncStats want;
+      const int64_t want_pred =
+          oracle.infer_reference(images[next + b], &want);
+      expect_same_inference(
+          preds[b], logits[b], stats[b], want_pred, oracle.last_logits(),
+          want,
+          ctx + " image " + std::to_string(next + b) + " (batch " +
+              std::to_string(batch_size) + ")");
+    }
+    next += batch_size;
+  }
+}
+
+std::vector<nn::Tensor> random_images(uint64_t seed0, size_t count) {
+  std::vector<nn::Tensor> images;
+  for (size_t i = 0; i < count; ++i) images.push_back(random_image(seed0 + i));
+  return images;
+}
+
 TEST(FaultToleranceSystemTest, FaultMapsIdenticalAcrossEngines) {
-  // Identical seeds must yield identical fault maps and recovery actions
-  // whether inference later runs event-driven or dense — programming
-  // happens before either engine is selected.
+  // Identical seeds must yield identical fault maps and recovery actions,
+  // so the runner (infer / infer_batch) on one system and the oracle
+  // (infer_reference) on a second agree exactly — programming happens
+  // before either inference path runs.
+  const std::vector<nn::Tensor> images = random_images(3, 12);
   for (const bool stochastic : {false, true}) {
     SncConfig config;
     config.device.stuck_on_rate = 0.02;
@@ -247,32 +334,39 @@ TEST(FaultToleranceSystemTest, FaultMapsIdenticalAcrossEngines) {
     config.stochastic_coding = stochastic;
     nn::Network net_a = make_deployable_lenet(9, config);
     nn::Network net_b = make_deployable_lenet(9, config);
-    config.engine = SncEngine::kEventDriven;
-    SncSystem event_system(net_a, {1, kImageHW, kImageHW}, config);
-    config.engine = SncEngine::kDenseReference;
-    SncSystem dense_system(net_b, {1, kImageHW, kImageHW}, config);
-
-    const nn::Tensor image = random_image(3);
-    SncStats event_stats;
-    SncStats dense_stats;
-    const int64_t event_pred = event_system.infer(image, &event_stats);
-    const int64_t dense_pred = dense_system.infer(image, &dense_stats);
-    EXPECT_EQ(event_pred, dense_pred);
-    ASSERT_EQ(event_stats.stage.size(), dense_stats.stage.size());
-    for (size_t s = 0; s < event_stats.stage.size(); ++s) {
-      EXPECT_EQ(event_stats.stage[s].faults_detected,
-                dense_stats.stage[s].faults_detected);
-      EXPECT_EQ(event_stats.stage[s].faults_compensated,
-                dense_stats.stage[s].faults_compensated);
-      EXPECT_EQ(event_stats.stage[s].residual_faults,
-                dense_stats.stage[s].residual_faults);
-      EXPECT_EQ(event_stats.stage[s].remapped_cols,
-                dense_stats.stage[s].remapped_cols);
-      EXPECT_EQ(event_stats.stage[s].write_retries,
-                dense_stats.stage[s].write_retries);
-      EXPECT_EQ(event_stats.stage[s].spikes, dense_stats.stage[s].spikes);
-    }
+    SncSystem runner(net_a, {1, kImageHW, kImageHW}, config);
+    SncSystem oracle(net_b, {1, kImageHW, kImageHW}, config);
+    EXPECT_GT(runner.fault_report().faults_detected, 0);
+    expect_runner_matches_oracle(runner, oracle, images, {1, 3, 8},
+                                 stochastic ? "stochastic" : "deterministic");
   }
+}
+
+// The runner reads each crossbar through its packed panel, the oracle
+// through the physical arrays, so checking one system against itself
+// catches a panel left stale by drift, refresh or a spare remap.
+TEST(FaultToleranceSystemTest, RunnerMatchesOracleAfterDriftAndRefresh) {
+  SncConfig config = drifting_config();
+  nn::Network net = make_deployable_lenet(5, config);
+  SncSystem system(net, {1, kImageHW, kImageHW}, config);
+  const std::vector<nn::Tensor> images = random_images(41, 4);
+  expect_runner_matches_oracle(system, system, images, {1, 3}, "fresh");
+  system.advance_time(400.0);
+  expect_runner_matches_oracle(system, system, images, {1, 3}, "drifted");
+  ASSERT_GT(system.refresh(), 0);
+  expect_runner_matches_oracle(system, system, images, {1, 3}, "refreshed");
+}
+
+TEST(FaultToleranceSystemTest, RunnerMatchesOracleAfterSpareRemap) {
+  SncConfig config;
+  config.device.stuck_on_rate = 0.03;
+  config.recovery.write_verify = true;
+  config.recovery.spare_cols = 2;
+  nn::Network net = make_deployable_lenet(9, config);
+  SncSystem system(net, {1, kImageHW, kImageHW}, config);
+  ASSERT_GT(system.fault_report().remapped_cols, 0);
+  expect_runner_matches_oracle(system, system, random_images(51, 4), {1, 3},
+                               "remapped");
 }
 
 TEST(FaultToleranceSystemTest, LegacyPathUnchangedWhenRecoveryDisabled) {

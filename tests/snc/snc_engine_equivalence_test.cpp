@@ -1,13 +1,14 @@
-// Event-driven vs dense-reference engine equivalence.
+// Crossbar-stage runner vs dense reference oracle.
 //
-// The event engine (SncEngine::kEventDriven) must be bit-identical to the
-// dense reference on every supported configuration: same predictions,
-// same analog logits (exact double equality — the accumulation order per
-// column is identical), and the same activity statistics (which describe
-// the signals, not the execution strategy). The matrix covers all three
-// model-zoo networks x {ideal, online} integration x {deterministic,
-// stochastic} coding, plus the all-zero and all-saturated worst-case
-// signals where the event list is empty / fully dense.
+// SncSystem::infer and infer_batch must be bit-identical to
+// SncSystem::infer_reference on every supported configuration: same
+// predictions, same analog logits (exact double equality — the
+// accumulation order per column is identical), and the same activity
+// statistics (which describe the signals, not the execution strategy).
+// The matrix covers all three model-zoo networks x {ideal, online}
+// integration x {deterministic, stochastic} coding, plus the all-zero and
+// all-saturated worst-case signals where the event list is empty / fully
+// dense.
 //
 // Deterministic variants run positions through the thread pool, so this
 // test carries the `tsan` label (registered via qsnc_tsan_test).
@@ -75,49 +76,58 @@ nn::Tensor random_image(const nn::Shape& chw, uint64_t seed) {
   return image;
 }
 
-void expect_stats_equal(const snc::SncStats& event,
-                        const snc::SncStats& dense, const std::string& ctx) {
-  EXPECT_EQ(event.total_spikes, dense.total_spikes) << ctx;
-  EXPECT_EQ(event.window_slots, dense.window_slots) << ctx;
-  EXPECT_EQ(event.layers, dense.layers) << ctx;
-  ASSERT_EQ(event.stage.size(), dense.stage.size()) << ctx;
-  for (size_t s = 0; s < event.stage.size(); ++s) {
+void expect_stats_equal(const snc::SncStats& got,
+                        const snc::SncStats& want, const std::string& ctx) {
+  EXPECT_EQ(got.total_spikes, want.total_spikes) << ctx;
+  EXPECT_EQ(got.window_slots, want.window_slots) << ctx;
+  EXPECT_EQ(got.layers, want.layers) << ctx;
+  ASSERT_EQ(got.stage.size(), want.stage.size()) << ctx;
+  for (size_t s = 0; s < got.stage.size(); ++s) {
     const std::string stage_ctx = ctx + " stage " + std::to_string(s);
-    EXPECT_EQ(event.stage[s].rows, dense.stage[s].rows) << stage_ctx;
-    EXPECT_EQ(event.stage[s].cols, dense.stage[s].cols) << stage_ctx;
-    EXPECT_EQ(event.stage[s].positions, dense.stage[s].positions)
+    EXPECT_EQ(got.stage[s].rows, want.stage[s].rows) << stage_ctx;
+    EXPECT_EQ(got.stage[s].cols, want.stage[s].cols) << stage_ctx;
+    EXPECT_EQ(got.stage[s].positions, want.stage[s].positions)
         << stage_ctx;
-    EXPECT_EQ(event.stage[s].input_events, dense.stage[s].input_events)
+    EXPECT_EQ(got.stage[s].input_events, want.stage[s].input_events)
         << stage_ctx;
-    EXPECT_EQ(event.stage[s].spikes, dense.stage[s].spikes) << stage_ctx;
-    EXPECT_EQ(event.stage[s].occupied_slots, dense.stage[s].occupied_slots)
+    EXPECT_EQ(got.stage[s].spikes, want.stage[s].spikes) << stage_ctx;
+    EXPECT_EQ(got.stage[s].occupied_slots, want.stage[s].occupied_slots)
         << stage_ctx;
+    EXPECT_EQ(got.stage[s].write_retries, want.stage[s].write_retries)
+        << stage_ctx;
+    EXPECT_EQ(got.stage[s].faults_detected, want.stage[s].faults_detected)
+        << stage_ctx;
+    EXPECT_EQ(got.stage[s].faults_compensated,
+              want.stage[s].faults_compensated)
+        << stage_ctx;
+    EXPECT_EQ(got.stage[s].residual_faults, want.stage[s].residual_faults)
+        << stage_ctx;
+    EXPECT_EQ(got.stage[s].remapped_cols, want.stage[s].remapped_cols)
+        << stage_ctx;
+    EXPECT_EQ(got.stage[s].refreshes, want.stage[s].refreshes) << stage_ctx;
   }
 }
 
-// Runs `images` through both engines (separate, identically configured
-// systems so stochastic draws see the same RNG stream) and asserts
-// bitwise-equal predictions, logits, and statistics.
+// Runs `images` through infer() on one system and infer_reference() on a
+// second, identically configured one (so stochastic draws see the same
+// RNG streams) and asserts bitwise-equal predictions, logits, and
+// statistics.
 void check_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
                        bool stochastic,
                        const std::vector<nn::Tensor>& images) {
   const int bits = 4;
+  auto make_system = [&](nn::Network& net) {
+    snc::SncConfig cfg = deploy_config(net, bits);
+    cfg.mode = mode;
+    cfg.stochastic_coding = stochastic;
+    return std::make_unique<snc::SncSystem>(net, spec.input, cfg);
+  };
   nn::Rng rng_a(3);
   nn::Network net_a = spec.factory(rng_a);
-  snc::SncConfig cfg = deploy_config(net_a, bits);
-  cfg.mode = mode;
-  cfg.stochastic_coding = stochastic;
-
-  cfg.engine = snc::SncEngine::kEventDriven;
-  snc::SncSystem event_system(net_a, spec.input, cfg);
-
+  const std::unique_ptr<snc::SncSystem> runner = make_system(net_a);
   nn::Rng rng_b(3);
   nn::Network net_b = spec.factory(rng_b);
-  snc::SncConfig cfg_b = deploy_config(net_b, bits);
-  cfg_b.mode = mode;
-  cfg_b.stochastic_coding = stochastic;
-  cfg_b.engine = snc::SncEngine::kDenseReference;
-  snc::SncSystem dense_system(net_b, spec.input, cfg_b);
+  const std::unique_ptr<snc::SncSystem> oracle = make_system(net_b);
 
   const std::string base_ctx =
       std::string(spec.name) +
@@ -125,24 +135,21 @@ void check_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
       (stochastic ? " stochastic" : " deterministic");
   for (size_t i = 0; i < images.size(); ++i) {
     const std::string ctx = base_ctx + " image " + std::to_string(i);
-    snc::SncStats event_stats;
-    snc::SncStats dense_stats;
-    const int64_t event_pred =
-        event_system.infer(images[i], &event_stats);
-    const int64_t dense_pred =
-        dense_system.infer(images[i], &dense_stats);
-    EXPECT_EQ(event_pred, dense_pred) << ctx;
-    ASSERT_EQ(event_system.last_logits().size(),
-              dense_system.last_logits().size())
+    snc::SncStats runner_stats;
+    snc::SncStats oracle_stats;
+    const int64_t runner_pred = runner->infer(images[i], &runner_stats);
+    const int64_t oracle_pred =
+        oracle->infer_reference(images[i], &oracle_stats);
+    EXPECT_EQ(runner_pred, oracle_pred) << ctx;
+    ASSERT_EQ(runner->last_logits().size(), oracle->last_logits().size())
         << ctx;
-    for (size_t j = 0; j < event_system.last_logits().size(); ++j) {
-      // Exact double equality: the engines must accumulate in the same
-      // order, not merely approximate one another.
-      EXPECT_EQ(event_system.last_logits()[j],
-                dense_system.last_logits()[j])
+    for (size_t j = 0; j < runner->last_logits().size(); ++j) {
+      // Exact double equality: the runner must accumulate in the oracle's
+      // order, not merely approximate it.
+      EXPECT_EQ(runner->last_logits()[j], oracle->last_logits()[j])
           << ctx << " logit " << j;
     }
-    expect_stats_equal(event_stats, dense_stats, ctx);
+    expect_stats_equal(runner_stats, oracle_stats, ctx);
   }
 }
 
@@ -176,9 +183,9 @@ TEST(SncEngineEquivalenceTest, ModelZooOnlineStochastic) {
 }
 
 // Worst-case signals. All-zero: the event list is empty at the first
-// stage (the engine must still produce the bias-driven outputs and pay
+// stage (the runner must still produce the bias-driven outputs and pay
 // zero row drives). All-saturated: every input row is an event, so the
-// event engine degenerates to dense work yet must stay bit-identical.
+// runner degenerates to dense work yet must stay bit-identical.
 TEST(SncEngineEquivalenceTest, AllZeroImage) {
   for (const ModelSpec& spec : model_specs()) {
     nn::Tensor zero(spec.input);  // zero-initialized
@@ -216,15 +223,16 @@ TEST(SncEngineEquivalenceTest, AllZeroImageDrivesNoFirstStageRows) {
 }
 
 // ---------------------------------------------------------------------
-// Batch-native engine equivalence: SncSystem::infer_batch must be
-// bit-identical to running the same images one at a time — same
-// predictions, same analog logits (exact double equality), and the same
-// per-image statistics — at every batch size, on both engines, with
-// deterministic and stochastic coding, on the integer_row_drives fast
-// path, and under both kernel dispatches (AVX2 and forced scalar).
-// Stochastic coding draws a dedicated RNG stream per image
-// (stream-per-image seeding), which is what makes the guarantee hold
-// regardless of how images are grouped into batches.
+// Batch equivalence: SncSystem::infer_batch must be bit-identical to the
+// oracle run one image at a time — same predictions, same analog logits
+// (exact double equality), and the same per-image statistics — at every
+// batch size, with deterministic and stochastic coding, and under both
+// kernel dispatches (AVX2 and forced scalar). The integer_row_drives
+// fast path, whose logits may differ from the analog oracle by double
+// epsilon, is held to infer() at B=1 instead. Stochastic coding draws a
+// dedicated RNG stream per image (stream-per-image seeding), which is
+// what makes the guarantee hold regardless of how images are grouped
+// into batches.
 // ---------------------------------------------------------------------
 
 // Widths chosen for the register-blocked batch kernel: the conv stage's
@@ -262,7 +270,9 @@ nn::Tensor stack_images(const std::vector<nn::Tensor>& images) {
   return batch;
 }
 
-// Per-image results of infer() that a batched run must reproduce.
+// Per-image results a batched run must reproduce: predictions, logits and
+// stats of the reference path, and the panel traffic of infer() at B=1
+// (the oracle streams no panel).
 struct SingleReference {
   std::vector<int64_t> preds;
   std::vector<std::vector<double>> logits;
@@ -271,7 +281,7 @@ struct SingleReference {
 };
 
 // Runs `images` through `batch_system` grouped per `batch_sizes` and
-// compares every image with its single-image reference. `group_bytes`
+// compares every image with its per-image reference. `group_bytes`
 // holds each group's panel traffic: filled on the first call, checked on
 // later ones.
 void check_batch_groups(snc::SncSystem& batch_system,
@@ -340,16 +350,17 @@ void check_batch_groups(snc::SncSystem& batch_system,
   EXPECT_EQ(next, images.size()) << ctx_tag;
 }
 
-// Builds identically configured systems, runs `images` one at a time on
-// the first and grouped per `batch_sizes` on a fresh system per kernel
-// dispatch (AVX2 where available, then forced scalar), and asserts
-// per-image bitwise equality of predictions, logits, and stats. Panel
-// traffic must match infer() exactly at B=1; a larger batch streams each
-// union row once, so it lies between the largest single image's traffic
-// and the sum over the group — and is the same under either dispatch.
+// Builds identically configured systems and records the per-image
+// reference: infer_reference() on one system, or infer() itself under
+// integer drives, plus infer()'s B=1 panel traffic. Then runs `images`
+// grouped per `batch_sizes` on a fresh system per kernel dispatch (AVX2
+// where available, then forced scalar) and asserts per-image bitwise
+// equality of predictions, logits, and stats. Panel traffic must match
+// infer() exactly at B=1; a larger batch streams each union row once, so
+// it lies between the largest single image's traffic and the sum over the
+// group — and is the same under either dispatch.
 void check_batch_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
-                             bool stochastic, snc::SncEngine engine,
-                             bool integer_drives,
+                             bool stochastic, bool integer_drives,
                              const std::vector<nn::Tensor>& images,
                              const std::vector<int64_t>& batch_sizes,
                              const std::string& ctx_tag) {
@@ -358,23 +369,39 @@ void check_batch_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
     snc::SncConfig cfg = deploy_config(net, bits);
     cfg.mode = mode;
     cfg.stochastic_coding = stochastic;
-    cfg.engine = engine;
     cfg.integer_row_drives = integer_drives;
     return std::make_unique<snc::SncSystem>(net, spec.input, cfg);
   };
-  nn::Rng rng_a(3);
-  nn::Network net_a = spec.factory(rng_a);
-  const std::unique_ptr<snc::SncSystem> single_system = make_system(net_a);
 
   SingleReference single;
-  for (const nn::Tensor& image : images) {
-    snc::SncStats stats;
-    const int64_t bytes0 = single_system->panel_bytes_streamed();
-    single.preds.push_back(single_system->infer(image, &stats));
-    single.panel_bytes.push_back(single_system->panel_bytes_streamed() -
-                                 bytes0);
-    single.logits.push_back(single_system->last_logits());
-    single.stats.push_back(stats);
+  {
+    nn::Rng rng(3);
+    nn::Network net = spec.factory(rng);
+    const std::unique_ptr<snc::SncSystem> system = make_system(net);
+    for (const nn::Tensor& image : images) {
+      snc::SncStats stats;
+      const int64_t bytes0 = system->panel_bytes_streamed();
+      const int64_t pred = system->infer(image, &stats);
+      single.panel_bytes.push_back(system->panel_bytes_streamed() - bytes0);
+      if (integer_drives) {
+        single.preds.push_back(pred);
+        single.logits.push_back(system->last_logits());
+        single.stats.push_back(stats);
+      }
+    }
+  }
+  if (!integer_drives) {
+    nn::Rng rng(3);
+    nn::Network net = spec.factory(rng);
+    const std::unique_ptr<snc::SncSystem> oracle = make_system(net);
+    for (const nn::Tensor& image : images) {
+      snc::SncStats stats;
+      const int64_t bytes0 = oracle->panel_bytes_streamed();
+      single.preds.push_back(oracle->infer_reference(image, &stats));
+      EXPECT_EQ(oracle->panel_bytes_streamed(), bytes0) << ctx_tag;
+      single.logits.push_back(oracle->last_logits());
+      single.stats.push_back(stats);
+    }
   }
 
   std::vector<int64_t> group_bytes;  // per group, from the first dispatch
@@ -407,8 +434,8 @@ std::vector<nn::Tensor> image_run(const nn::Shape& chw, uint64_t seed0,
 TEST(SncBatchEquivalenceTest, ModelZooIdealDeterministic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, false,
-        snc::SncEngine::kEventDriven, false, image_run(spec.input, 50, 12),
+        spec, snc::IntegrationMode::kIdealIntegration, false, false,
+        image_run(spec.input, 50, 12),
         {1, 3, 8}, std::string(spec.name) + " ideal deterministic");
   }
 }
@@ -418,8 +445,8 @@ TEST(SncBatchEquivalenceTest, ModelZooIdealDeterministic) {
 TEST(SncBatchEquivalenceTest, ModelZooIdealStochastic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, true,
-        snc::SncEngine::kEventDriven, false, image_run(spec.input, 70, 12),
+        spec, snc::IntegrationMode::kIdealIntegration, true, false,
+        image_run(spec.input, 70, 12),
         {1, 3, 8}, std::string(spec.name) + " ideal stochastic");
   }
 }
@@ -429,34 +456,18 @@ TEST(SncBatchEquivalenceTest, ModelZooIdealStochastic) {
 TEST(SncBatchEquivalenceTest, ModelZooOnlineDeterministic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kOnline, false,
-        snc::SncEngine::kEventDriven, false, image_run(spec.input, 90, 4),
-        {1, 3}, std::string(spec.name) + " online deterministic");
+        spec, snc::IntegrationMode::kOnline, false, false,
+        image_run(spec.input, 90, 12), {1, 3, 8},
+        std::string(spec.name) + " online deterministic");
   }
 }
 
 TEST(SncBatchEquivalenceTest, ModelZooOnlineStochastic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kOnline, true,
-        snc::SncEngine::kEventDriven, false, image_run(spec.input, 110, 4),
-        {1, 3}, std::string(spec.name) + " online stochastic");
-  }
-}
-
-// The dense reference engine runs the same unified batch runner with the
-// union forced to every row; it must stay bit-identical to per-image
-// dense execution too.
-TEST(SncBatchEquivalenceTest, DenseReferenceBatched) {
-  const ModelSpec spec = model_specs().front();  // lenet
-  for (snc::IntegrationMode mode :
-       {snc::IntegrationMode::kIdealIntegration,
-        snc::IntegrationMode::kOnline}) {
-    check_batch_equivalence(
-        spec, mode, false, snc::SncEngine::kDenseReference, false,
-        image_run(spec.input, 130, 4), {1, 3},
-        mode == snc::IntegrationMode::kOnline ? "dense online"
-                                              : "dense ideal");
+        spec, snc::IntegrationMode::kOnline, true, false,
+        image_run(spec.input, 110, 12), {1, 3, 8},
+        std::string(spec.name) + " online stochastic");
   }
 }
 
@@ -466,8 +477,8 @@ TEST(SncBatchEquivalenceTest, DenseReferenceBatched) {
 TEST(SncBatchEquivalenceTest, IntegerRowDrivesBatched) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, false,
-        snc::SncEngine::kEventDriven, true, image_run(spec.input, 150, 12),
+        spec, snc::IntegrationMode::kIdealIntegration, false, true,
+        image_run(spec.input, 150, 12),
         {1, 3, 8}, std::string(spec.name) + " integer ideal");
   }
 }
@@ -480,8 +491,8 @@ TEST(SncBatchEquivalenceTest, IntegerRowDrivesBatched) {
 TEST(SncBatchEquivalenceTest, StochasticStreamsFollowImageOrder) {
   const ModelSpec spec = model_specs().front();  // lenet
   check_batch_equivalence(
-      spec, snc::IntegrationMode::kIdealIntegration, true,
-      snc::SncEngine::kEventDriven, false, image_run(spec.input, 170, 6),
+      spec, snc::IntegrationMode::kIdealIntegration, true, false,
+      image_run(spec.input, 170, 6),
       {3, 2, 1}, "stochastic regrouping");
 }
 
@@ -510,7 +521,7 @@ TEST(SncEngineEquivalenceTest, StatsExposeWorkReduction) {
   snc::SncStats stats;
   system.infer(random_image(spec.input, 40), &stats);
   // ReLU + quantization make hidden signals sparse (Eq 3 convergence), so
-  // the event engine must be doing strictly less row-drive work.
+  // the runner must be doing strictly less row-drive work.
   EXPECT_GT(stats.input_events(), 0);
   EXPECT_LT(stats.input_events(), stats.dense_row_drives());
   EXPECT_GT(stats.input_sparsity(), 0.0);

@@ -1,7 +1,7 @@
 // SncConfig::integer_row_drives equivalence.
 //
 // With an ideal device model the integer row-drive path accumulates spike
-// counts against the signed int16 level panel (nn::iaccumulate_rows)
+// counts against the signed int16 level panel (nn::iaccumulate_rows_batch)
 // instead of the double conductance panel. The integer column sum is
 // exact, so the only admissible deviation from the analog path is the
 // final y = step * sum + bias double rounding — predictions and activity

@@ -10,7 +10,7 @@
 //               [--write-verify] [--spare-cols K] [--snc-seed S]
 //               (spike-level SNC inference; weights must be on the grid;
 //               fault flags inject defects and enable closed-loop recovery;
-//               --batch B runs the batch-native engine B images at a time,
+//               --batch B runs B images per SncSystem::infer_batch call,
 //               bit-identical to --batch 1)
 //   qsnc faultsim --model M [--state f] [--bits M] [--images N] [--batch B]
 //               [--rates csv] [--spares csv] [--seeds K]
@@ -23,7 +23,7 @@
 //               [--batch-timeout-us T] [--queue-cap Q]
 //               [--listen unix:/tmp/qsnc-serve.sock|tcp:host:port]
 //               (--socket path is the historical alias for --listen)
-//               [--snc-replicas R] [--snc-batch-native on|off]
+//               [--snc-replicas R]
 //               [--snc-stuck-on R] [--snc-stuck-off R]
 //               [--snc-variation S] [--snc-write-verify] [--snc-spare-cols K]
 //               [--health] [--health-interval B] [--health-canaries N]
@@ -49,10 +49,10 @@
 //               breaker; --chaos-profile injects deterministic seeded
 //               faults for resilience testing, reported at shutdown;
 //               --shards N runs N identical batcher+backend lanes;
-//               --snc-batch-native off restores the per-image replica
-//               fan-out for the snc backend — deployments with
-//               --health-per-replica-seeds always fan out, since fault
-//               diversity needs images spread across replica seeds)
+//               the snc backend runs each batch on one replica, except
+//               with --health-per-replica-seeds, which fans the images
+//               out, since fault diversity needs them spread across
+//               replica seeds)
 //               [--shadow-fraction F] [--rollout-observe N]
 //               [--max-divergence R] [--rollout-canary-rounds K]
 //               [--rollout-canaries N] [--rollout-canary-interval-ms T]
@@ -347,7 +347,6 @@ int cmd_deploy(const util::Flags& flags) {
   const int64_t images = flags.get_int("images", 50);
   const int64_t batch_size =
       std::max<int64_t>(1, flags.get_int("batch", 8));
-  const bool dense_reference = flags.get_bool("dense-reference", false);
   const double stuck_on = flags.get_double("stuck-on", 0.0);
   const double stuck_off = flags.get_double("stuck-off", 0.0);
   const double variation = flags.get_double("variation", 0.0);
@@ -374,8 +373,6 @@ int cmd_deploy(const util::Flags& flags) {
   for (const auto& r : wcr) cfg.weight_scales.push_back(r.scale);
   cfg.input_scale =
       std::min(16.0f, static_cast<float>(core::signal_max(bits)));
-  cfg.engine = dense_reference ? snc::SncEngine::kDenseReference
-                               : snc::SncEngine::kEventDriven;
   cfg.seed = snc_seed;
   cfg.device.stuck_on_rate = stuck_on;
   cfg.device.stuck_off_rate = stuck_off;
@@ -391,9 +388,9 @@ int cmd_deploy(const util::Flags& flags) {
   snc::SncStats totals;
   int64_t total_spikes = 0;
   int64_t window_slots = 0;
-  // Batch-native evaluation: B images share one pass over each stage's
-  // panel. Per-image stats fold exactly as the historical per-image loop
-  // did (infer_batch is bit-identical to B sequential infer calls).
+  // B images share one pass over each stage's panel. Per-image stats fold
+  // exactly as a per-image loop would (infer_batch is bit-identical to B
+  // sequential infer calls).
   for (int64_t start = 0; start < images; start += batch_size) {
     const int64_t b = std::min(batch_size, images - start);
     nn::Tensor batch({b, model.input[0], model.input[1], model.input[2]});
@@ -427,9 +424,8 @@ int cmd_deploy(const util::Flags& flags) {
       }
     }
   }
-  std::printf("SNC inference (%s engine, batch %lld): %lld/%lld correct, "
+  std::printf("SNC inference (batch %lld): %lld/%lld correct, "
               "window %lld slots, avg %.0f spikes/image\n",
-              dense_reference ? "dense-reference" : "event-driven",
               static_cast<long long>(batch_size),
               static_cast<long long>(correct),
               static_cast<long long>(images),
@@ -634,16 +630,6 @@ serve::ModelConfig serve_model_config(const util::Flags& flags) {
   cfg.shards = static_cast<int>(flags.get_int("shards", 1));
   cfg.init_seed = static_cast<uint64_t>(flags.get_int("seed", 1));
   cfg.snc_replicas = static_cast<int>(flags.get_int("snc-replicas", 0));
-  cfg.snc_dense_reference = flags.get_bool("snc-dense-reference", false);
-  const std::string batch_native = flags.get("snc-batch-native", "on");
-  if (batch_native == "on") {
-    cfg.snc_batch_native = true;
-  } else if (batch_native == "off") {
-    cfg.snc_batch_native = false;
-  } else {
-    throw std::invalid_argument("--snc-batch-native takes on|off, got '" +
-                                batch_native + "'");
-  }
   cfg.snc_variation_sigma = flags.get_double("snc-variation", 0.0);
   cfg.snc_stuck_on_rate = flags.get_double("snc-stuck-on", 0.0);
   cfg.snc_stuck_off_rate = flags.get_double("snc-stuck-off", 0.0);
@@ -1221,8 +1207,7 @@ int main(int argc, char** argv) {
     // Boolean flags must be declared so "--nc lenet" style argv never eats
     // a positional (see util/flags.h).
     const util::Flags flags(
-        argc, argv, {"nc", "no-retry", "open-loop", "dense-reference",
-                     "snc-dense-reference", "write-verify",
+        argc, argv, {"nc", "no-retry", "open-loop", "write-verify",
                      "snc-write-verify", "health",
                      "health-per-replica-seeds", "rollout-manual"});
     const int64_t threads = flags.get_int("threads", 0);
