@@ -1,5 +1,6 @@
 // Kernel-level micro-benchmarks (google-benchmark): GEMM, im2col,
-// convolution forward, crossbar reads, quantizers, spike coding.
+// convolution forward, crossbar reads, the SNC batched row drive,
+// quantizers, spike coding.
 //
 // In addition to the google-benchmark suite, main() runs two sweeps and
 // writes them to BENCH_kernels.json (override the path with
@@ -185,6 +186,44 @@ void BM_RateEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RateEncode)->Arg(4)->Arg(8);
+
+// The SNC collapsed read's row drive at lenet-mini's crossbar shapes:
+// range(0) = panel width (12: conv1, 6 columns over 25 taps; 24: conv2,
+// 12 columns over 150 taps), range(1) = batch. About 60% of the taps are
+// live, as in a lenet stage, and every live tap is one event.
+void BM_AccumulateRowsBatch(benchmark::State& state) {
+  const int64_t width = state.range(0);
+  const int64_t batch = state.range(1);
+  const int64_t rows = width == 12 ? 25 : 150;
+  nn::Rng rng(11);
+  std::vector<double> panel(static_cast<size_t>(rows * width));
+  for (double& g : panel) g = rng.uniform(0.0f, 1.0f) * 1e-4;
+  std::vector<double> drives(static_cast<size_t>((rows + 1) * batch), 0.0);
+  std::vector<int32_t> event_rows;
+  std::vector<int32_t> event_slots;
+  for (int32_t r = 0; r < rows; ++r) {
+    if (rng.uniform(0.0f, 1.0f) < 0.4f) continue;
+    event_rows.push_back(r);
+    event_slots.push_back(r + 1);
+    for (int64_t b = 0; b < batch; ++b) {
+      drives[static_cast<size_t>((r + 1) * batch + b)] =
+          static_cast<double>(rng.uniform_int(0, 16));
+    }
+  }
+  const int64_t n = static_cast<int64_t>(event_rows.size());
+  std::vector<double> acc(static_cast<size_t>(batch * width));
+  for (auto _ : state) {
+    nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), n,
+                              drives.data(), batch, panel.data(), width,
+                              acc.data());
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * batch * width);
+}
+BENCHMARK(BM_AccumulateRowsBatch)
+    ->ArgsProduct({{12, 24}, {1, 8}})
+    ->ArgNames({"width", "batch"});
 
 // The quant serving backend's integer engine on dyadic lenet-mini: every
 // weight on its 8-bit dynamic-fixed-point grid, 4-bit signals, synthetic

@@ -1,6 +1,7 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -295,6 +296,27 @@ void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
       const double v = drives[static_cast<int64_t>(srcs[e]) * batch + b];
       const double* row = panel + static_cast<int64_t>(rows[e]) * width;
       for (int64_t c = 0; c < width; ++c) a[c] += v * row[c];
+    }
+  }
+}
+
+void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                   const ReadEpilogue& ep, int64_t* counts,
+                   int64_t count_stride, double* y_out) {
+  if (simd::use_avx2()) {
+    kernels::avx2_read_epilogue(acc, n, acc_stride, ep, counts, count_stride,
+                                y_out);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const double* a = acc + i * acc_stride;
+    for (int64_t c = 0; c < ep.cols; ++c) {
+      const double y = ep.step * ((a[2 * c] - a[2 * c + 1]) / ep.dg) +
+                       static_cast<double>(ep.bias[c]);
+      int64_t count = static_cast<int64_t>(std::floor(y + 0.5));
+      if (ep.rectify) count = std::clamp<int64_t>(count, 0, ep.ceiling);
+      counts[c * count_stride + i] = count;
+      if (y_out != nullptr) y_out[c] = y;
     }
   }
 }

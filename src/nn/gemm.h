@@ -29,15 +29,40 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
 /// drives[srcs[e] * batch + b]. For every image b and column c < width:
 ///   acc[b * width + c] = sum over e ascending of
 ///       drives[srcs[e] * batch + b] * panel[rows[e] * width + c]
-/// starting from 0.0 (acc is overwritten). Each term is a separate multiply
-/// and add, so the AVX2 path — which keeps an image's column sums in
-/// registers across all events, column block by column block — is
-/// bit-identical to the scalar loop. A zero drive adds a signed zero, which
-/// leaves a sum that started at +0.0 unchanged, so with finite panel
-/// entries the result equals the sum over the nonzero drives alone.
+/// starting from +0.0 (acc is overwritten). Each term is a separate
+/// multiply and add, so the AVX2 path — a register tile of up to 4 images
+/// by up to 3 column vectors that shares each panel-row load across the
+/// tile's images — is bit-identical to the scalar loop. A zero drive adds
+/// a signed zero, which leaves a sum that started at +0.0 unchanged, so
+/// with finite panel entries the result equals the sum over the nonzero
+/// drives alone.
 void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                            int64_t n_events, const double* drives,
                            int64_t batch, const double* panel, int64_t width,
                            double* acc);
+
+/// Constants of one crossbar stage's read epilogue.
+struct ReadEpilogue {
+  int64_t cols = 0;             // logical columns (acc rows hold 2 * cols)
+  double dg = 1.0;              // differential conductance of one level
+  double step = 1.0;            // weight units per level
+  const float* bias = nullptr;  // [cols]
+  bool rectify = false;         // clamp counts to [0, ceiling]
+  int64_t ceiling = 0;
+};
+
+/// The SNC collapsed read's epilogue over n accumulator rows, row i at
+/// acc + i * acc_stride holding interleaved (plus, minus) column sums as
+/// accumulate_rows_batch leaves them. For every row i and column c:
+///   y = step * ((acc[2c] - acc[2c + 1]) / dg) + bias[c]
+///   counts[c * count_stride + i] = floor(y + 0.5), clamped to
+///       [0, ceiling] when rectify
+/// — core::round_half_up, operation for operation. When y_out is non-null,
+/// y_out[c] receives each row's y in turn (the last row's remain). The
+/// AVX2 path rounds with vroundpd and the scalar path with std::floor;
+/// both are exact, so the two dispatches agree bit for bit.
+void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                   const ReadEpilogue& ep, int64_t* counts,
+                   int64_t count_stride, double* y_out);
 
 }  // namespace qsnc::nn

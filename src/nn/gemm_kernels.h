@@ -17,6 +17,8 @@
 
 #include <cstdint>
 
+#include "nn/gemm.h"
+
 namespace qsnc::nn::kernels {
 
 // Cache-block extents shared by the scalar reference and the SIMD path.
@@ -64,15 +66,24 @@ void avx2_gemm_a_bt_acc_rows(const float* a, const float* bt_panel, float* c,
                              int64_t k, int64_t n, int64_t i0, int64_t i1);
 
 /// Batched sparse row drive (fp64), bit-identical to the scalar loop of
-/// nn::accumulate_rows_batch: per column block of up to kEventBlockVecs
-/// ymm registers and per image, the column sums stay in registers across
-/// all events; a width that is not a multiple of 4 ends in a masked
-/// vector.
-inline constexpr int64_t kEventBlockVecs = 12;
+/// nn::accumulate_rows_batch. Images go in tiles of up to 4; a tile of k
+/// images holds k x (kEventTileVecs / k) ymm accumulators — 4 x 3, 3 x 4,
+/// 2 x 6 or 1 x 12 — in registers across all events, so each panel-row
+/// vector is loaded once per tile and every column sum is its own add
+/// chain. A column block whose width is not a multiple of 4 ends in a
+/// masked vector.
+inline constexpr int64_t kEventTileVecs = 12;
+inline constexpr int64_t kEventTileImages = 4;
 void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                 int64_t n_events, const double* drives,
                                 int64_t batch, const double* panel,
                                 int64_t width, double* acc);
+
+/// nn::read_epilogue, four columns per vector: hsub deinterleaves the
+/// (plus, minus) pairs and vroundpd is the floor.
+void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                        const ReadEpilogue& ep, int64_t* counts,
+                        int64_t count_stride, double* y_out);
 
 // ---- integer kernels (exact int32 accumulation; no rounding concerns) ----
 
@@ -107,15 +118,5 @@ inline constexpr int64_t kGatherSlack = kINR;
 void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
                             int64_t k, const int32_t* col_off, int64_t n,
                             int16_t* panel);
-
-/// Batched integer row-drive combine in the gather form of
-/// nn::iaccumulate_rows_batch (image-minor drives, acc image-major
-/// [batch x cols], overwritten); each event's level row is widened to
-/// int32 once and reused across the batch. Exact int32 accumulation, so
-/// any schedule matches the scalar reference.
-void avx2_iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                                 int64_t n_events, const int32_t* drives,
-                                 int64_t batch, const int16_t* panel,
-                                 int64_t cols, int32_t* acc);
 
 }  // namespace qsnc::nn::kernels

@@ -164,27 +164,4 @@ void igemm_prepacked(const int16_t* a, const IGemmPackedB& b, int32_t* c,
   igemm_acc_dispatch(a, b.raw(), b.panel(), c, m, b.k(), b.n());
 }
 
-void iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                            int64_t n_events, const int32_t* drives,
-                            int64_t batch, const int16_t* panel, int64_t cols,
-                            int32_t* acc) {
-  if (simd::use_avx2()) {
-    kernels::avx2_iaccumulate_rows_batch(rows, srcs, n_events, drives, batch,
-                                         panel, cols, acc);
-    return;
-  }
-  std::fill(acc, acc + batch * cols, 0);
-  for (int64_t e = 0; e < n_events; ++e) {
-    const int16_t* row = panel + rows[e] * cols;
-    const int32_t* v = drives + static_cast<int64_t>(srcs[e]) * batch;
-    for (int64_t b = 0; b < batch; ++b) {
-      if (v[b] == 0) continue;
-      int32_t* a = acc + b * cols;
-      for (int64_t j = 0; j < cols; ++j) {
-        a[j] += v[b] * static_cast<int32_t>(row[j]);
-      }
-    }
-  }
-}
-
 }  // namespace qsnc::nn

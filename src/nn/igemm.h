@@ -3,8 +3,7 @@
 // The paper's deployment arithmetic is M-bit unsigned spike-count signals
 // against N-bit fixed-point weights; both fit int16 with room to spare, so
 // the product sums are computed exactly in int32 accumulators and
-// requantized once at the end by the caller (core/int_quant_engine.*, the
-// SNC row drives). Integer accumulation is associative, so — unlike the
+// requantized once at the end by the caller (core/int_quant_engine.*). Integer accumulation is associative, so — unlike the
 // fp32 kernels — every schedule (scalar, AVX2 vpmaddwd, any thread count)
 // is bit-identical by construction; tests still pin it.
 //
@@ -65,20 +64,5 @@ class IGemmPackedB {
 /// C[m x n] = A[m x k] * B using a prepacked right operand.
 void igemm_prepacked(const int16_t* a, const IGemmPackedB& b, int32_t* c,
                      int64_t m);
-
-/// Batched integer row drive in the gather form of
-/// nn::accumulate_rows_batch (gemm.h): drives are image-minor
-/// ([slot x batch]) and event e drives level row rows[e] with image b's
-/// value drives[srcs[e] * batch + b]:
-///   acc[b * cols + c] = sum over e of
-///       drives[srcs[e] * batch + b] * panel[rows[e] * cols + c]
-/// (acc is overwritten). One pass over each event's level row serves the
-/// whole batch — the integer form of the SNC packed-panel row drive
-/// (crossbar.h): drives carry spike counts, panel the signed weight
-/// levels. Exact in int32, so every schedule gives the same result.
-void iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                            int64_t n_events, const int32_t* drives,
-                            int64_t batch, const int16_t* panel, int64_t cols,
-                            int32_t* acc);
 
 }  // namespace qsnc::nn

@@ -204,42 +204,12 @@ void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
   }
 }
 
-void avx2_iaccumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                                 int64_t n_events, const int32_t* drives,
-                                 int64_t batch, const int16_t* panel,
-                                 int64_t cols, int32_t* acc) {
-  const int64_t c8 = cols & ~int64_t{7};
-  std::fill(acc, acc + batch * cols, 0);
-  for (int64_t e = 0; e < n_events; ++e) {
-    const int16_t* row = panel + rows[e] * cols;
-    const int32_t* v = drives + static_cast<int64_t>(srcs[e]) * batch;
-    for (int64_t b = 0; b < batch; ++b) {
-      if (v[b] == 0) continue;
-      int32_t* a = acc + b * cols;
-      const __m256i vv = _mm256_set1_epi32(v[b]);
-      int64_t j = 0;
-      for (; j < c8; j += 8) {
-        const __m256i w = _mm256_cvtepi16_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
-        __m256i* ap = reinterpret_cast<__m256i*>(a + j);
-        _mm256_storeu_si256(
-            ap, _mm256_add_epi32(_mm256_loadu_si256(ap),
-                                 _mm256_mullo_epi32(w, vv)));
-      }
-      for (; j < cols; ++j) a[j] += v[b] * static_cast<int32_t>(row[j]);
-    }
-  }
-}
-
 #else  // !__AVX2__ — stubs; dispatch never selects these without AVX2.
 
 void avx2_igemm_acc_rows(const int16_t*, const int16_t*, int32_t*, int64_t,
                          int64_t, int64_t, int64_t) {}
 void avx2_pack_gather_panel(const int16_t*, const int32_t*, int64_t,
                             const int32_t*, int64_t, int16_t*) {}
-void avx2_iaccumulate_rows_batch(const int32_t*, const int32_t*, int64_t,
-                                 const int32_t*, int64_t, const int16_t*,
-                                 int64_t, int32_t*) {}
 
 #endif  // __AVX2__
 

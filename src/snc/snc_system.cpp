@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/bn_folding.h"
 #include "core/fixed_point.h"
 #include "nn/gemm.h"
-#include "nn/igemm.h"
 #include "nn/im2col.h"
 #include "nn/layers/conv2d.h"
 #include "nn/layers/dense.h"
@@ -48,12 +46,6 @@ struct SncSystem::Stage {
   // (levels[col * rows + r]) kept so drift refresh can reprogram.
   FaultReport fault;
   std::vector<int64_t> levels;
-
-  // Integer row drives (SncConfig::integer_row_drives on an ideal device):
-  // the signed level matrix transposed to the packed-panel orientation
-  // (ilevels[r * cols + c]) so nn::iaccumulate_rows_batch can replace the
-  // analog conductance read. Empty when the stage runs the analog path.
-  util::aligned_vector<int16_t> ilevels;
 
   // Runner im2col tap table (conv stages): taps[pos * rows + r] is
   // the flat input index of receptive-field tap r at output position pos,
@@ -117,15 +109,6 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
   bool flattened = false;
   size_t xbar_index = 0;
 
-  // Integer row drives are only exact on an ideal device with no retention
-  // drift (see SncConfig::integer_row_drives); levels must also fit int16.
-  const bool integer_drives =
-      config.integer_row_drives && config.device.variation_sigma == 0.0 &&
-      config.device.stuck_off_rate == 0.0 &&
-      config.device.stuck_on_rate == 0.0 &&
-      config.device.wire_resistance_ohm == 0.0 &&
-      config.recovery.drift_rate_per_window == 0.0 && kmax <= 32767;
-
   auto scale_for_stage = [&](size_t idx) {
     if (config_.weight_scales.size() == 1) return config_.weight_scales[0];
     if (idx >= config_.weight_scales.size()) {
@@ -162,21 +145,6 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
               "apply_weight_clustering first");
         }
         levels[static_cast<size_t>(col * rows + r)] = k;
-      }
-    }
-    // Bake the int16 level panel for integer row drives, unless the
-    // worst-case column sum (every row firing T spikes at the extreme
-    // level) could overflow the int32 accumulator.
-    if (integer_drives &&
-        (int64_t{1} << config_.signal_bits) * kmax * rows <
-            std::numeric_limits<int32_t>::max()) {
-      stage.ilevels.resize(static_cast<size_t>(rows * cols));
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t col = 0; col < cols; ++col) {
-          stage.ilevels[static_cast<size_t>(r * cols + col)] =
-              static_cast<int16_t>(
-                  levels[static_cast<size_t>(col * rows + r)]);
-        }
       }
     }
     if (!rec.enabled()) {
@@ -412,6 +380,10 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
 }
 
 namespace {
+// Accumulator doubles (16 KB) per position tile of the collapsed ideal
+// read: the tile stays in L1 between the kernel and the epilogue.
+constexpr int64_t kReadTileDoubles = 2048;
+
 // Fills the stage header of one image's stats: geometry plus the
 // programming-time fault counters (programming happened once, before any
 // inference ran).
@@ -442,13 +414,16 @@ nn::Rng SncSystem::next_coding_rng() {
 // the slots, and each image's input_events is summed from the per-input
 // fan-out table. Per position the collapsed ideal read keeps only the
 // taps whose slot is live in some image and hands the (panel row, slot)
-// list to one B-wide kernel. Slot modes keep their own gather, because
-// stochastic coding draws a full window from every image's stream for
-// every row. Per image the arithmetic is the dense oracle's sequence: a
-// tap that is zero for image b adds a signed zero product, which leaves
-// b's column sums unchanged, and the live taps keep their ascending-row
-// order — so logits, predictions, and per-image stats are bit-identical
-// at every batch size.
+// list to one image-tiled kernel, which writes the position's B rows of
+// column sums into a small tile of positions; one vectorized epilogue per
+// tile then turns the sums into counts. Slot modes keep their own gather,
+// because stochastic coding draws a full window from every image's stream
+// for every row. Per image the arithmetic is the dense oracle's sequence:
+// a tap that is zero for image b adds a signed zero product, which leaves
+// b's column sums unchanged, the live taps keep their ascending-row order,
+// and the epilogue is core::round_half_up operation for operation — so
+// logits, predictions, and per-image stats are bit-identical at every
+// batch size.
 void SncSystem::run_crossbar_stage(
     const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
     std::vector<std::vector<int64_t>>& outputs,
@@ -467,79 +442,53 @@ void SncSystem::run_crossbar_stage(
   const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
   const bool slot_mode = config_.mode != IntegrationMode::kIdealIntegration ||
                          config_.stochastic_coding;
-  const bool integer_drives = !stage.ilevels.empty();
   const int64_t width = 2 * cols;
   const double* panel = stage.xbar->packed_panel();
-  const int64_t row_bytes =
-      integer_drives ? cols * static_cast<int64_t>(sizeof(int16_t))
-                     : width * static_cast<int64_t>(sizeof(double));
-  const int64_t slot_row_bytes =
-      width * static_cast<int64_t>(sizeof(double));
+  const int64_t row_bytes = width * static_cast<int64_t>(sizeof(double));
 
   std::vector<int64_t*> out(static_cast<size_t>(B));
   for (int64_t b = 0; b < B; ++b) {
     out[static_cast<size_t>(b)] = outputs[static_cast<size_t>(b)].data();
   }
 
-  // Drive buffer (double, or int32 for integer drives), union mask, and
-  // per-image event counts, shared read-only by every position chunk.
+  // Drive buffer, union mask, and per-image event counts, shared read-only
+  // by every position chunk.
   const int64_t n_in = static_cast<int64_t>(stage.fanout.size());
-  const size_t n_drives = static_cast<size_t>((n_in + 1) * B);
   std::vector<uint8_t> live(static_cast<size_t>(n_in + 1), 0);
-  std::vector<double> drives(integer_drives ? 0 : n_drives, 0.0);
-  std::vector<int32_t> idrives(integer_drives ? n_drives : 0, 0);
+  std::vector<double> drives(static_cast<size_t>((n_in + 1) * B), 0.0);
   for (int64_t b = 0; b < B; ++b) {
     const int64_t* in = inputs[static_cast<size_t>(b)].data();
     int64_t events = 0;
     for (int64_t i = 0; i < n_in; ++i) {
       if (in[i] == 0) continue;
-      const size_t s = static_cast<size_t>((i + 1) * B + b);
       live[static_cast<size_t>(i + 1)] = 1;
       events += stage.fanout[static_cast<size_t>(i)];
-      if (integer_drives) {
-        idrives[s] = static_cast<int32_t>(in[i]);
-      } else {
-        drives[s] = static_cast<double>(in[i]);
-      }
+      drives[static_cast<size_t>((i + 1) * B + b)] =
+          static_cast<double>(in[i]);
     }
     if (stats[static_cast<size_t>(b)] != nullptr) {
       stats[static_cast<size_t>(b)]->input_events = events;
     }
   }
 
-  // Collapsed ideal read of one position over a (panel row, slot) event
-  // list: per-image column sums, then y = step * level_sum + bias rounded
-  // (and clamped on rectified stages) into every image's output. With
-  // integer drives the spike-count x level sum is computed exactly in
-  // int32 instead of being reconstructed from conductances.
-  auto collapsed_read = [&](int64_t pos, const int32_t* event_rows,
-                            const int32_t* event_slots, int64_t n,
-                            double* acc, int32_t* iacc) {
-    if (integer_drives) {
-      nn::iaccumulate_rows_batch(event_rows, event_slots, n, idrives.data(),
-                                 B, stage.ilevels.data(), cols, iacc);
-    } else {
-      nn::accumulate_rows_batch(event_rows, event_slots, n, drives.data(), B,
-                                panel, width, acc);
-    }
+  // Epilogue of the collapsed ideal read over n consecutive positions from
+  // pos0 whose column sums sit position-major in acc (B image rows of
+  // `width` per position): y = step * level_sum + bias rounded (and
+  // clamped on rectified stages) into every image's output.
+  nn::ReadEpilogue epilogue;
+  epilogue.cols = cols;
+  epilogue.dg = dg;
+  epilogue.step = step;
+  epilogue.bias = stage.bias.data();
+  epilogue.rectify = stage.rectify;
+  epilogue.ceiling = T;
+  auto finish_read = [&](int64_t pos0, int64_t n, const double* acc) {
     for (int64_t b = 0; b < B; ++b) {
-      int64_t* o = out[static_cast<size_t>(b)] + pos;
-      for (int64_t col = 0; col < cols; ++col) {
-        const double level_sum =
-            integer_drives
-                ? static_cast<double>(iacc[b * cols + col])
-                : (acc[b * width + 2 * col] - acc[b * width + 2 * col + 1]) /
-                      dg;
-        const double y =
-            step * level_sum +
-            static_cast<double>(stage.bias[static_cast<size_t>(col)]);
-        int64_t count = core::round_half_up(y);
-        if (stage.rectify) count = std::clamp<int64_t>(count, 0, T);
-        o[col * positions] = count;
-        if (stage.final_readout) {
-          readout_[static_cast<size_t>(b)][static_cast<size_t>(col)] = y;
-        }
-      }
+      nn::read_epilogue(acc + b * width, n, B * width, epilogue,
+                        out[static_cast<size_t>(b)] + pos0, positions,
+                        stage.final_readout
+                            ? readout_[static_cast<size_t>(b)].data()
+                            : nullptr);
     }
   };
 
@@ -549,29 +498,36 @@ void SncSystem::run_crossbar_stage(
   }
 
   auto run_ideal = [&](int64_t p0, int64_t p1) {
-    // Per-chunk scratch; the position loop never allocates.
+    // Per-chunk scratch; the position loop never allocates. The
+    // accumulator tile holds a few positions — enough to amortize the
+    // epilogue, small enough to stay in L1 — never the whole stage.
+    const int64_t tile = std::clamp<int64_t>(kReadTileDoubles / (B * width),
+                                             1, p1 - p0);
     std::vector<int32_t> event_rows(static_cast<size_t>(rows));
     std::vector<int32_t> event_slots(static_cast<size_t>(rows));
-    std::vector<double> acc(integer_drives ? 0
-                                           : static_cast<size_t>(B * width));
-    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
-                                             : 0);
+    std::vector<double> acc(static_cast<size_t>(tile * B * width));
     int64_t chunk_panel = 0;
-    for (int64_t pos = p0; pos < p1; ++pos) {
-      // Branch-free tap filter: every tap is written, only live ones
-      // advance the list.
-      const int32_t* taps =
-          is_conv ? stage.taps.data() + pos * rows : nullptr;
-      int64_t n = 0;
-      for (int64_t r = 0; r < rows; ++r) {
-        const int32_t slot = (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
-        event_rows[static_cast<size_t>(n)] = static_cast<int32_t>(r);
-        event_slots[static_cast<size_t>(n)] = slot;
-        n += live[static_cast<size_t>(slot)];
+    for (int64_t t0 = p0; t0 < p1; t0 += tile) {
+      const int64_t t1 = std::min(t0 + tile, p1);
+      for (int64_t pos = t0; pos < t1; ++pos) {
+        // Branch-free tap filter: every tap is written, only live ones
+        // advance the list.
+        const int32_t* taps =
+            is_conv ? stage.taps.data() + pos * rows : nullptr;
+        int64_t n = 0;
+        for (int64_t r = 0; r < rows; ++r) {
+          const int32_t slot =
+              (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
+          event_rows[static_cast<size_t>(n)] = static_cast<int32_t>(r);
+          event_slots[static_cast<size_t>(n)] = slot;
+          n += live[static_cast<size_t>(slot)];
+        }
+        chunk_panel += n * row_bytes;
+        nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), n,
+                                  drives.data(), B, panel, width,
+                                  acc.data() + (pos - t0) * B * width);
       }
-      chunk_panel += n * row_bytes;
-      collapsed_read(pos, event_rows.data(), event_slots.data(), n,
-                     acc.data(), iacc.data());
+      finish_read(t0, t1 - t0, acc.data());
     }
     panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
   };
@@ -584,8 +540,6 @@ void SncSystem::run_crossbar_stage(
     std::vector<int32_t> event_rows(static_cast<size_t>(rows));
     std::vector<int32_t> event_slots(static_cast<size_t>(rows));
     std::vector<int64_t> vrow(static_cast<size_t>(B));
-    std::vector<int32_t> iacc(integer_drives ? static_cast<size_t>(B * cols)
-                                             : 0);
     std::vector<double> acc(static_cast<size_t>(B * width));
     std::vector<int32_t> fires(static_cast<size_t>(B * T * rows));
     std::vector<int32_t> nfire(static_cast<size_t>(B * T));
@@ -650,7 +604,7 @@ void SncSystem::run_crossbar_stage(
         // A union row firing in slot t streams its panel row once for the
         // whole batch.
         for (int64_t t = 0; t < T; ++t) {
-          chunk_panel += union_fires[static_cast<size_t>(t)] * slot_row_bytes;
+          chunk_panel += union_fires[static_cast<size_t>(t)] * row_bytes;
           union_fires[static_cast<size_t>(t)] = 0;
         }
       }
@@ -697,8 +651,9 @@ void SncSystem::run_crossbar_stage(
       }
       if (!stage.rectify) {
         chunk_panel += nu * row_bytes;
-        collapsed_read(pos, event_rows.data(), event_slots.data(), nu,
-                       acc.data(), iacc.data());
+        nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), nu,
+                                  drives.data(), B, panel, width, acc.data());
+        finish_read(pos, 1, acc.data());
       }
     }
     for (int64_t b = 0; b < B; ++b) {
@@ -1146,14 +1101,6 @@ float SncSystem::read_back_weight(size_t layer, int64_t row,
     ++idx;
   }
   throw std::out_of_range("SncSystem::read_back_weight: no such layer");
-}
-
-size_t SncSystem::integer_drive_stage_count() const {
-  size_t count = 0;
-  for (const auto& stage : stages_) {
-    if (!stage->ilevels.empty()) ++count;
-  }
-  return count;
 }
 
 FaultReport SncSystem::fault_report() const {

@@ -90,20 +90,6 @@ struct SncConfig {
   float input_scale = 16.0f;  // pixel -> signal-unit scale before encoding
   IntegrationMode mode = IntegrationMode::kIdealIntegration;
   bool stochastic_coding = false;  // Bernoulli instead of deterministic
-  /// Integer row drives: when the device model is ideal — no programming
-  /// variation, no stuck cells, ideal wires, no retention drift — a
-  /// collapsed ideal read per column is exactly sum(signal * level), so
-  /// the runner accumulates spike counts against the signed int16 level
-  /// panel with nn::iaccumulate_rows_batch instead of driving the
-  /// double-precision conductance panel, skipping the analog round trip
-  /// entirely. The integer sum is exact; only the final
-  /// y = step * sum + bias float rounding can differ from the analog
-  /// reconstruction (and from infer_reference()) by double-precision
-  /// epsilon, so predictions match and logits agree to ~1e-9 relative.
-  /// Ignored (analog path kept) when the device is non-ideal, under drift
-  /// recovery, or when a stage's worst-case dot product could overflow
-  /// int32.
-  bool integer_row_drives = false;
   MemristorConfig device;
   FaultRecoveryConfig recovery;
   uint64_t seed = 7;  // programming variation + stochastic coding draws
@@ -189,18 +175,18 @@ class SncSystem {
   /// beside a union-nonzero mask, and each image's input_events is summed
   /// from a per-input tap fan-out table baked at programming time. Per
   /// position the collapsed ideal read keeps only the taps live in some
-  /// image and runs one register-blocked kernel (nn::accumulate_rows_batch,
-  /// or nn::iaccumulate_rows_batch on the integer_row_drives path) that
-  /// holds each image's column sums in registers across all event rows;
-  /// each union row's panel is fetched from memory once per batch. Slot
+  /// image and runs one image-tiled kernel (nn::accumulate_rows_batch)
+  /// that shares each panel-row load across a tile of up to 4 images; a
+  /// small tile of positions then goes through one vectorized epilogue
+  /// (nn::read_epilogue) that rounds the column sums into counts. Slot
   /// modes (online integration, stochastic coding) gather the union rows
   /// once, encode every image's spike trains into per-slot firing-row
-  /// lists, and run the same kernel once per (image, occupied slot).
-  /// Per-image spike trains, IFC state, slot occupancy, stochastic-coding
-  /// RNG streams, and stats do not depend on the grouping: logits,
-  /// predictions, and per-image SncStats are bit-identical to
-  /// infer_reference() at every batch size (integer_row_drives aside, see
-  /// SncConfig), at any pool size and under either kernel dispatch.
+  /// lists, and run the same kernel once per (image, occupied slot); their
+  /// unrectified stages take the collapsed read above. Per-image spike
+  /// trains, IFC state, slot occupancy, stochastic-coding RNG streams, and
+  /// stats do not depend on the grouping: logits, predictions, and
+  /// per-image SncStats are bit-identical to infer_reference() at every
+  /// batch size, at any pool size and under either kernel dispatch.
   /// Returns one predicted class per image; `stats`, when non-null, is
   /// resized to B.
   std::vector<int64_t> infer_batch(const nn::Tensor& batch,
@@ -227,11 +213,10 @@ class SncSystem {
   }
 
   /// Cumulative conductance-panel bytes streamed by the runner's crossbar
-  /// reads since construction: each analog row pass counts 2*cols
-  /// doubles, each integer-level row pass cols int16s (the metric
-  /// describes signal-driven panel traffic, like SncStageStats). A batch
-  /// streams each union event row once, so bytes-per-image shrinking with
-  /// batch size is exactly the amortization the batch sweep bench
+  /// reads since construction: each row pass counts 2*cols doubles (the
+  /// metric describes signal-driven panel traffic, like SncStageStats). A
+  /// batch streams each union event row once, so bytes-per-image shrinking
+  /// with batch size is exactly the amortization the batch sweep bench
   /// reports; infer_reference() streams none.
   int64_t panel_bytes_streamed() const {
     return panel_bytes_.load(std::memory_order_relaxed);
@@ -243,11 +228,6 @@ class SncSystem {
 
   size_t stage_count() const { return stages_.size(); }
   const SncConfig& config() const { return config_; }
-
-  /// Number of crossbar stages holding an integer level panel — nonzero
-  /// only when SncConfig::integer_row_drives is on and the stage passed
-  /// the ideal-device and int32-overflow eligibility checks.
-  size_t integer_drive_stage_count() const;
 
   /// Aggregate fault-tolerance counters over all crossbar stages (all
   /// zero when recovery is disabled).
@@ -292,9 +272,10 @@ class SncSystem {
       const std::vector<SncStageStats*>& stats,
       std::vector<nn::Rng>& coding_rngs);
   /// The crossbar-stage runner behind infer() and infer_batch(): stage-wide
-  /// drive buffer and union mask, fan-out event counts, one B-wide kernel
-  /// call per position (ideal read) or per (image, occupied slot) over a
-  /// union gather (slot modes).
+  /// drive buffer and union mask, fan-out event counts, one image-tiled
+  /// kernel call per position and one epilogue per position tile (ideal
+  /// read), or one kernel call per (image, occupied slot) over a union
+  /// gather (slot modes).
   void run_crossbar_stage(const Stage& stage,
                           const std::vector<std::vector<int64_t>>& inputs,
                           std::vector<std::vector<int64_t>>& outputs,

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/fixed_point.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
 
@@ -239,6 +242,238 @@ TEST(GemmSimdDispatchTest, ForceScalarOverrideWinsAndRestores) {
     EXPECT_FALSE(simd::use_avx2());
   }
   EXPECT_EQ(simd::use_avx2(), before);
+}
+
+// ---------------------------------------------------------------------------
+// The SNC collapsed read: the fp64 batched row drive and its epilogue.
+// ---------------------------------------------------------------------------
+
+// Naive batched row drive: per image, ascending events from +0.0, one
+// multiply and one add per term.
+std::vector<double> naive_accumulate(const std::vector<int32_t>& rows,
+                                     const std::vector<int32_t>& srcs,
+                                     const std::vector<double>& drives,
+                                     int64_t batch,
+                                     const std::vector<double>& panel,
+                                     int64_t width) {
+  std::vector<double> acc(static_cast<size_t>(batch * width), 0.0);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (size_t e = 0; e < rows.size(); ++e) {
+      const double v = drives[static_cast<size_t>(srcs[e] * batch + b)];
+      for (int64_t c = 0; c < width; ++c) {
+        acc[static_cast<size_t>(b * width + c)] +=
+            v * panel[static_cast<size_t>(rows[e] * width + c)];
+      }
+    }
+  }
+  return acc;
+}
+
+void expect_double_bits_equal(const std::vector<double>& got,
+                              const std::vector<double>& want,
+                              const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " diverges at element " << i << ": " << got[i] << " vs "
+        << want[i];
+  }
+}
+
+const int64_t kAccumulateBatches[] = {1, 3, 4, 5, 8, 9};
+
+// Every width from 2 to 50 (multiples of 4 and of 12 and everything in
+// between, so every tile shape and masked tail runs) at batch sizes that
+// fill, split and overhang the 4-image tile. Drives are spike-count-like
+// with many zeros, slot 0 is the all-zero padding slot, and the last image
+// never fires, so its sums must stay +0.0 despite negative panel entries.
+TEST(AccumulateRowsBatchTest, MatchesNaiveLoopBitExact) {
+  const int64_t panel_rows = 37;
+  const int64_t slots = 11;
+  for (int64_t width = 2; width <= 50; ++width) {
+    for (const int64_t batch : kAccumulateBatches) {
+      Rng rng(static_cast<uint64_t>(width * 131 + batch));
+      std::vector<double> panel(static_cast<size_t>(panel_rows * width));
+      for (double& g : panel) g = rng.uniform(-1.0f, 1.0f) * 1e-4;
+      std::vector<double> drives(static_cast<size_t>(slots * batch), 0.0);
+      for (int64_t s = 1; s < slots; ++s) {
+        for (int64_t b = 0; b + 1 < batch; ++b) {
+          const int64_t v = static_cast<int64_t>(rng.uniform(-4.0f, 16.0f));
+          drives[static_cast<size_t>(s * batch + b)] =
+              static_cast<double>(std::max<int64_t>(v, 0));
+        }
+      }
+      std::vector<int32_t> rows;
+      std::vector<int32_t> srcs;
+      for (int32_t r = 0; r < panel_rows; ++r) {
+        if (rng.uniform(0.0f, 1.0f) < 0.3f) continue;
+        rows.push_back(r);
+        srcs.push_back(static_cast<int32_t>(
+            rng.uniform(0.0f, static_cast<float>(slots)) * 0.999f));
+      }
+      const std::vector<double> want =
+          naive_accumulate(rows, srcs, drives, batch, panel, width);
+      for (const bool scalar : {false, true}) {
+        ForceScalarGuard guard(scalar);
+        std::vector<double> got(static_cast<size_t>(batch * width), -7.0);
+        accumulate_rows_batch(rows.data(), srcs.data(),
+                              static_cast<int64_t>(rows.size()),
+                              drives.data(), batch, panel.data(), width,
+                              got.data());
+        expect_double_bits_equal(
+            got, want,
+            "width " + std::to_string(width) + " batch " +
+                std::to_string(batch) + (scalar ? " scalar" : " native"));
+      }
+    }
+  }
+}
+
+TEST(AccumulateRowsBatchTest, EmptyEventListZeroesAccumulator) {
+  const std::vector<double> panel(4 * 50, 3.0);
+  for (const int64_t width : {2, 12, 13, 50}) {
+    for (const int64_t batch : kAccumulateBatches) {
+      for (const bool scalar : {false, true}) {
+        ForceScalarGuard guard(scalar);
+        std::vector<double> acc(static_cast<size_t>(batch * width), -1.0);
+        accumulate_rows_batch(nullptr, nullptr, 0, nullptr, batch,
+                              panel.data(), width, acc.data());
+        expect_double_bits_equal(
+            acc, std::vector<double>(acc.size(), 0.0),
+            "width " + std::to_string(width) + " batch " +
+                std::to_string(batch) + (scalar ? " scalar" : " native"));
+      }
+    }
+  }
+}
+
+// One epilogue case: the y each (row, column) must produce, through
+// acc = (plus, minus) pairs, and the count core::round_half_up gives it.
+struct EpilogueCase {
+  std::vector<double> plus;   // [rows x cols]
+  std::vector<double> minus;  // [rows x cols]
+  std::vector<float> bias;    // [cols]
+  double dg;
+  double step;
+};
+
+void check_epilogue(const EpilogueCase& ec, int64_t n, int64_t cols,
+                    bool rectify, const std::string& what) {
+  const int64_t ceiling = 15;
+  const int64_t acc_stride = 2 * cols + 3;  // rows need not be packed
+  const int64_t count_stride = n + 2;
+  std::vector<double> acc(static_cast<size_t>(n * acc_stride), 99.0);
+  std::vector<int64_t> want_counts(static_cast<size_t>(cols * count_stride),
+                                   -1);
+  std::vector<double> want_y(static_cast<size_t>(cols));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t c = 0; c < cols; ++c) {
+      const size_t e = static_cast<size_t>(i * cols + c);
+      acc[static_cast<size_t>(i * acc_stride + 2 * c)] = ec.plus[e];
+      acc[static_cast<size_t>(i * acc_stride + 2 * c + 1)] = ec.minus[e];
+      const double y =
+          ec.step * ((ec.plus[e] - ec.minus[e]) / ec.dg) +
+          static_cast<double>(ec.bias[static_cast<size_t>(c)]);
+      int64_t k = core::round_half_up(y);
+      if (rectify) k = std::clamp<int64_t>(k, 0, ceiling);
+      want_counts[static_cast<size_t>(c * count_stride + i)] = k;
+      if (i == n - 1) want_y[static_cast<size_t>(c)] = y;
+    }
+  }
+  ReadEpilogue ep;
+  ep.cols = cols;
+  ep.dg = ec.dg;
+  ep.step = ec.step;
+  ep.bias = ec.bias.data();
+  ep.rectify = rectify;
+  ep.ceiling = ceiling;
+  for (const bool scalar : {false, true}) {
+    ForceScalarGuard guard(scalar);
+    const std::string ctx = what + (rectify ? " rectified" : " raw") +
+                            (scalar ? " scalar" : " native");
+    std::vector<int64_t> counts(want_counts.size(), -1);
+    std::vector<double> y(static_cast<size_t>(cols), -5.0);
+    read_epilogue(acc.data(), n, acc_stride, ep, counts.data(), count_stride,
+                  y.data());
+    EXPECT_EQ(counts, want_counts) << ctx;
+    expect_double_bits_equal(y, want_y, ctx + " y");
+    // Without a y output only the counts are written.
+    std::vector<int64_t> counts_only(want_counts.size(), -1);
+    read_epilogue(acc.data(), n, acc_stride, ep, counts_only.data(),
+                  count_stride, nullptr);
+    EXPECT_EQ(counts_only, want_counts) << ctx << " no y";
+  }
+}
+
+// Half-integer ties k +- 0.5 (up, never to even), the largest double below
+// 0.5 (whose y + 0.5 rounds to 1.0), negative y on an unrectified stage,
+// and -0.0 (a -0.0 bias keeps it, so y itself is -0.0), at column counts
+// that exercise full and masked vectors.
+TEST(ReadEpilogueTest, RoundsHalfUpLikeCore) {
+  std::vector<double> ys;
+  for (int k = -4; k <= 17; ++k) {
+    ys.push_back(k - 0.5);
+    ys.push_back(k + 0.5);
+    ys.push_back(k);
+  }
+  ys.push_back(0.49999999999999994);
+  ys.push_back(-0.49999999999999994);
+  ys.push_back(-2.7);
+  ys.push_back(-1e9);
+  ys.push_back(-0.0);
+  for (const int64_t cols : {1, 2, 3, 4, 5, 7, 8, 9}) {
+    const int64_t n = (static_cast<int64_t>(ys.size()) + cols - 1) / cols;
+    EpilogueCase ec;
+    ec.dg = 1.0;
+    ec.step = 1.0;
+    ec.bias.assign(static_cast<size_t>(cols), -0.0f);
+    for (int64_t e = 0; e < n * cols; ++e) {
+      ec.plus.push_back(ys[static_cast<size_t>(e) % ys.size()]);
+      ec.minus.push_back(0.0);
+    }
+    for (const bool rectify : {false, true}) {
+      check_epilogue(ec, n, cols, rectify,
+                     "ties cols " + std::to_string(cols));
+    }
+  }
+}
+
+// Conductance-scale sums through a non-unit dg, step and bias, as the
+// runner produces them.
+TEST(ReadEpilogueTest, MatchesCoreOnConductanceSums) {
+  for (const int64_t cols : {1, 3, 4, 6, 12, 13}) {
+    Rng rng(static_cast<uint64_t>(cols));
+    const int64_t n = 9;
+    EpilogueCase ec;
+    ec.dg = 1.7e-5 / 8.0;
+    ec.step = 0.0371;
+    for (int64_t c = 0; c < cols; ++c) {
+      ec.bias.push_back(rng.uniform(-2.0f, 2.0f));
+    }
+    for (int64_t e = 0; e < n * cols; ++e) {
+      ec.plus.push_back(rng.uniform(0.0f, 1.0f) * 1e-3);
+      ec.minus.push_back(rng.uniform(0.0f, 1.0f) * 1e-3);
+    }
+    for (const bool rectify : {false, true}) {
+      check_epilogue(ec, n, cols, rectify,
+                     "conductance cols " + std::to_string(cols));
+    }
+  }
+}
+
+TEST(ReadEpilogueTest, NoRowsWritesNothing) {
+  const std::vector<float> bias{1.0f, 2.0f};
+  ReadEpilogue ep;
+  ep.cols = 2;
+  ep.bias = bias.data();
+  for (const bool scalar : {false, true}) {
+    ForceScalarGuard guard(scalar);
+    std::vector<int64_t> counts{-1, -1};
+    std::vector<double> y{-5.0, -5.0};
+    read_epilogue(nullptr, 0, 4, ep, counts.data(), 1, y.data());
+    EXPECT_EQ(counts, (std::vector<int64_t>{-1, -1}));
+    EXPECT_EQ(y, (std::vector<double>{-5.0, -5.0}));
+  }
 }
 
 }  // namespace

@@ -177,66 +177,6 @@ TEST(IGemmTest, MostlySparseSignalsStayExact) {
   EXPECT_EQ(got, want);
 }
 
-// The SNC runner's integer row drive: image-minor drives gathered through
-// per-event source slots, slot 0 all-zero like the runner's padding slot.
-TEST(IAccumulateRowsBatchTest, MatchesNaiveAndScalarBitExact) {
-  Rng rng(91);
-  const int64_t rows = 150, cols = 37, batch = 3, n_slots = 40;
-  const auto panel = random_i16(rows * cols, 8, rng);
-  std::vector<int32_t> drives(static_cast<size_t>(n_slots * batch), 0);
-  for (size_t i = static_cast<size_t>(batch); i < drives.size(); ++i) {
-    if (i % 3 != 0) {
-      drives[i] = static_cast<int32_t>(std::lround(rng.uniform(1.0f, 15.0f)));
-    }
-  }
-
-  // Sparse event list over ~half the rows, ascending.
-  std::vector<int32_t> event_rows;
-  std::vector<int32_t> event_slots;
-  for (int64_t r = 0; r < rows; ++r) {
-    if (r % 2 == 1 && r % 7 != 0) continue;
-    event_rows.push_back(static_cast<int32_t>(r));
-    event_slots.push_back(static_cast<int32_t>(r % n_slots));
-  }
-  const int64_t nnz = static_cast<int64_t>(event_rows.size());
-
-  std::vector<int32_t> want(static_cast<size_t>(batch * cols), 0);
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t e = 0; e < nnz; ++e) {
-      const int32_t v =
-          drives[static_cast<size_t>(event_slots[static_cast<size_t>(e)] *
-                                         batch +
-                                     b)];
-      for (int64_t c = 0; c < cols; ++c) {
-        want[static_cast<size_t>(b * cols + c)] +=
-            v * static_cast<int32_t>(
-                    panel[event_rows[static_cast<size_t>(e)] * cols + c]);
-      }
-    }
-  }
-
-  for (bool force_scalar : {false, true}) {
-    ForceScalarGuard guard(force_scalar);
-    std::vector<int32_t> got(static_cast<size_t>(batch * cols), 5);
-    iaccumulate_rows_batch(event_rows.data(), event_slots.data(), nnz,
-                           drives.data(), batch, panel.data(), cols,
-                           got.data());
-    EXPECT_EQ(got, want) << "force_scalar=" << force_scalar;
-  }
-}
-
-TEST(IAccumulateRowsBatchTest, EmptyEventListZeroesAccumulator) {
-  const std::vector<int16_t> panel(4 * 3, 7);
-  for (bool force_scalar : {false, true}) {
-    ForceScalarGuard guard(force_scalar);
-    std::vector<int32_t> acc{1, 2, 3, 4, 5, 6};
-    iaccumulate_rows_batch(nullptr, nullptr, 0, nullptr, 2, panel.data(), 3,
-                           acc.data());
-    EXPECT_EQ(acc, std::vector<int32_t>(6, 0))
-        << "force_scalar=" << force_scalar;
-  }
-}
-
 struct ConvGeometry {
   int64_t channels, height, width, kernel, stride, pad, m;
 };

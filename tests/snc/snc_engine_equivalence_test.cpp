@@ -34,6 +34,7 @@
 #include "nn/layers/relu.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
+#include "util/thread_pool.h"
 
 namespace qsnc {
 namespace {
@@ -227,9 +228,7 @@ TEST(SncEngineEquivalenceTest, AllZeroImageDrivesNoFirstStageRows) {
 // oracle run one image at a time — same predictions, same analog logits
 // (exact double equality), and the same per-image statistics — at every
 // batch size, with deterministic and stochastic coding, and under both
-// kernel dispatches (AVX2 and forced scalar). The integer_row_drives
-// fast path, whose logits may differ from the analog oracle by double
-// epsilon, is held to infer() at B=1 instead. Stochastic coding draws a
+// kernel dispatches (AVX2 and forced scalar). Stochastic coding draws a
 // dedicated RNG stream per image (stream-per-image seeding), which is
 // what makes the guarantee hold regardless of how images are grouped
 // into batches.
@@ -351,8 +350,8 @@ void check_batch_groups(snc::SncSystem& batch_system,
 }
 
 // Builds identically configured systems and records the per-image
-// reference: infer_reference() on one system, or infer() itself under
-// integer drives, plus infer()'s B=1 panel traffic. Then runs `images`
+// reference: infer_reference() on one system, plus infer()'s B=1 panel
+// traffic on another. Then runs `images`
 // grouped per `batch_sizes` on a fresh system per kernel dispatch (AVX2
 // where available, then forced scalar) and asserts per-image bitwise
 // equality of predictions, logits, and stats. Panel traffic must match
@@ -360,7 +359,7 @@ void check_batch_groups(snc::SncSystem& batch_system,
 // it lies between the largest single image's traffic and the sum over the
 // group — and is the same under either dispatch.
 void check_batch_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
-                             bool stochastic, bool integer_drives,
+                             bool stochastic,
                              const std::vector<nn::Tensor>& images,
                              const std::vector<int64_t>& batch_sizes,
                              const std::string& ctx_tag) {
@@ -369,7 +368,6 @@ void check_batch_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
     snc::SncConfig cfg = deploy_config(net, bits);
     cfg.mode = mode;
     cfg.stochastic_coding = stochastic;
-    cfg.integer_row_drives = integer_drives;
     return std::make_unique<snc::SncSystem>(net, spec.input, cfg);
   };
 
@@ -379,18 +377,12 @@ void check_batch_equivalence(const ModelSpec& spec, snc::IntegrationMode mode,
     nn::Network net = spec.factory(rng);
     const std::unique_ptr<snc::SncSystem> system = make_system(net);
     for (const nn::Tensor& image : images) {
-      snc::SncStats stats;
       const int64_t bytes0 = system->panel_bytes_streamed();
-      const int64_t pred = system->infer(image, &stats);
+      system->infer(image);
       single.panel_bytes.push_back(system->panel_bytes_streamed() - bytes0);
-      if (integer_drives) {
-        single.preds.push_back(pred);
-        single.logits.push_back(system->last_logits());
-        single.stats.push_back(stats);
-      }
     }
   }
-  if (!integer_drives) {
+  {
     nn::Rng rng(3);
     nn::Network net = spec.factory(rng);
     const std::unique_ptr<snc::SncSystem> oracle = make_system(net);
@@ -434,7 +426,7 @@ std::vector<nn::Tensor> image_run(const nn::Shape& chw, uint64_t seed0,
 TEST(SncBatchEquivalenceTest, ModelZooIdealDeterministic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, false, false,
+        spec, snc::IntegrationMode::kIdealIntegration, false,
         image_run(spec.input, 50, 12),
         {1, 3, 8}, std::string(spec.name) + " ideal deterministic");
   }
@@ -445,7 +437,7 @@ TEST(SncBatchEquivalenceTest, ModelZooIdealDeterministic) {
 TEST(SncBatchEquivalenceTest, ModelZooIdealStochastic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, true, false,
+        spec, snc::IntegrationMode::kIdealIntegration, true,
         image_run(spec.input, 70, 12),
         {1, 3, 8}, std::string(spec.name) + " ideal stochastic");
   }
@@ -456,7 +448,7 @@ TEST(SncBatchEquivalenceTest, ModelZooIdealStochastic) {
 TEST(SncBatchEquivalenceTest, ModelZooOnlineDeterministic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kOnline, false, false,
+        spec, snc::IntegrationMode::kOnline, false,
         image_run(spec.input, 90, 12), {1, 3, 8},
         std::string(spec.name) + " online deterministic");
   }
@@ -465,22 +457,54 @@ TEST(SncBatchEquivalenceTest, ModelZooOnlineDeterministic) {
 TEST(SncBatchEquivalenceTest, ModelZooOnlineStochastic) {
   for (const ModelSpec& spec : batch_model_specs()) {
     check_batch_equivalence(
-        spec, snc::IntegrationMode::kOnline, true, false,
+        spec, snc::IntegrationMode::kOnline, true,
         image_run(spec.input, 110, 12), {1, 3, 8},
         std::string(spec.name) + " online stochastic");
   }
 }
 
-// integer_row_drives routes collapsed accumulation through the int16
-// panel + int32 GEMM kernels (batched: iaccumulate_rows_batch); integer
-// accumulation is exact, so batching must again be unobservable.
-TEST(SncBatchEquivalenceTest, IntegerRowDrivesBatched) {
-  for (const ModelSpec& spec : batch_model_specs()) {
-    check_batch_equivalence(
-        spec, snc::IntegrationMode::kIdealIntegration, false, true,
-        image_run(spec.input, 150, 12),
-        {1, 3, 8}, std::string(spec.name) + " integer ideal");
+// The batched collapsed read shares one drive buffer and union mask across
+// position chunks and keeps its accumulator tile per chunk, so infer_batch
+// must produce the same predictions, logits, per-image stats and panel
+// traffic at any pool size.
+TEST(SncBatchEquivalenceTest, BatchBitIdenticalAcrossThreadCounts) {
+  const ModelSpec spec = model_specs().front();  // lenet
+  const nn::Tensor batch = stack_images(image_run(spec.input, 90, 8));
+  nn::Rng rng(3);
+  nn::Network net = spec.factory(rng);
+  snc::SncConfig cfg = deploy_config(net, 4);
+  snc::SncSystem system(net, spec.input, cfg);
+
+  const int original = util::num_threads();
+  std::vector<int64_t> ref_preds;
+  std::vector<std::vector<double>> ref_logits;
+  std::vector<snc::SncStats> ref_stats;
+  int64_t ref_bytes = 0;
+  for (int threads : {1, 2, 4}) {
+    const std::string ctx = std::to_string(threads) + " threads";
+    util::set_num_threads(threads);
+    std::vector<snc::SncStats> stats;
+    const int64_t bytes0 = system.panel_bytes_streamed();
+    const std::vector<int64_t> preds = system.infer_batch(batch, &stats);
+    const int64_t bytes = system.panel_bytes_streamed() - bytes0;
+    if (threads == 1) {
+      ref_preds = preds;
+      ref_logits = system.last_batch_logits();
+      ref_stats = stats;
+      ref_bytes = bytes;
+      continue;
+    }
+    EXPECT_EQ(preds, ref_preds) << ctx;
+    EXPECT_EQ(bytes, ref_bytes) << ctx;
+    ASSERT_EQ(stats.size(), ref_stats.size()) << ctx;
+    for (size_t b = 0; b < stats.size(); ++b) {
+      const std::string img_ctx = ctx + " image " + std::to_string(b);
+      // Exact double equality: the pool size must not change any sum.
+      EXPECT_EQ(system.last_batch_logits()[b], ref_logits[b]) << img_ctx;
+      expect_stats_equal(stats[b], ref_stats[b], img_ctx);
+    }
   }
+  util::set_num_threads(original);
 }
 
 // Regression for stream-per-image seeding: the b-th image of any batch
@@ -491,7 +515,7 @@ TEST(SncBatchEquivalenceTest, IntegerRowDrivesBatched) {
 TEST(SncBatchEquivalenceTest, StochasticStreamsFollowImageOrder) {
   const ModelSpec spec = model_specs().front();  // lenet
   check_batch_equivalence(
-      spec, snc::IntegrationMode::kIdealIntegration, true, false,
+      spec, snc::IntegrationMode::kIdealIntegration, true,
       image_run(spec.input, 170, 6),
       {3, 2, 1}, "stochastic regrouping");
 }

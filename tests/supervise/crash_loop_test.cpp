@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,16 +285,31 @@ TEST(SupervisorTest, SigtermDrainBeatsSigkillForCooperativeChildren) {
 TEST(SupervisorTest, StubbornChildEscalatesToSigkillAfterDrainTimeout) {
   // A shell trapping SIGTERM and sleeping on: only SIGKILL ends it, and
   // only after the drain budget expires. The spec parser whitespace-splits
-  // argv (no quoting), so this lane is built directly.
+  // argv (no quoting), so this lane is built directly. The lane reports
+  // `running` at fork/exec, before the shell has installed its trap, so
+  // the child touches a ready file (its $1) once the trap is in place and
+  // the test waits for that file instead.
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "qsnc_stubborn_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir_template.data()), nullptr);
+  const std::filesystem::path dir(dir_template);
+  const std::filesystem::path ready = dir / "ready";
   SupervisorSpec spec;
   spec.lanes.push_back(
       {"stubborn",
-       {"/bin/sh", "-c", "trap '' TERM; while :; do sleep 0.05; done"}});
+       {"/bin/sh", "-c",
+        "trap '' TERM; : > \"$1\"; while :; do sleep 0.05; done", "sh",
+        ready.string()}});
   Supervisor supervisor(spec, fast_options());
   supervisor.start();
-  const LaneStatus running =
-      wait_for_state(supervisor, "stubborn", "running");
-  ASSERT_EQ(running.state, "running");
+  const auto ready_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!std::filesystem::exists(ready) &&
+         std::chrono::steady_clock::now() < ready_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(std::filesystem::exists(ready)) << "child never trapped TERM";
 
   const auto t0 = std::chrono::steady_clock::now();
   supervisor.stop();
@@ -306,6 +323,7 @@ TEST(SupervisorTest, StubbornChildEscalatesToSigkillAfterDrainTimeout) {
   EXPECT_EQ(status[0].last_exit, "signal 9");
   // The SIGTERM grace period was actually honored before escalation.
   EXPECT_GE(elapsed_ms, fast_options().drain_timeout_ms);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SupervisorTest, StartTwiceThrowsAndStopIsIdempotent) {
