@@ -321,7 +321,7 @@ bool smoke_mode() {
 
 std::vector<int> sweep_thread_counts() {
   if (smoke_mode()) return {1, 2};
-  std::vector<int> counts = {1, 2, 4, util::ThreadPool::default_threads()};
+  std::vector<int> counts = {1, 2, 4, util::default_threads()};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
   return counts;
@@ -474,7 +474,7 @@ void emit_rows(const std::vector<SweepRow>& rows) {
   std::fprintf(f,
                "{\n  \"hardware_threads\": %d,\n  \"avx2\": %s,\n"
                "  \"results\": [\n",
-               util::ThreadPool::default_threads(),
+               util::default_threads(),
                nn::simd::use_avx2() ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];

@@ -41,6 +41,13 @@ float* simd_panel(int64_t k, int64_t n) {
   return tl_simd_panel.data();
 }
 
+// Zeroes C[m x n]. An empty C may be a null pointer, which memset must not
+// be handed even for a zero length.
+void zero_output(float* c, int64_t m, int64_t n) {
+  if (m * n == 0) return;
+  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+}
+
 // Rows [i0, i1) of C += A*B under the shared blocking. The per-(i, j)
 // accumulation order (k ascending) is independent of the row partition, so
 // any split of [0, m) — including the serial single-chunk one — produces
@@ -107,7 +114,7 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
     float* bp = simd_panel(k, n);
     kernels::pack_b_panel(b, k, n, bp);
     if (2 * m * k * n < kParallelMinFlops) {
-      std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+      zero_output(c, m, n);
       kernels::avx2_gemm_acc_rows(a, bp, c, k, n, 0, m);
       return;
     }
@@ -119,7 +126,7 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
     return;
   }
   if (2 * m * k * n < kParallelMinFlops) {
-    std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+    zero_output(c, m, n);
     gemm_acc_rows(a, b, c, k, n, 0, m);
     return;
   }

@@ -148,6 +148,7 @@ template <typename PackStrip4, typename PackStrip1>
 void skip_rows_driver(const float* b_panel, float* c, int64_t k, int64_t n,
                       int64_t i0, int64_t i1, PackStrip4&& pack4,
                       PackStrip1&& pack1) {
+  if (k == 0) return;  // C += nothing; an empty A may be a null pointer
   float* ap = astrip(k);
   const int64_t tiles = (n + kNR - 1) / kNR;
   for (int64_t ib = i0; ib < i1; ib += kMR) {

@@ -676,7 +676,8 @@ void SncSystem::run_crossbar_stage(
     }
   };
   if (!config_.stochastic_coding && !stage.final_readout) {
-    util::parallel_for(0, positions, 0, run_positions);
+    util::parallel_for(0, positions, std::max<int64_t>(1, positions / 32),
+                       run_positions);
   } else {
     run_positions(0, positions);
   }

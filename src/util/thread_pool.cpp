@@ -4,141 +4,151 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace qsnc::util {
 
 namespace {
-// Depth of parallel_for tasks running on this thread; nested calls at
-// depth > 0 execute inline so a task can never block on the pool it
+// Depth of parallel_for chunks running on this thread; nested calls at
+// depth > 0 execute inline so a chunk can never block on the pool it
 // occupies (deadlock freedom).
 thread_local int tl_depth = 0;
-}  // namespace
 
-struct ThreadPool::Impl {
-  // One fork-join invocation, living on the stack of its parallel_for.
-  // Invariant: a task's last access to its job is the unlock of `mu` after
-  // retiring itself, and parallel_for only returns after observing
-  // remaining == 0 under `mu` — so no task touches a destroyed job.
-  struct Job {
-    const std::function<void(int64_t, int64_t)>* fn = nullptr;
-    std::mutex mu;                 // guards remaining and error
-    std::condition_variable done;  // signalled when remaining drops to 0
-    int64_t remaining = 0;         // tasks not yet retired
-    std::exception_ptr error;
-  };
+// One fork-join invocation, living on the stack of its parallel_for.
+struct Job {
+  const std::function<void(int64_t, int64_t)>* fn = nullptr;
+  int64_t begin = 0;
+  int64_t end = 0;
+  int64_t grain = 1;
+  int64_t chunks = 0;
+  std::atomic<int64_t> next{0};  // next unclaimed chunk index
+  std::exception_ptr error{};    // first failure; guarded by Pool::mu
+};
 
-  struct Task {
-    int64_t begin = 0;
-    int64_t end = 0;
-    Job* job = nullptr;
-  };
-
-  // Per-worker deque: the owner pops from the front, thieves (including
-  // the submitting caller) pop from the back.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues;
-  std::vector<std::thread> workers;
-  std::mutex wake_mu;            // guards pending + stop
-  std::condition_variable wake_cv;
-  int64_t pending = 0;           // tasks sitting in deques
+// Job lifetime invariant: a worker enters a job only by reading the slot
+// and bumping `active` under `mu`, and leaves it by dropping `active`
+// under `mu` after its last chunk. The caller clears the slot and waits
+// under `mu` for active == 0 before its job leaves scope, so no worker
+// ever touches a finished job.
+struct Pool {
+  std::mutex caller_mu;            // held by the caller owning the slot
+  std::mutex mu;                   // guards the fields below
+  std::condition_variable wake;    // workers: new job or stop
+  std::condition_variable idle;    // caller: active dropped to 0
+  Job* job = nullptr;
+  uint64_t generation = 0;         // bumped per published job
+  int active = 0;                  // workers inside `job`
   bool stop = false;
-  std::atomic<uint64_t> deal_cursor{0};  // round-robin push start
+  std::vector<std::thread> workers;
+  std::atomic<int> threads{1};
 
-  static void run_task(const Task& task) {
-    ++tl_depth;
-    try {
-      (*task.job->fn)(task.begin, task.end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(task.job->mu);
-      if (!task.job->error) task.job->error = std::current_exception();
-    }
-    --tl_depth;
-    // Retire and notify under the job's mutex: the waiter cannot observe
-    // remaining == 0 (and destroy the job) until this lock is released.
-    std::lock_guard<std::mutex> lk(task.job->mu);
-    if (--task.job->remaining == 0) task.job->done.notify_all();
-  }
+  explicit Pool(int n) { start(n); }
+  ~Pool() { join(); }
 
-  // Pops one task, preferring queue `home` (front) and stealing from the
-  // others (back). Returns false when every deque is empty.
-  bool take_task(size_t home, Task* out) {
-    const size_t n = queues.size();
-    for (size_t i = 0; i < n; ++i) {
-      const size_t q = (home + i) % n;
-      WorkerQueue& wq = *queues[q];
-      std::lock_guard<std::mutex> lk(wq.mu);
-      if (wq.tasks.empty()) continue;
-      if (i == 0) {
-        *out = wq.tasks.front();
-        wq.tasks.pop_front();
-      } else {
-        *out = wq.tasks.back();
-        wq.tasks.pop_back();
-      }
-      {
-        std::lock_guard<std::mutex> wlk(wake_mu);
-        --pending;
-      }
-      return true;
-    }
-    return false;
-  }
-
-  void worker_loop(size_t index) {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(wake_mu);
-        wake_cv.wait(lk, [&] { return stop || pending > 0; });
-        if (stop) return;
-      }
-      Task task;
-      if (take_task(index, &task)) run_task(task);
+  void start(int n) {
+    threads.store(std::clamp(n, 1, 512));
+    stop = false;
+    for (int i = 1; i < threads.load(); ++i) {
+      workers.emplace_back([this] { worker_loop(); });
     }
   }
 
-  explicit Impl(int worker_count) {
-    queues.reserve(static_cast<size_t>(worker_count));
-    for (int i = 0; i < worker_count; ++i) {
-      queues.push_back(std::make_unique<WorkerQueue>());
-    }
-    workers.reserve(static_cast<size_t>(worker_count));
-    for (int i = 0; i < worker_count; ++i) {
-      workers.emplace_back([this, i] { worker_loop(static_cast<size_t>(i)); });
-    }
-  }
-
-  ~Impl() {
+  void join() {
     {
-      std::lock_guard<std::mutex> lk(wake_mu);
+      std::lock_guard<std::mutex> lk(mu);
       stop = true;
     }
-    wake_cv.notify_all();
+    wake.notify_all();
     for (std::thread& t : workers) t.join();
+    workers.clear();
+  }
+
+  void run_chunks(Job& j) {
+    ++tl_depth;
+    for (int64_t i = j.next.fetch_add(1, std::memory_order_relaxed);
+         i < j.chunks; i = j.next.fetch_add(1, std::memory_order_relaxed)) {
+      const int64_t b = j.begin + i * j.grain;
+      try {
+        (*j.fn)(b, std::min(b + j.grain, j.end));
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(mu);
+        if (!j.error) j.error = std::current_exception();
+      }
+    }
+    --tl_depth;
+  }
+
+  void worker_loop() {
+    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      wake.wait(lk, [&] { return stop || (job && generation != seen); });
+      if (stop) return;
+      seen = generation;
+      Job* j = job;
+      ++active;
+      lk.unlock();
+      run_chunks(*j);
+      lk.lock();
+      if (--active == 0) idle.notify_all();
+    }
   }
 };
 
-ThreadPool::ThreadPool(int threads) {
-  threads_ = std::clamp(threads, 1, 512);
-  impl_ = new Impl(threads_ - 1);
+Pool& pool() {
+  static Pool p(default_threads());
+  return p;
+}
+}  // namespace
+
+void parallel_for(int64_t begin, int64_t end, int64_t grain,
+                  const std::function<void(int64_t, int64_t)>& fn) {
+  if (grain < 1) throw std::invalid_argument("parallel_for: grain < 1");
+  if (begin >= end) return;
+  Pool& p = pool();
+  // Checked before try_lock: a nested caller may already own caller_mu.
+  if (tl_depth > 0 || end - begin <= grain ||
+      p.threads.load(std::memory_order_relaxed) <= 1) {
+    fn(begin, end);
+    return;
+  }
+  std::unique_lock<std::mutex> own(p.caller_mu, std::try_to_lock);
+  if (!own) {
+    fn(begin, end);
+    return;
+  }
+
+  Job job{&fn, begin, end, grain, (end - begin + grain - 1) / grain};
+  {
+    std::lock_guard<std::mutex> lk(p.mu);
+    p.job = &job;
+    ++p.generation;
+  }
+  p.wake.notify_all();
+  p.run_chunks(job);
+  {
+    std::unique_lock<std::mutex> lk(p.mu);
+    p.job = nullptr;
+    p.idle.wait(lk, [&] { return p.active == 0; });
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
-ThreadPool::~ThreadPool() { delete impl_; }
+int num_threads() { return pool().threads.load(); }
 
-ThreadPool& ThreadPool::instance() {
-  static ThreadPool pool(default_threads());
-  return pool;
+void set_num_threads(int n) {
+  Pool& p = pool();
+  std::lock_guard<std::mutex> own(p.caller_mu);
+  if (std::clamp(n, 1, 512) == p.threads.load()) return;
+  p.join();
+  p.start(n);
 }
 
-int ThreadPool::default_threads() {
+int default_threads() {
   if (const char* env = std::getenv("QSNC_THREADS")) {
     char* tail = nullptr;
     const long v = std::strtol(env, &tail, 10);
@@ -150,78 +160,6 @@ int ThreadPool::default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool ThreadPool::in_parallel_region() { return tl_depth > 0; }
-
-void ThreadPool::set_threads(int n) {
-  n = std::clamp(n, 1, 512);
-  if (n == threads_) return;
-  delete impl_;
-  threads_ = n;
-  impl_ = new Impl(threads_ - 1);
-}
-
-void ThreadPool::parallel_for(
-    int64_t begin, int64_t end, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& fn) {
-  if (begin >= end) return;
-  if (threads_ <= 1 || tl_depth > 0) {
-    // Serial / nested fallback: the whole range as one chunk is a valid
-    // partition under the determinism contract.
-    fn(begin, end);
-    return;
-  }
-  int64_t g = grain;
-  if (g <= 0) {
-    // Auto grain: ~8 chunks per thread. Only safe for kernels whose chunks
-    // write disjoint outputs (boundaries depend on the pool size).
-    g = std::max<int64_t>(
-        1, (end - begin + threads_ * 8 - 1) / (threads_ * 8));
-  }
-  if (end - begin <= g) {
-    fn(begin, end);
-    return;
-  }
-
-  Impl::Job job;
-  job.fn = &fn;
-  const int64_t chunks = (end - begin + g - 1) / g;
-  job.remaining = chunks;
-
-  const size_t nq = impl_->queues.size();
-  size_t q = static_cast<size_t>(
-      impl_->deal_cursor.fetch_add(1, std::memory_order_relaxed) % nq);
-  for (int64_t b = begin; b < end; b += g) {
-    const Impl::Task task{b, std::min(b + g, end), &job};
-    {
-      std::lock_guard<std::mutex> lk(impl_->queues[q]->mu);
-      impl_->queues[q]->tasks.push_back(task);
-    }
-    q = (q + 1) % nq;
-  }
-  {
-    std::lock_guard<std::mutex> lk(impl_->wake_mu);
-    impl_->pending += chunks;
-  }
-  impl_->wake_cv.notify_all();
-
-  // The caller works alongside the pool until the deques drain, then
-  // parks until in-flight tasks (on workers) retire.
-  Impl::Task task;
-  while (impl_->take_task(0, &task)) Impl::run_task(task);
-  {
-    std::unique_lock<std::mutex> lk(job.mu);
-    job.done.wait(lk, [&] { return job.remaining == 0; });
-    if (job.error) std::rethrow_exception(job.error);
-  }
-}
-
-void parallel_for(int64_t begin, int64_t end, int64_t grain,
-                  const std::function<void(int64_t, int64_t)>& fn) {
-  ThreadPool::instance().parallel_for(begin, end, grain, fn);
-}
-
-int num_threads() { return ThreadPool::instance().threads(); }
-
-void set_num_threads(int n) { ThreadPool::instance().set_threads(n); }
+bool in_parallel_region() { return tl_depth > 0; }
 
 }  // namespace qsnc::util

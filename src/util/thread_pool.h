@@ -1,23 +1,20 @@
-// Persistent work-stealing thread pool behind a fork-join parallel_for.
+// Persistent thread pool behind a fork-join parallel_for.
 //
-// Design (pthreadpool-style, cf. NNPACK): one process-wide pool of worker
-// threads, each owning a mutex-guarded deque of range tasks. parallel_for
-// splits [begin, end) into grain-sized chunks, deals them round-robin
-// across the worker deques, and the calling thread then works alongside
-// the pool — popping its victims' deques from the back (steal) while
-// workers pop their own from the front — until the job drains. Idle
-// workers park on a condition variable; there is no spinning.
+// Design (pthreadpool-style, cf. NNPACK): one process-wide pool of parked
+// worker threads and one job slot. parallel_for publishes its job in the
+// slot and wakes the workers; every thread, the caller included, claims
+// the next grain-sized chunk from one atomic index until none are left.
+// Idle workers park on a condition variable; there is no spinning.
 //
 // Determinism contract: chunk boundaries depend only on (begin, end,
 // grain) — never on the thread count — so a kernel whose chunks write
 // disjoint outputs (or that reduces per-chunk partials in fixed order)
-// produces bit-identical results at 1, 2, or N threads. When `grain <= 0`
-// an automatic grain is chosen from the pool size; use that only for
-// kernels with disjoint writes.
+// produces bit-identical results at 1, 2, or N threads.
 //
-// Serial guarantees: a pool of <= 1 thread, a range that fits one grain
-// chunk, and any parallel_for issued from inside a running task (nesting)
-// all execute inline on the caller with zero synchronization.
+// Serial guarantees: fn(begin, end) runs inline on the caller, as the one
+// chunk of a valid partition, when the pool has <= 1 thread, when the
+// range fits one grain chunk, when the call is nested inside a running
+// chunk, and when another thread's job holds the pool (contention).
 //
 // Sizing: the pool starts lazily with QSNC_THREADS (env) threads when set,
 // else std::thread::hardware_concurrency(); tools expose the same knob as
@@ -29,53 +26,29 @@
 
 namespace qsnc::util {
 
-class ThreadPool {
- public:
-  /// Process-wide pool, created on first use.
-  static ThreadPool& instance();
-
-  /// Pool size from the environment: QSNC_THREADS when set (clamped to
-  /// [1, 512]), else hardware_concurrency(), else 1.
-  static int default_threads();
-
-  /// True while the calling thread is executing a parallel_for task (used
-  /// to run nested parallelism inline).
-  static bool in_parallel_region();
-
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Current logical thread count (caller + workers).
-  int threads() const { return threads_; }
-
-  /// Re-sizes the pool (joins workers, restarts). Must not be called from
-  /// inside a task or while another thread has a parallel_for in flight.
-  void set_threads(int n);
-
-  /// Invokes fn(chunk_begin, chunk_end) over a partition of [begin, end)
-  /// into chunks of at most `grain` indices (last chunk may be short).
-  /// Blocks until every chunk ran; the first exception thrown by any chunk
-  /// is rethrown here after the job drains. fn must tolerate any
-  /// interleaving of chunks across threads.
-  void parallel_for(int64_t begin, int64_t end, int64_t grain,
-                    const std::function<void(int64_t, int64_t)>& fn);
-
- private:
-  struct Impl;
-  Impl* impl_;
-  int threads_;
-};
-
-/// parallel_for on the global pool (see ThreadPool::parallel_for).
+/// Invokes fn(chunk_begin, chunk_end) over a partition of [begin, end)
+/// into chunks of at most `grain` indices (last chunk may be short).
+/// Blocks until every chunk ran; the first exception thrown by any chunk
+/// is rethrown here after the job drains. fn must tolerate any
+/// interleaving of chunks across threads. Throws std::invalid_argument
+/// when grain < 1.
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn);
 
-/// Size of the global pool.
+/// Current logical thread count of the pool (caller + workers).
 int num_threads();
 
-/// Re-sizes the global pool (see ThreadPool::set_threads).
+/// Re-sizes the pool to n threads, clamped to [1, 512] (joins workers,
+/// restarts). Waits for an in-flight job; must not be called from inside
+/// a chunk.
 void set_num_threads(int n);
+
+/// Pool size from the environment: QSNC_THREADS when set (clamped to
+/// [1, 512]), else hardware_concurrency(), else 1.
+int default_threads();
+
+/// True while the calling thread is executing a parallel_for chunk (used
+/// to run nested parallelism inline).
+bool in_parallel_region();
 
 }  // namespace qsnc::util

@@ -1,12 +1,17 @@
-// Unit tests of the work-stealing pool: coverage, grain partitioning,
-// nesting, exception propagation, reconfiguration, and job lifetime under
-// concurrent callers.
+// Unit tests of the single-job-slot pool: coverage, grain partitioning,
+// nesting, exception propagation, reconfiguration, workers joining a job,
+// contended callers running inline, job lifetime under concurrent
+// callers, and QSNC_THREADS parsing.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +19,19 @@
 
 namespace qsnc::util {
 namespace {
+
+// Spins (yielding) until pred() holds or 5 s pass; returns pred(). Lets a
+// concurrency test fail on a bug instead of hanging.
+template <typename Pred>
+bool wait_for(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 // Restores the global pool size after each test so thread-count choices
 // cannot leak into other tests in this binary.
@@ -90,7 +108,7 @@ TEST_F(ThreadPoolTest, NestedParallelForRunsInlineAndCompletes) {
         ++inner_calls;
         for (int64_t j = ib; j < ie; ++j) inner_sum += j;
       });
-      if (ThreadPool::in_parallel_region()) {
+      if (in_parallel_region()) {
         EXPECT_EQ(inner_calls.load(), 1);
       }
       EXPECT_EQ(inner_sum, 4950);
@@ -169,10 +187,76 @@ TEST_F(ThreadPoolTest, ConcurrentCallersNeverOutliveTheirJobs) {
   EXPECT_EQ(wrong_sums.load(), 0);
 }
 
+// Each chunk blocks until all four have started, so the job completes
+// only if the caller and three workers each hold one chunk at once.
+TEST_F(ThreadPoolTest, WorkersRunChunksConcurrently) {
+  set_num_threads(4);
+  std::atomic<int> arrived{0};
+  std::atomic<int> timed_out{0};
+  parallel_for(0, 4, 1, [&](int64_t, int64_t) {
+    ++arrived;
+    if (!wait_for([&] { return arrived.load() == 4; })) ++timed_out;
+  });
+  EXPECT_EQ(arrived.load(), 4);
+  EXPECT_EQ(timed_out.load(), 0);
+}
+
+// While caller A's job holds the pool, caller B's parallel_for runs its
+// whole range as one chunk on B's own thread.
+TEST_F(ThreadPoolTest, ContendedCallerRunsInline) {
+  set_num_threads(4);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread a([&] {
+    parallel_for(0, 4, 1, [&](int64_t b, int64_t) {
+      if (b != 0) return;
+      held = true;
+      wait_for([&] { return release.load(); });
+    });
+  });
+  const bool a_holds_pool = wait_for([&] { return held.load(); });
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> calls;
+  std::vector<std::thread::id> ids;
+  if (a_holds_pool) {
+    parallel_for(0, 100, 10, [&](int64_t b, int64_t e) {
+      std::lock_guard<std::mutex> lk(mu);
+      calls.emplace_back(b, e);
+      ids.push_back(std::this_thread::get_id());
+    });
+  }
+  release = true;
+  a.join();
+  ASSERT_TRUE(a_holds_pool);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], (std::pair<int64_t, int64_t>{0, 100}));
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+}
+
+TEST_F(ThreadPoolTest, ZeroGrainIsRejected) {
+  set_num_threads(4);
+  auto noop = [](int64_t, int64_t) {};
+  EXPECT_THROW(parallel_for(0, 100, 0, noop), std::invalid_argument);
+  EXPECT_THROW(parallel_for(0, 100, -1, noop), std::invalid_argument);
+}
+
 TEST_F(ThreadPoolTest, DefaultThreadsHonorsEnvFormat) {
-  // default_threads() is pinned by QSNC_THREADS when valid; here we only
-  // assert it always reports at least one thread.
-  EXPECT_GE(ThreadPool::default_threads(), 1);
+  const char* saved = std::getenv("QSNC_THREADS");
+  const std::optional<std::string> original =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  const unsigned hw_raw = std::thread::hardware_concurrency();
+  const int hw = hw_raw == 0 ? 1 : static_cast<int>(hw_raw);
+  const std::vector<std::pair<const char*, int>> cases = {
+      {"3", 3}, {"9999", 512}, {"0", hw}, {"abc", hw}, {"4x", hw}};
+  for (const auto& [value, expected] : cases) {
+    setenv("QSNC_THREADS", value, 1);
+    EXPECT_EQ(default_threads(), expected) << "QSNC_THREADS=" << value;
+  }
+  unsetenv("QSNC_THREADS");
+  EXPECT_EQ(default_threads(), hw);
+  if (original) {
+    setenv("QSNC_THREADS", original->c_str(), 1);
+  }
 }
 
 }  // namespace
