@@ -1,6 +1,6 @@
 // Kernel-level micro-benchmarks (google-benchmark): GEMM, im2col,
-// convolution forward, crossbar reads, the SNC batched row drive,
-// quantizers, spike coding.
+// convolution forward, the integer conv kernel, crossbar reads, the SNC
+// batched row drive, quantizers, spike coding.
 //
 // In addition to the google-benchmark suite, main() runs two sweeps and
 // writes them to BENCH_kernels.json (override the path with
@@ -285,6 +285,45 @@ void BM_IntQuantEngine(benchmark::State& state) {
 BENCHMARK(BM_IntQuantEngine)
     ->ArgsProduct({{1, 8}, {0, 1}})
     ->ArgNames({"batch", "avx2"});
+
+// One lenet-mini convolution through nn::igemm_conv, the integer engine's
+// conv kernel: range(0) = 1 for conv1 (1x28x28, 6 maps of 5x5, pad 2),
+// 2 for conv2 (6x14x14, 12 maps of 5x5); range(1) = 1 for the AVX2
+// kernels, 0 forced scalar; one thread. Weights are 8-bit, the image
+// 4-bit signals with half of them zero.
+void BM_IGemmConv(benchmark::State& state) {
+  const bool conv1 = state.range(0) == 1;
+  const bool avx2 = state.range(1) != 0;
+  const int64_t channels = conv1 ? 1 : 6, extent = conv1 ? 28 : 14;
+  const int64_t pad = conv1 ? 2 : 0, maps = conv1 ? 6 : 12, kernel = 5;
+  const int64_t out = nn::conv_out_extent(extent, kernel, 1, pad);
+  const bool prev_force = nn::simd::set_force_scalar(!avx2);
+  const int prev_threads = util::num_threads();
+  util::set_num_threads(1);
+  nn::Rng rng(11);
+  std::vector<int16_t> w(static_cast<size_t>(maps * channels * kernel *
+                                             kernel));
+  for (int16_t& x : w) x = static_cast<int16_t>(rng.uniform_int(-127, 127));
+  std::vector<int16_t> image(static_cast<size_t>(channels * extent * extent));
+  for (int16_t& x : image) {
+    x = static_cast<int16_t>(rng.uniform_int(0, 1) * rng.uniform_int(0, 15));
+  }
+  std::vector<int32_t> c(static_cast<size_t>(maps * out * out));
+  for (auto _ : state) {
+    nn::igemm_conv(w.data(), image.data(), channels, extent, extent, kernel,
+                   1, pad, maps, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * maps * channels * kernel *
+                          kernel * out * out);
+  state.SetLabel(avx2 && nn::simd::use_avx2() ? "avx2" : "scalar");
+  util::set_num_threads(prev_threads);
+  nn::simd::set_force_scalar(prev_force);
+}
+BENCHMARK(BM_IGemmConv)
+    ->ArgsProduct({{1, 2}, {0, 1}})
+    ->ArgNames({"conv", "avx2"});
 
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep -> BENCH_kernels.json

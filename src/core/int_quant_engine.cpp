@@ -9,6 +9,7 @@
 
 #include "core/dynamic_fixed_point.h"
 #include "core/fixed_point.h"
+#include "core/int_epilogue.h"
 #include "nn/im2col.h"
 #include "nn/layers/batchnorm.h"
 #include "nn/layers/conv2d.h"
@@ -17,6 +18,8 @@
 #include "nn/layers/flatten.h"
 #include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
+#include "nn/max_pool_walk.h"
+#include "nn/simd.h"
 #include "util/thread_pool.h"
 
 namespace qsnc::core {
@@ -77,60 +80,14 @@ bool dot_product_exact(int64_t signal_peak, int32_t abs_max_int,
   return signal_peak * int64_t{abs_max_int} * k_dim < (int64_t{1} << 24);
 }
 
-// Crossbar epilogue, y = float(acc) * step + bias. Both conversions are
-// exact (see the header), so y is the float GEMM's value plus the bias,
-// rounded once as the layer rounds it. Adding a +0.0 bias for a layer
-// without one is exact too: float(acc) * step is never -0.0. A signal
-// output folds in the following ReLU and M-bit rounding. The bias is one
-// value per conv row or one per dense column; both loops vectorize.
-inline void store(float y, float, float* out) { *out = y; }
-inline void store(float y, float peak, int16_t* out) {
-  *out = static_cast<int16_t>(relu_quantize_signal(y, peak));
-}
-
-template <typename Out>
-void epilogue(const int32_t* acc, int64_t count, float step, float bias,
-              float peak, Out* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    store(static_cast<float>(acc[i]) * step + bias, peak, out + i);
-  }
-}
-
-template <typename Out>
-void epilogue(const int32_t* acc, int64_t count, float step,
-              const float* bias, float peak, Out* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    store(static_cast<float>(acc[i]) * step + bias[i], peak, out + i);
-  }
-}
-
-// MaxPool2d::forward's window walk and `v > best` comparison over
-// `planes` [h x w] planes, on int16 signals or floats alike: signals are
-// exact in float, so their maxima match the float path's. Windows never
-// cross the plane edge (pool extents are conv_out_extent with no padding),
-// so MaxPool2d's edge checks are dropped.
-template <typename T>
-void max_pool(const T* in, int64_t planes, int64_t in_h, int64_t in_w,
-              int64_t kernel, int64_t stride, int64_t out_h, int64_t out_w,
-              T* out) {
-  const T lowest = std::numeric_limits<T>::has_infinity
-                       ? -std::numeric_limits<T>::infinity()
-                       : std::numeric_limits<T>::lowest();
-  for (int64_t c = 0; c < planes; ++c) {
-    const T* plane = in + c * in_h * in_w;
-    for (int64_t oy = 0; oy < out_h; ++oy) {
-      for (int64_t ox = 0; ox < out_w; ++ox) {
-        const T* window = plane + oy * stride * in_w + ox * stride;
-        T best = lowest;
-        for (int64_t ky = 0; ky < kernel; ++ky) {
-          for (int64_t kx = 0; kx < kernel; ++kx) {
-            const T v = window[ky * in_w + kx];
-            if (v > best) best = v;
-          }
-        }
-        *out++ = best;
-      }
-    }
+// One epilogue call, on the AVX2 instantiation when `avx2`.
+template <typename Bias, typename Out>
+void epilogue(bool avx2, const int32_t* acc, int64_t count, float step,
+              Bias bias, float peak, Out* out) {
+  if (avx2) {
+    avx2_epilogue(acc, count, step, bias, peak, out);
+  } else {
+    epilogue_loop(acc, count, step, bias, peak, out);
   }
 }
 
@@ -313,6 +270,7 @@ nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
   std::vector<float> floats;
   util::aligned_vector<int16_t> signals_out;
   std::vector<float> floats_out;
+  const bool avx2 = nn::simd::use_avx2();
 
   for (const Op& op : ops_) {
     const size_t out_size = static_cast<size_t>(n * op.out_numel);
@@ -337,10 +295,10 @@ nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
               const int32_t* row = acc.data() + oc * out_hw;
               const float b = op.bias[static_cast<size_t>(oc)];
               if (op.int_out) {
-                epilogue(row, out_hw, op.step, b, signal_peak_,
+                epilogue(avx2, row, out_hw, op.step, b, signal_peak_,
                          signals_out.data() + at);
               } else {
-                epilogue(row, out_hw, op.step, b, signal_peak_,
+                epilogue(avx2, row, out_hw, op.step, b, signal_peak_,
                          floats_out.data() + at);
               }
             }
@@ -354,11 +312,11 @@ nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
         for (int64_t row = 0; row < n; ++row) {
           const int64_t at = row * op.out_numel;
           if (op.int_out) {
-            epilogue(acc.data() + at, op.out_numel, op.step, op.bias.data(),
-                     signal_peak_, signals_out.data() + at);
+            epilogue(avx2, acc.data() + at, op.out_numel, op.step,
+                     op.bias.data(), signal_peak_, signals_out.data() + at);
           } else {
-            epilogue(acc.data() + at, op.out_numel, op.step, op.bias.data(),
-                     signal_peak_, floats_out.data() + at);
+            epilogue(avx2, acc.data() + at, op.out_numel, op.step,
+                     op.bias.data(), signal_peak_, floats_out.data() + at);
           }
         }
         break;
@@ -372,12 +330,18 @@ nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
       }
       case OpKind::kMaxPool: {
         const int64_t planes = n * op.in_c;
+        // Signals are exact in float, so their maxima match the float
+        // path's; floats start at -inf like MaxPool2d::forward.
         if (op.int_out) {
-          max_pool(signals.data(), planes, op.in_h, op.in_w, op.kernel,
-                   op.stride, op.out_h, op.out_w, signals_out.data());
+          nn::max_pool_planes(signals.data(), planes, op.in_h, op.in_w,
+                              op.kernel, op.stride, op.out_h, op.out_w,
+                              std::numeric_limits<int16_t>::lowest(),
+                              signals_out.data());
         } else {
-          max_pool(floats.data(), planes, op.in_h, op.in_w, op.kernel,
-                   op.stride, op.out_h, op.out_w, floats_out.data());
+          nn::max_pool_planes(floats.data(), planes, op.in_h, op.in_w,
+                              op.kernel, op.stride, op.out_h, op.out_w,
+                              -std::numeric_limits<float>::infinity(),
+                              floats_out.data());
         }
         break;
       }

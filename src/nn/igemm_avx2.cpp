@@ -49,58 +49,79 @@ void pack_ib_panel(const int16_t* b, int64_t k, int64_t n, int16_t* panel) {
 
 namespace {
 
-// Broadcasts the int16 pair (lo, hi) into every 32-bit lane.
-inline __m256i pair_bcast(int16_t lo, int16_t hi) {
-  const uint32_t u = static_cast<uint32_t>(static_cast<uint16_t>(lo)) |
-                     (static_cast<uint32_t>(static_cast<uint16_t>(hi)) << 16);
-  return _mm256_set1_epi32(static_cast<int32_t>(u));
-}
-
-// C(rows x 16) += A * B-tile over all k pairs. arow[r] points at A row r;
-// jw <= kINR live output lanes.
-inline void imkNx16(const int16_t* const* arow, int64_t rows,
-                    const int16_t* bt, int64_t k, int32_t* const* crow,
-                    int64_t jw) {
-  __m256i acc[kIMR][2];
-  for (int64_t r = 0; r < rows; ++r) {
-    acc[r][0] = _mm256_setzero_si256();
-    acc[r][1] = _mm256_setzero_si256();
+// C(R x 16) += A * B-tile over all of k, for R = 1..kIMR rows. arow[r]
+// points at A row r; jw <= kINR live output lanes. R is a template
+// argument so the unrolled row loops index the 2R accumulators with
+// constants and they stay in ymm registers. Each full k pair of a row is
+// one 32-bit load (the int16 pair in vpmaddwd's order) broadcast to every
+// lane. An odd k leaves one row past the last pair; it pairs with zero
+// and is added once, after the pair loop, so no load reads past a row.
+template <int R>
+inline void imkNx16(const int16_t* const* arow, const int16_t* bt, int64_t k,
+                    int32_t* const* crow, int64_t jw) {
+  __m256i acc0[R];
+  __m256i acc1[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    acc0[r] = _mm256_setzero_si256();
+    acc1[r] = _mm256_setzero_si256();
   }
-  const int64_t kp = k_pairs(k);
-  for (int64_t p = 0; p < kp; ++p) {
-    const __m256i b0 = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(bt + p * 2 * kINR));
-    const __m256i b1 = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(bt + p * 2 * kINR + kINR));
-    const int64_t k0 = 2 * p;
-    const bool has_hi = k0 + 1 < k;
-    for (int64_t r = 0; r < rows; ++r) {
-      const int16_t a0 = arow[r][k0];
-      const int16_t a1 = has_hi ? arow[r][k0 + 1] : int16_t{0};
-      // A zero pair adds nothing: zero weights when A is a conv's weight
-      // matrix, zero signals when A is a dense layer's activations.
-      if (a0 == 0 && a1 == 0) continue;
-      const __m256i v = pair_bcast(a0, a1);
-      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(v, b0));
-      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(v, b1));
+  // acc[r] += (pair, pair, ...) . b, for the k pair whose panel is bp.
+  const auto madd_pair = [&](const int16_t* bp, const auto& pair_of_row) {
+    const __m256i b0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(bp));
+    const __m256i b1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(bp + kINR));
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256i v = _mm256_set1_epi32(pair_of_row(r));
+      acc0[r] = _mm256_add_epi32(acc0[r], _mm256_madd_epi16(v, b0));
+      acc1[r] = _mm256_add_epi32(acc1[r], _mm256_madd_epi16(v, b1));
     }
+  };
+  const int64_t full = k / 2;
+  for (int64_t p = 0; p < full; ++p) {
+    madd_pair(bt + p * 2 * kINR, [&](int r) {
+      int32_t pair;
+      std::memcpy(&pair, arow[r] + 2 * p, sizeof(pair));
+      return pair;
+    });
+  }
+  if (k % 2 != 0) {
+    // (a[k-1], 0): the low int16 of the lane, the high one zero.
+    madd_pair(bt + full * 2 * kINR, [&](int r) -> int32_t {
+      return static_cast<uint16_t>(arow[r][k - 1]);
+    });
   }
   if (jw == kINR) {
-    for (int64_t r = 0; r < rows; ++r) {
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
       __m256i* c0 = reinterpret_cast<__m256i*>(crow[r]);
       __m256i* c1 = reinterpret_cast<__m256i*>(crow[r] + 8);
-      _mm256_storeu_si256(
-          c0, _mm256_add_epi32(_mm256_loadu_si256(c0), acc[r][0]));
-      _mm256_storeu_si256(
-          c1, _mm256_add_epi32(_mm256_loadu_si256(c1), acc[r][1]));
+      _mm256_storeu_si256(c0,
+                          _mm256_add_epi32(_mm256_loadu_si256(c0), acc0[r]));
+      _mm256_storeu_si256(c1,
+                          _mm256_add_epi32(_mm256_loadu_si256(c1), acc1[r]));
     }
   } else {
     alignas(64) int32_t abuf[kINR];
-    for (int64_t r = 0; r < rows; ++r) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(abuf), acc[r][0]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(abuf + 8), acc[r][1]);
+    for (int r = 0; r < R; ++r) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(abuf), acc0[r]);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(abuf + 8), acc1[r]);
       for (int64_t j = 0; j < jw; ++j) crow[r][j] += abuf[j];
     }
+  }
+}
+
+// imkNx16 at a runtime row count 1..kIMR.
+inline void imk_rows(const int16_t* const* arow, int64_t rows,
+                     const int16_t* bt, int64_t k, int32_t* const* crow,
+                     int64_t jw) {
+  static_assert(kIMR == 4, "one case per row count");
+  switch (rows) {
+    case 4: imkNx16<4>(arow, bt, k, crow, jw); break;
+    case 3: imkNx16<3>(arow, bt, k, crow, jw); break;
+    case 2: imkNx16<2>(arow, bt, k, crow, jw); break;
+    default: imkNx16<1>(arow, bt, k, crow, jw); break;
   }
 }
 
@@ -121,7 +142,7 @@ void avx2_igemm_acc_rows(const int16_t* a, const int16_t* b_panel, int32_t* c,
         arow[r] = a + (ib + r) * k;
         crow[r] = c + (ib + r) * n + j0;
       }
-      imkNx16(arow, rows, b_panel + jt * kp * 2 * kINR, k, crow, jw);
+      imk_rows(arow, rows, b_panel + jt * kp * 2 * kINR, k, crow, jw);
     }
   }
 }

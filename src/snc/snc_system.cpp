@@ -16,6 +16,7 @@
 #include "nn/layers/batchnorm.h"
 #include "nn/layers/relu.h"
 #include "nn/layers/residual.h"
+#include "nn/max_pool_walk.h"
 #include "util/thread_pool.h"
 
 namespace qsnc::snc {
@@ -843,27 +844,12 @@ std::vector<int64_t> SncSystem::run_pool_stage(
     const Stage& stage, const std::vector<int64_t>& signal) const {
   switch (stage.kind) {
     case Stage::Kind::kMaxPool: {
+      // Counts are never negative, so the walk starts at the 0 floor.
       std::vector<int64_t> out(
           static_cast<size_t>(stage.out_c * stage.out_h * stage.out_w));
-      for (int64_t ch = 0; ch < stage.in_c; ++ch) {
-        for (int64_t oy = 0; oy < stage.out_h; ++oy) {
-          for (int64_t ox = 0; ox < stage.out_w; ++ox) {
-            int64_t best = 0;
-            for (int64_t ky = 0; ky < stage.kernel; ++ky) {
-              for (int64_t kx = 0; kx < stage.kernel; ++kx) {
-                const int64_t iy = oy * stage.stride + ky;
-                const int64_t ix = ox * stage.stride + kx;
-                if (iy >= stage.in_h || ix >= stage.in_w) continue;
-                best = std::max(
-                    best, signal[static_cast<size_t>(
-                              (ch * stage.in_h + iy) * stage.in_w + ix)]);
-              }
-            }
-            out[static_cast<size_t>(
-                (ch * stage.out_h + oy) * stage.out_w + ox)] = best;
-          }
-        }
-      }
+      nn::max_pool_planes(signal.data(), stage.in_c, stage.in_h, stage.in_w,
+                          stage.kernel, stage.stride, stage.out_h,
+                          stage.out_w, int64_t{0}, out.data());
       return out;
     }
     case Stage::Kind::kAvgPool: {

@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace qsnc::snc {
 
+namespace {
+
+// The widths SpikeCounter accepts. The check sits inline in each encoder,
+// so the compiler knows window_slots(bits) is in [1, 2^30 - 1] there.
+inline bool bits_in_range(int bits) { return bits >= 1 && bits <= 30; }
+
+[[noreturn]] void throw_bad_bits(const char* caller) {
+  throw std::invalid_argument(std::string(caller) + ": bits out of range");
+}
+
+}  // namespace
+
 void rate_encode_into(int64_t value, int bits, uint8_t* train) {
+  if (!bits_in_range(bits)) throw_bad_bits("rate_encode");
   const int64_t slots = window_slots(bits);
   const int64_t n = std::clamp<int64_t>(value, 0, slots);
   std::fill(train, train + slots, uint8_t{0});
@@ -23,6 +37,7 @@ void rate_encode_into(int64_t value, int bits, uint8_t* train) {
 
 void rate_encode_stochastic_into(int64_t value, int bits, nn::Rng& rng,
                                  uint8_t* train) {
+  if (!bits_in_range(bits)) throw_bad_bits("rate_encode_stochastic");
   const int64_t slots = window_slots(bits);
   const int64_t n = std::clamp<int64_t>(value, 0, slots);
   const double p = static_cast<double>(n) / static_cast<double>(slots);
@@ -30,6 +45,7 @@ void rate_encode_stochastic_into(int64_t value, int bits, nn::Rng& rng,
 }
 
 std::vector<uint8_t> rate_encode(int64_t value, int bits) {
+  if (!bits_in_range(bits)) throw_bad_bits("rate_encode");
   std::vector<uint8_t> train(static_cast<size_t>(window_slots(bits)));
   rate_encode_into(value, bits, train.data());
   return train;
@@ -37,6 +53,7 @@ std::vector<uint8_t> rate_encode(int64_t value, int bits) {
 
 std::vector<uint8_t> rate_encode_stochastic(int64_t value, int bits,
                                             nn::Rng& rng) {
+  if (!bits_in_range(bits)) throw_bad_bits("rate_encode_stochastic");
   std::vector<uint8_t> train(static_cast<size_t>(window_slots(bits)));
   rate_encode_stochastic_into(value, bits, rng, train.data());
   return train;
@@ -67,9 +84,7 @@ int64_t IntegrateFire::integrate(double charge) {
 
 SpikeCounter::SpikeCounter(int bits)
     : ceiling_((int64_t{1} << bits) - 1) {
-  if (bits < 1 || bits > 30) {
-    throw std::invalid_argument("SpikeCounter: bits out of range");
-  }
+  if (!bits_in_range(bits)) throw_bad_bits("SpikeCounter");
 }
 
 void SpikeCounter::count(int64_t spikes) {

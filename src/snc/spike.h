@@ -34,6 +34,9 @@ std::vector<uint8_t> rate_encode_stochastic(int64_t value, int bits,
 /// `window_slots(bits)` RNG draws for every value — including zero — so a
 /// caller that encodes only the rows it needs keeps the stream aligned
 /// with one that encodes everything.
+///
+/// Every encoder throws std::invalid_argument for `bits` outside [1, 30]
+/// (SpikeCounter's range), before it allocates or writes.
 void rate_encode_into(int64_t value, int bits, uint8_t* train);
 void rate_encode_stochastic_into(int64_t value, int bits, nn::Rng& rng,
                                  uint8_t* train);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "nn/layers/flatten.h"
 #include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
+#include "nn/max_pool_walk.h"
 #include "nn/network.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
@@ -315,6 +317,98 @@ TEST(IntQuantEngineTest, NetEndingInReLUMatchesFloatPath) {
   net.emplace<nn::ReLU>();
   snap_to_dyadic_grid(net, rng);
   expect_engine_matches_float_path(net, kInputShape, 5, 68);
+}
+
+// A 2x2/stride-2 pool over odd extents drops the last row and column; it
+// takes the two-rows-per-output path on signals.
+TEST(IntQuantEngineTest, TwoByTwoPoolOverOddExtentsMatchesFloatPath) {
+  for (int64_t extent : {5, 7}) {
+    SCOPED_TRACE("extent=" + std::to_string(extent));
+    const nn::Shape chw{2, extent, extent};
+    nn::Rng rng(71 + extent);
+    nn::Network net;
+    net.emplace<nn::Conv2d>(2, 4, 3, 1, 1, rng);  // extent x extent
+    net.emplace<nn::ReLU>();
+    net.emplace<nn::MaxPool2d>(2, 2);
+    const int64_t pooled = (extent - 2) / 2 + 1;
+    net.emplace<nn::Flatten>();
+    net.emplace<nn::Dense>(4 * pooled * pooled, 10, rng);
+    snap_to_dyadic_grid(net, rng);
+    expect_engine_matches_float_path(net, chw, 5, 72 + extent);
+  }
+}
+
+// Overlapping (3x3/s2) and stride-1 (2x2/s1) windows take the generic walk.
+TEST(IntQuantEngineTest, GenericPoolWindowsMatchFloatPath) {
+  for (int64_t kernel : {2, 3}) {
+    const int64_t stride = kernel == 3 ? 2 : 1;
+    SCOPED_TRACE("kernel=" + std::to_string(kernel) +
+                 " stride=" + std::to_string(stride));
+    const nn::Shape chw{1, 9, 9};
+    nn::Rng rng(75 + kernel);
+    nn::Network net;
+    net.emplace<nn::Conv2d>(1, 3, 3, 1, 1, rng);  // 9x9
+    net.emplace<nn::ReLU>();
+    net.emplace<nn::MaxPool2d>(kernel, stride);
+    const int64_t pooled = (9 - kernel) / stride + 1;
+    net.emplace<nn::Flatten>();
+    net.emplace<nn::Dense>(3 * pooled * pooled, 10, rng);
+    snap_to_dyadic_grid(net, rng);
+    expect_engine_matches_float_path(net, chw, 4, 76 + kernel);
+  }
+}
+
+// A pool straight after a conv runs on its float outputs. With the logits
+// being those pooled floats, every negative maximum reaches the output.
+TEST(IntQuantEngineTest, FloatDomainPoolKeepsNegativeMaxima) {
+  nn::Rng rng(79);
+  nn::Network net;
+  auto& conv = net.emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Flatten>();
+  snap_to_dyadic_grid(net, rng);
+  for (int64_t i = 0; i < conv.bias().value.numel(); ++i) {
+    conv.bias().value[i] = -8.0f - static_cast<float>(i);
+  }
+  auto engine = IntQuantEngine::build(net, kInputShape, kBits);
+  ASSERT_NE(engine, nullptr);
+  const nn::Tensor encoded = encode(random_pixels(3, 80));
+  const nn::Tensor got = engine->forward(encoded);
+  int64_t negative = 0;
+  for (int64_t i = 0; i < got.numel(); ++i) negative += got[i] < 0.0f;
+  EXPECT_GT(negative, got.numel() / 4);
+  expect_engine_matches_float_path(net, kInputShape, 3, 80);
+}
+
+// The float walk against MaxPool2d::forward on taps a conv epilogue never
+// yields: -0.0 before and after +0.0, NaN, and all-negative windows. The
+// first of equal values wins and NaN taps are skipped, bit for bit.
+TEST(IntQuantEngineTest, FloatPoolWalkMatchesMaxPool2dOnSignedZerosAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // One 5x6 plane; each 2x2 window (rows 0-1, 2-3) is one case.
+  const std::vector<float> plane{
+      -0.0f, 0.0f, 0.0f,  -0.0f, nan,   -3.0f,  //
+      -0.0f, 0.0f, -0.0f, 0.0f,  -5.0f, nan,    //
+      -2.0f, -1.5f, nan,  nan,   -inf,  -inf,   //
+      -7.0f, -1.5f, nan,  nan,   -inf,  -1.0f,  //
+      9.0f,  9.0f, 9.0f,  9.0f,  9.0f,  9.0f};  // dropped by the 2x2/s2 pool
+  for (int64_t kernel : {2, 3}) {
+    const int64_t stride = 2;
+    SCOPED_TRACE("kernel=" + std::to_string(kernel));
+    nn::MaxPool2d pool(kernel, stride);
+    const nn::Tensor want =
+        pool.forward(nn::Tensor({1, 1, 5, 6}, plane), false);
+    std::vector<float> got(static_cast<size_t>(want.numel()), 1.0f);
+    nn::max_pool_planes(plane.data(), 1, 5, 6, kernel, stride, want.dim(2),
+                        want.dim(3), -inf, got.data());
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      const float g = got[static_cast<size_t>(i)];
+      EXPECT_TRUE(g == want[i] || (std::isnan(g) && std::isnan(want[i])))
+          << "output " << i << ": " << g << " vs " << want[i];
+      EXPECT_EQ(std::signbit(g), std::signbit(want[i])) << "output " << i;
+    }
+  }
 }
 
 // lenet-mini as the quant serving benchmark deploys it: weights on their

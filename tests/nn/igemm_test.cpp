@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "nn/gemm_kernels.h"
@@ -139,6 +140,66 @@ INSTANTIATE_TEST_SUITE_P(
       return "m" + std::to_string(info.param.m) + "_k" +
              std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
     });
+
+// How A's k pairs are filled in the tile sweep below.
+enum class PairFill { kDense, kZeroAndHalfZeroPairs, kAllZero };
+
+// A [m x k] with values in [-64, 64]. kZeroAndHalfZeroPairs cycles the k
+// pairs (2p, 2p+1) through (0, 0), (a, 0), (0, a) and (a, b), so a zero
+// pair and each half of a pair meet every row and the odd-k tail.
+std::vector<int16_t> tile_a(int64_t m, int64_t k, PairFill fill, Rng& rng) {
+  std::vector<int16_t> a = random_i16(m * k, 64, rng);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int64_t pair = kk / 2 + i;  // shift the cycle per row
+      const bool lo = kk % 2 == 0;
+      bool zero = fill == PairFill::kAllZero;
+      if (fill == PairFill::kZeroAndHalfZeroPairs) {
+        zero = pair % 4 == 0 || (pair % 4 == 1 && !lo) ||
+               (pair % 4 == 2 && lo);
+      }
+      if (zero) a[static_cast<size_t>(i * k + kk)] = 0;
+    }
+  }
+  return a;
+}
+
+// The AVX2 tile is instantiated per row count and handles an odd k once,
+// after its pair loop: every row remainder of kIMR, odd and even k, and n
+// around one 16-lane tile, against the naive loop on both dispatches.
+TEST(IGemmTest, EveryTileRowCountKTailAndWidthMatchesNaive) {
+  for (int64_t m : {1, 2, 3, 4, 5, 6, 9, 12}) {
+    for (int64_t k : {1, 2, 3, 25, 151}) {
+      for (int64_t n : {1, 15, 16, 17, 100}) {
+        for (PairFill fill : {PairFill::kDense, PairFill::kZeroAndHalfZeroPairs,
+                              PairFill::kAllZero}) {
+          Rng rng(m * 1009 + k * 31 + n * 7 + static_cast<int64_t>(fill));
+          const auto a = tile_a(m, k, fill, rng);
+          const auto b = random_i16(k * n, 64, rng);
+          const auto c0 = random_i32(m * n, 1000, rng);
+          std::vector<int32_t> want = c0;
+          naive_igemm_acc(a.data(), b.data(), want.data(), m, k, n);
+          std::vector<int32_t> from_zero(static_cast<size_t>(m * n), 0);
+          naive_igemm_acc(a.data(), b.data(), from_zero.data(), m, k, n);
+          const IGemmPackedB packed(b.data(), k, n);
+          for (bool force_scalar : {false, true}) {
+            SCOPED_TRACE("m" + std::to_string(m) + " k" + std::to_string(k) +
+                         " n" + std::to_string(n) + " fill " +
+                         std::to_string(static_cast<int>(fill)) +
+                         " force_scalar " + std::to_string(force_scalar));
+            ForceScalarGuard guard(force_scalar);
+            std::vector<int32_t> got = c0;
+            igemm_acc(a.data(), b.data(), got.data(), m, k, n);
+            ASSERT_EQ(got, want) << "igemm_acc";
+            std::vector<int32_t> pre(static_cast<size_t>(m * n), -1);
+            igemm_prepacked(a.data(), packed, pre.data(), m);
+            ASSERT_EQ(pre, from_zero) << "igemm_prepacked";
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(IGemmTest, TinyKnownResult) {
   // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]

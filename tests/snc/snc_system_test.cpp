@@ -12,6 +12,7 @@
 #include "models/model_zoo.h"
 #include "nn/layers/dense.h"
 #include "nn/layers/flatten.h"
+#include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
 
 namespace qsnc::snc {
@@ -65,6 +66,45 @@ TEST(SncSystemTest, HandComputedIntegerInference) {
   EXPECT_EQ(stats.layers, 2);
   // Input spikes 13, hidden 7+6=13, logit counters round to 4+10=14.
   EXPECT_EQ(stats.total_spikes, 13 + 13 + 14);
+}
+
+// The digital max-pool stage over an odd 5x5 plane: the 2x2/stride-2
+// windows drop the last row and column, which hold the plane's largest
+// counts. An identity readout layer makes the logits the pooled counts.
+TEST(SncSystemTest, TwoByTwoPoolOverOddPlaneHandComputed) {
+  nn::Rng rng(4);
+  nn::Network net;
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Flatten>();
+  auto& fc = net.emplace<nn::Dense>(4, 4, rng);
+  fc.weight().value = nn::Tensor({4, 4}, {1.0f, 0.0f, 0.0f, 0.0f,  //
+                                          0.0f, 1.0f, 0.0f, 0.0f,  //
+                                          0.0f, 0.0f, 1.0f, 0.0f,  //
+                                          0.0f, 0.0f, 0.0f, 1.0f});
+  fc.bias().value = nn::Tensor({4}, {0.0f, 0.0f, 0.0f, 0.0f});
+  SncConfig cfg = hand_config();
+  cfg.weight_scales = {2.0f};
+  SncSystem sys(net, {1, 5, 5}, cfg);
+
+  // Spike counts (pixel * 7, window 7).
+  const std::vector<int> counts{6, 1, 0, 5, 7,  //
+                                2, 3, 4, 1, 7,  //
+                                0, 1, 2, 0, 7,  //
+                                4, 2, 3, 7, 7,  //
+                                7, 7, 7, 7, 7};
+  nn::Tensor img({1, 5, 5});
+  for (int64_t i = 0; i < img.numel(); ++i) {
+    img[i] = static_cast<float>(counts[static_cast<size_t>(i)]) / 7.0f;
+  }
+  const int64_t pred = sys.infer(img);
+  // Each window's maximum sits at a different tap: max(6,1,2,3) = 6,
+  // max(0,5,4,1) = 5, max(0,1,4,2) = 4, max(2,0,3,7) = 7.
+  const std::vector<double> want{6.0, 5.0, 4.0, 7.0};
+  ASSERT_EQ(sys.last_logits().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(sys.last_logits()[i], want[i], 1e-9) << "pooled " << i;
+  }
+  EXPECT_EQ(pred, 3);
 }
 
 TEST(SncSystemTest, MatchesQuantizedNetworkOnRandomIntegers) {

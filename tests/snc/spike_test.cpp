@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace qsnc::snc {
 namespace {
 
@@ -43,6 +47,23 @@ TEST(RateEncodeTest, SpikesAreEvenlySpread) {
     }
   }
   EXPECT_LE(max_gap, 2);
+}
+
+// The encoders take the widths SpikeCounter takes. A rejected width
+// throws before the train is written (or, for the vector forms, sized).
+TEST(RateEncodeTest, RejectsOutOfRangeWidths) {
+  nn::Rng rng(1);
+  std::vector<uint8_t> train(4, 9);
+  for (int bits : {0, -1, 31, 64}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    EXPECT_THROW(rate_encode_into(1, bits, train.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(rate_encode_stochastic_into(1, bits, rng, train.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(rate_encode(1, bits), std::invalid_argument);
+    EXPECT_THROW(rate_encode_stochastic(1, bits, rng), std::invalid_argument);
+  }
+  EXPECT_EQ(train, std::vector<uint8_t>(4, 9));
 }
 
 TEST(RateEncodeStochasticTest, MeanApproachesValue) {
