@@ -49,8 +49,12 @@ class IntegerSignalQuantizer final : public nn::SignalQuantizer {
 /// half-away-from-zero, done with one truncation and an exact compare
 /// (`v - trunc(v)` is exact for 0 <= v < 2^23) so the loop around it
 /// needs no libcall and no floor(v + 0.5), which would round
-/// 0.49999997f up.
-inline int32_t relu_quantize_signal(float o, float max_value) {
+/// 0.49999997f up. Always inlined, so no TU emits an out-of-line copy:
+/// core/int_epilogue_avx2.cpp calls it from code built with -mavx2, and a
+/// weak AVX2 copy could otherwise be the one the linker keeps for every
+/// caller.
+[[gnu::always_inline]] inline int32_t relu_quantize_signal(float o,
+                                                          float max_value) {
   float v = o > 0.0f ? o : 0.0f;
   v = v < max_value ? v : max_value;
   const int32_t t = static_cast<int32_t>(v);

@@ -22,7 +22,9 @@ namespace qsnc::core {
 
 // Internal linkage on purpose: each including TU keeps its own copy,
 // built for its own instruction set. With inline (weak) linkage the
-// linker would keep one copy for both callers.
+// linker would keep one copy for both callers. relu_quantize_signal,
+// the one external function the loop calls, is always inlined, so the
+// AVX2 TU defines no weak symbol but its avx2_epilogue instantiations.
 namespace {
 
 inline void epilogue_store(float y, float, float* out) { *out = y; }

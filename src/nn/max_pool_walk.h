@@ -6,10 +6,14 @@
 // keeping `best = v > best ? v : best`. That is MaxPool2d::forward's
 // `v > best` comparison, so NaN taps are skipped and the first of equal
 // values wins (+0.0 before -0.0 stays +0.0, and the reverse stays -0.0).
-// The select has no data-dependent branch and compiles to a vector max
-// (pmaxsw / maxps, whose operand order gives the same NaN and signed-zero
-// result). Windows never cross the plane edge: pool extents are
-// conv_out_extent with no padding, so MaxPool2d's edge checks are dropped.
+// The select has no data-dependent branch. In the 2x2/stride-2 path
+// (lenet's pools) the tap offsets are fixed and GCC vectorizes it to
+// pmaxsw / maxps, whose operand order gives the same NaN and signed-zero
+// result; the generic walk's runtime offsets stay mostly scalar. Against
+// the generic walk alone the 2x2 path cuts the integer engine's lenet
+// batch by about a quarter (CHANGES.md has the runs). Windows never cross
+// the plane edge: pool extents are conv_out_extent with no padding, so
+// MaxPool2d's edge checks are dropped.
 #pragma once
 
 #include <cstdint>
