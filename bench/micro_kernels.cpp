@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/dynamic_fixed_point.h"
 #include "core/fixed_point.h"
 #include "core/int_quant_engine.h"
@@ -33,6 +34,7 @@
 #include "data/synthetic_mnist.h"
 #include "models/model_zoo.h"
 #include "nn/gemm.h"
+#include "nn/gemm_kernels.h"
 #include "nn/igemm.h"
 #include "nn/im2col.h"
 #include "nn/layers/conv2d.h"
@@ -189,11 +191,28 @@ BENCHMARK(BM_RateEncode)->Arg(4)->Arg(8);
 
 // The SNC collapsed read's row drive at lenet-mini's crossbar shapes:
 // range(0) = panel width (12: conv1, 6 columns over 25 taps; 24: conv2,
-// 12 columns over 150 taps), range(1) = batch. About 60% of the taps are
-// live, as in a lenet stage, and every live tap is one event.
+// 12 columns over 150 taps), range(1) = batch, range(2) = kernel tier
+// (0 scalar, 1 AVX2, 2 AVX-512), called directly through
+// nn/gemm_kernels.h; a tier the CPU lacks reports an error row. About 60%
+// of the taps are live, as in a lenet stage, and every live tap is one
+// event.
 void BM_AccumulateRowsBatch(benchmark::State& state) {
   const int64_t width = state.range(0);
   const int64_t batch = state.range(1);
+  const int64_t tier = state.range(2);
+  using Kernel = void (*)(const int32_t*, const int32_t*, int64_t,
+                          const double*, int64_t, const double*, int64_t,
+                          double*);
+  const Kernel kernels[] = {&nn::kernels::scalar_accumulate_rows_batch,
+                            &nn::kernels::avx2_accumulate_rows_batch,
+                            &nn::kernels::avx512_accumulate_rows_batch};
+  const bool available[] = {true, nn::simd::cpu_has_avx2(),
+                            nn::simd::cpu_has_avx512()};
+  const char* names[] = {"scalar", "avx2", "avx512"};
+  if (!available[tier]) {
+    state.SkipWithError("tier not supported on this CPU");
+    return;
+  }
   const int64_t rows = width == 12 ? 25 : 150;
   nn::Rng rng(11);
   std::vector<double> panel(static_cast<size_t>(rows * width));
@@ -213,17 +232,17 @@ void BM_AccumulateRowsBatch(benchmark::State& state) {
   const int64_t n = static_cast<int64_t>(event_rows.size());
   std::vector<double> acc(static_cast<size_t>(batch * width));
   for (auto _ : state) {
-    nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), n,
-                              drives.data(), batch, panel.data(), width,
-                              acc.data());
+    kernels[tier](event_rows.data(), event_slots.data(), n, drives.data(),
+                  batch, panel.data(), width, acc.data());
     benchmark::DoNotOptimize(acc.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * batch * width);
+  state.SetLabel(names[tier]);
 }
 BENCHMARK(BM_AccumulateRowsBatch)
-    ->ArgsProduct({{12, 24}, {1, 8}})
-    ->ArgNames({"width", "batch"});
+    ->ArgsProduct({{12, 24}, {1, 8}, {0, 1, 2}})
+    ->ArgNames({"width", "batch", "tier"});
 
 // The quant serving backend's integer engine on dyadic lenet-mini: every
 // weight on its 8-bit dynamic-fixed-point grid, 4-bit signals, synthetic
@@ -510,11 +529,9 @@ void emit_rows(const std::vector<SweepRow>& rows) {
                  path.c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"hardware_threads\": %d,\n  \"avx2\": %s,\n"
-               "  \"results\": [\n",
-               util::default_threads(),
-               nn::simd::use_avx2() ? "true" : "false");
+  std::fprintf(f, "{\n");
+  bench::write_json_header(f, util::num_threads());
+  std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     std::fprintf(f,
@@ -526,8 +543,8 @@ void emit_rows(const std::vector<SweepRow>& rows) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
-  std::printf("\n== kernel sweeps (avx2 %s) ==\n",
-              nn::simd::use_avx2() ? "on" : "off");
+  std::printf("\n== kernel sweeps (dispatch %s) ==\n",
+              nn::simd::dispatch_tier());
   std::printf("%-30s %8s %12s %10s %9s\n", "kernel", "threads", "seconds",
               "GFLOP/s", "speedup");
   for (const SweepRow& r : rows) {

@@ -228,7 +228,8 @@ std::string session_owned_by(const router::RouterOptions& options,
   for (const auto& ep : options.backends) labels.push_back(ep.str());
   const router::HashRing ring(labels, options.vnodes);
   for (int i = 0;; ++i) {
-    const std::string s = "s" + std::to_string(i);
+    std::string s = "s";
+    s += std::to_string(i);
     if (ring.pick(router::route_hash("m", s)) == want) return s;
   }
 }

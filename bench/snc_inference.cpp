@@ -19,7 +19,15 @@
 // conductance panel across the batch, so bytes/image falls as B grows).
 // Exits 1 on any mismatch.
 //
-// Writes BENCH_snc.json (override with QSNC_BENCH_OUT).
+// A third pass times the ideal read per crossbar stage at B=1 and B=8
+// (SncSystem::last_call_timing(): drive build, tap filter + panel
+// accumulate, epilogue, the following pool stages, skip add, stage wall
+// time) beside each stage's input events and panel bytes, averaged over
+// many calls (fewer under QSNC_BENCH_FAST=1), and reports the minor page
+// faults and wall time per steady-state infer_batch call without stats.
+//
+// Writes BENCH_snc.json (override with QSNC_BENCH_OUT) under a machine
+// header (bench_json.h).
 // Flags: --images N (ideal-mode images per model, default 8)
 //        --online-images N (online-mode images per model, default 2)
 //        --models csv (default lenet,alexnet,resnet)
@@ -35,7 +43,10 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench_common.h"
+#include "bench_json.h"
 #include "core/bn_folding.h"
 #include "core/fixed_point.h"
 #include "core/weight_clustering.h"
@@ -203,6 +214,108 @@ void run_batch_sweep(const ModelCase& model, nn::Network& net,
   }
 }
 
+// Per-stage host timing of one (model, B), averaged per call.
+struct StageTimingRow {
+  std::string model;
+  int64_t batch = 0;
+  int64_t stage = 0;
+  int64_t rows = 0, cols = 0, positions = 0;
+  double events_per_image = 0.0;
+  double panel_bytes_per_call = 0.0;
+  snc::SncStageTiming us;  // per-call means (panel_bytes unused)
+};
+
+// Steady-state cost of one infer_batch call without stats.
+struct CallRow {
+  std::string model;
+  int64_t batch = 0;
+  int64_t calls = 0;
+  double us_per_call = 0.0;
+  double minor_faults_per_call = 0.0;
+};
+
+int64_t minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<int64_t>(ru.ru_minflt);
+}
+
+// Times the ideal read of `model` at batch size `batch`: warm-up calls
+// first (they size the system's workspace and the thread-local scratch),
+// then `calls` calls with stats for the per-stage rows, then `calls` calls
+// without stats for the wall time and minor-fault count per call.
+void run_stage_timing(const ModelCase& model, nn::Network& net,
+                      snc::SncConfig cfg, int64_t batch, int64_t calls,
+                      std::vector<StageTimingRow>& rows,
+                      std::vector<CallRow>& call_rows) {
+  cfg.mode = snc::IntegrationMode::kIdealIntegration;
+  const int64_t chw = nn::shape_numel(model.input);
+  nn::Tensor t({batch, model.input[0], model.input[1], model.input[2]});
+  for (int64_t j = 0; j < batch; ++j) {
+    const data::Sample s = sample_at(model, j);
+    std::copy(s.image.data(), s.image.data() + chw, t.data() + j * chw);
+  }
+  snc::SncSystem system(net, model.input, cfg);
+  std::vector<snc::SncStats> stats;
+  for (int w = 0; w < 3; ++w) system.infer_batch(t, &stats);
+
+  std::vector<snc::SncStageTiming> sum;
+  std::vector<int64_t> events;
+  for (int64_t c = 0; c < calls; ++c) {
+    system.infer_batch(t, &stats);
+    const std::vector<snc::SncStageTiming>& timing = system.last_call_timing();
+    sum.resize(timing.size());
+    events.resize(timing.size());
+    for (size_t st = 0; st < timing.size(); ++st) {
+      sum[st].panel_bytes += timing[st].panel_bytes;
+      sum[st].drive_us += timing[st].drive_us;
+      sum[st].read_us += timing[st].read_us;
+      sum[st].epilogue_us += timing[st].epilogue_us;
+      sum[st].stage_us += timing[st].stage_us;
+      sum[st].pool_us += timing[st].pool_us;
+      sum[st].skip_us += timing[st].skip_us;
+      for (const snc::SncStats& s : stats) {
+        events[st] += s.stage[st].input_events;
+      }
+    }
+  }
+  const double inv = 1.0 / static_cast<double>(calls);
+  for (size_t st = 0; st < sum.size(); ++st) {
+    StageTimingRow row;
+    row.model = model.name;
+    row.batch = batch;
+    row.stage = static_cast<int64_t>(st);
+    row.rows = stats[0].stage[st].rows;
+    row.cols = stats[0].stage[st].cols;
+    row.positions = stats[0].stage[st].positions;
+    row.events_per_image = static_cast<double>(events[st]) * inv /
+                           static_cast<double>(batch);
+    row.panel_bytes_per_call = static_cast<double>(sum[st].panel_bytes) * inv;
+    row.us.drive_us = sum[st].drive_us * inv;
+    row.us.read_us = sum[st].read_us * inv;
+    row.us.epilogue_us = sum[st].epilogue_us * inv;
+    row.us.stage_us = sum[st].stage_us * inv;
+    row.us.pool_us = sum[st].pool_us * inv;
+    row.us.skip_us = sum[st].skip_us * inv;
+    rows.push_back(row);
+  }
+
+  const int64_t faults0 = minor_faults();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int64_t c = 0; c < calls; ++c) system.infer_batch(t);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  CallRow call;
+  call.model = model.name;
+  call.batch = batch;
+  call.calls = calls;
+  call.us_per_call = seconds * 1e6 * inv;
+  call.minor_faults_per_call =
+      static_cast<double>(minor_faults() - faults0) * inv;
+  call_rows.push_back(call);
+}
+
 ModeResult run_mode(const ModelCase& model, nn::Network& net,
                     snc::SncConfig cfg, snc::IntegrationMode mode,
                     int64_t images) {
@@ -302,6 +415,9 @@ int main(int argc, char** argv) {
 
   std::vector<ModeResult> results;
   std::vector<BatchPoint> batch_points;
+  std::vector<StageTimingRow> timing_rows;
+  std::vector<CallRow> call_rows;
+  const int64_t timing_calls = bench::fast_mode() ? 10 : 200;
   bool all_match = true;
   for (ModelCase& model : models) {
     core::fold_batchnorm(model.net);
@@ -339,6 +455,13 @@ int main(int argc, char** argv) {
                         sweep_images, batch_points);
       }
     }
+    std::printf("running %-8s ideal  stage timing x%lld calls ...\n",
+                model.name.c_str(), static_cast<long long>(timing_calls));
+    std::fflush(stdout);
+    for (const int64_t batch : {int64_t{1}, int64_t{8}}) {
+      run_stage_timing(model, model.net, cfg, batch, timing_calls,
+                       timing_rows, call_rows);
+    }
   }
   for (const BatchPoint& p : batch_points) {
     if (!p.predictions_match) all_match = false;
@@ -352,7 +475,9 @@ int main(int argc, char** argv) {
                  path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"threads\": %d,\n  \"results\": [\n", threads);
+  std::fprintf(f, "{\n");
+  bench::write_json_header(f, threads);
+  std::fprintf(f, "  \"threads\": %d,\n  \"results\": [\n", threads);
   for (size_t i = 0; i < results.size(); ++i) {
     const ModeResult& r = results[i];
     std::fprintf(
@@ -382,6 +507,33 @@ int main(int argc, char** argv) {
         p.images_per_sec, p.panel_bytes_per_image,
         p.predictions_match ? "true" : "false",
         i + 1 < batch_points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"stage_timing\": [\n");
+  for (size_t i = 0; i < timing_rows.size(); ++i) {
+    const StageTimingRow& r = timing_rows[i];
+    std::fprintf(
+        f,
+        "    {\"model\": \"%s\", \"batch\": %lld, \"stage\": %lld, "
+        "\"rows\": %lld, \"cols\": %lld, \"positions\": %lld, "
+        "\"events_per_image\": %.1f, \"panel_bytes_per_call\": %.0f, "
+        "\"drive_us\": %.2f, \"read_us\": %.2f, \"epilogue_us\": %.2f, "
+        "\"pool_us\": %.2f, \"skip_us\": %.2f, \"stage_us\": %.2f}%s\n",
+        r.model.c_str(), static_cast<long long>(r.batch),
+        static_cast<long long>(r.stage), static_cast<long long>(r.rows),
+        static_cast<long long>(r.cols), static_cast<long long>(r.positions),
+        r.events_per_image, r.panel_bytes_per_call, r.us.drive_us,
+        r.us.read_us, r.us.epilogue_us, r.us.pool_us, r.us.skip_us,
+        r.us.stage_us, i + 1 < timing_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"steady_state_calls\": [\n");
+  for (size_t i = 0; i < call_rows.size(); ++i) {
+    const CallRow& r = call_rows[i];
+    std::fprintf(f,
+                 "    {\"model\": \"%s\", \"batch\": %lld, \"calls\": %lld, "
+                 "\"us_per_call\": %.2f, \"minor_faults_per_call\": %.3f}%s\n",
+                 r.model.c_str(), static_cast<long long>(r.batch),
+                 static_cast<long long>(r.calls), r.us_per_call,
+                 r.minor_faults_per_call, i + 1 < call_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -413,6 +565,32 @@ int main(int argc, char** argv) {
                   p.panel_bytes_per_image / (1024.0 * 1024.0),
                   p.predictions_match ? "yes" : "NO");
     }
+  }
+  std::printf("\n== per-stage host time per infer_batch call (ideal read, "
+              "us; read/epilogue summed over threads) ==\n");
+  std::printf("%-8s %3s %5s %5s %4s %5s %9s %10s %7s %8s %8s %6s %6s %8s\n",
+              "model", "B", "stage", "rows", "cols", "pos", "events/im",
+              "panel KB", "drive", "read", "epilog", "pool", "skip",
+              "stage");
+  for (const StageTimingRow& r : timing_rows) {
+    std::printf(
+        "%-8s %3lld %5lld %5lld %4lld %5lld %9.1f %10.1f %7.2f %8.2f %8.2f "
+        "%6.2f %6.2f %8.2f\n",
+        r.model.c_str(), static_cast<long long>(r.batch),
+        static_cast<long long>(r.stage), static_cast<long long>(r.rows),
+        static_cast<long long>(r.cols), static_cast<long long>(r.positions),
+        r.events_per_image, r.panel_bytes_per_call / 1024.0, r.us.drive_us,
+        r.us.read_us, r.us.epilogue_us, r.us.pool_us, r.us.skip_us,
+        r.us.stage_us);
+  }
+  std::printf("\n== steady-state infer_batch calls without stats ==\n");
+  std::printf("%-8s %3s %7s %12s %14s\n", "model", "B", "calls", "us/call",
+              "minflt/call");
+  for (const CallRow& r : call_rows) {
+    std::printf("%-8s %3lld %7lld %12.2f %14.3f\n", r.model.c_str(),
+                static_cast<long long>(r.batch),
+                static_cast<long long>(r.calls), r.us_per_call,
+                r.minor_faults_per_call);
   }
   std::printf("wrote %s\n", path.c_str());
   if (!all_match) {

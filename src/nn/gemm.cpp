@@ -287,15 +287,12 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
   util::parallel_for(0, m, kBlockM, rows);
 }
 
-void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                           int64_t n_events, const double* drives,
-                           int64_t batch, const double* panel, int64_t width,
-                           double* acc) {
-  if (simd::use_avx2()) {
-    kernels::avx2_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
-                                        panel, width, acc);
-    return;
-  }
+namespace kernels {
+
+void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
+                                  int64_t n_events, const double* drives,
+                                  int64_t batch, const double* panel,
+                                  int64_t width, double* acc) {
   for (int64_t b = 0; b < batch; ++b) {
     double* a = acc + b * width;
     std::fill(a, a + width, 0.0);
@@ -307,24 +304,56 @@ void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
   }
 }
 
-void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
-                   const ReadEpilogue& ep, int64_t* counts,
-                   int64_t count_stride, double* y_out) {
-  if (simd::use_avx2()) {
-    kernels::avx2_read_epilogue(acc, n, acc_stride, ep, counts, count_stride,
-                                y_out);
-    return;
-  }
+void scalar_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                          const ReadEpilogue& ep, int32_t* counts,
+                          int64_t count_stride, double* y_out) {
+  const double lo = count_lo(ep);
+  const double hi = count_hi(ep);
   for (int64_t i = 0; i < n; ++i) {
     const double* a = acc + i * acc_stride;
     for (int64_t c = 0; c < ep.cols; ++c) {
       const double y = ep.step * ((a[2 * c] - a[2 * c + 1]) / ep.dg) +
                        static_cast<double>(ep.bias[c]);
-      int64_t count = static_cast<int64_t>(std::floor(y + 0.5));
-      if (ep.rectify) count = std::clamp<int64_t>(count, 0, ep.ceiling);
-      counts[c * count_stride + i] = count;
+      // The SIMD tiers' maxpd / minpd, operand order included.
+      double r = std::floor(y + 0.5);
+      r = r > lo ? r : lo;
+      r = r < hi ? r : hi;
+      counts[c * count_stride + i] = static_cast<int32_t>(r);
       if (y_out != nullptr) y_out[c] = y;
     }
+  }
+}
+
+}  // namespace kernels
+
+void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
+                           int64_t n_events, const double* drives,
+                           int64_t batch, const double* panel, int64_t width,
+                           double* acc) {
+  if (simd::use_avx512()) {
+    kernels::avx512_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
+                                          panel, width, acc);
+  } else if (simd::use_avx2()) {
+    kernels::avx2_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
+                                        panel, width, acc);
+  } else {
+    kernels::scalar_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
+                                          panel, width, acc);
+  }
+}
+
+void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                   const ReadEpilogue& ep, int32_t* counts,
+                   int64_t count_stride, double* y_out) {
+  if (simd::use_avx512()) {
+    kernels::avx512_read_epilogue(acc, n, acc_stride, ep, counts,
+                                  count_stride, y_out);
+  } else if (simd::use_avx2()) {
+    kernels::avx2_read_epilogue(acc, n, acc_stride, ep, counts, count_stride,
+                                y_out);
+  } else {
+    kernels::scalar_read_epilogue(acc, n, acc_stride, ep, counts,
+                                  count_stride, y_out);
   }
 }
 

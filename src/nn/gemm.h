@@ -30,9 +30,10 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
 ///   acc[b * width + c] = sum over e ascending of
 ///       drives[srcs[e] * batch + b] * panel[rows[e] * width + c]
 /// starting from +0.0 (acc is overwritten). Each term is a separate
-/// multiply and add, so the AVX2 path — a register tile of up to 4 images
-/// by up to 3 column vectors that shares each panel-row load across the
-/// tile's images — is bit-identical to the scalar loop. A zero drive adds
+/// multiply and add, so the SIMD tiers — register tiles of up to 8 images
+/// (AVX-512, 3 zmm column vectors) or 4 images (AVX2, 3 ymm) that share
+/// each panel-row load across the tile's images — are bit-identical to the
+/// scalar loop. A zero drive adds
 /// a signed zero, which leaves a sum that started at +0.0 unchanged, so
 /// with finite panel entries the result equals the sum over the nonzero
 /// drives alone.
@@ -56,13 +57,14 @@ struct ReadEpilogue {
 /// accumulate_rows_batch leaves them. For every row i and column c:
 ///   y = step * ((acc[2c] - acc[2c + 1]) / dg) + bias[c]
 ///   counts[c * count_stride + i] = floor(y + 0.5), clamped to
-///       [0, ceiling] when rectify
-/// — core::round_half_up, operation for operation. When y_out is non-null,
-/// y_out[c] receives each row's y in turn (the last row's remain). The
-/// AVX2 path rounds with vroundpd and the scalar path with std::floor;
-/// both are exact, so the two dispatches agree bit for bit.
+///       [0, ceiling] when rectify, else to the int32 range
+/// — core::round_half_up operation for operation, saturated to int32. When
+/// y_out is non-null, y_out[c] receives each row's y in turn (the last
+/// row's remain). The SIMD tiers round with vroundpd / vrndscalepd and the
+/// scalar path with std::floor, and all clamp in double before the one
+/// conversion; every step is exact, so every dispatch agrees bit for bit.
 void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
-                   const ReadEpilogue& ep, int64_t* counts,
+                   const ReadEpilogue& ep, int32_t* counts,
                    int64_t count_stride, double* y_out);
 
 }  // namespace qsnc::nn

@@ -395,13 +395,13 @@ void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
 }
 
 void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
-                        const ReadEpilogue& ep, int64_t* counts,
+                        const ReadEpilogue& ep, int32_t* counts,
                         int64_t count_stride, double* y_out) {
   const __m256d dg = _mm256_set1_pd(ep.dg);
   const __m256d step = _mm256_set1_pd(ep.step);
   const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d lo = _mm256_setzero_pd();
-  const __m256d hi = _mm256_set1_pd(static_cast<double>(ep.ceiling));
+  const __m256d lo = _mm256_set1_pd(count_lo(ep));
+  const __m256d hi = _mm256_set1_pd(count_hi(ep));
   for (int64_t c0 = 0; c0 < ep.cols; c0 += 4) {
     const int64_t live = std::min<int64_t>(4, ep.cols - c0);
     const __m256i mask = first_lanes(live);
@@ -410,7 +410,7 @@ void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
     const __m256d bias = _mm256_cvtps_pd(_mm_maskload_ps(
         ep.bias + c0, _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(live)),
                                       _mm_setr_epi32(0, 1, 2, 3))));
-    alignas(32) double k[4];
+    alignas(16) int32_t k[4];
     __m256d y = _mm256_setzero_pd();
     for (int64_t i = 0; i < n; ++i) {
       const double* a = acc + i * acc_stride + 2 * c0;
@@ -423,12 +423,10 @@ void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
       y = _mm256_add_pd(_mm256_mul_pd(step, _mm256_div_pd(d, dg)), bias);
       __m256d r = _mm256_round_pd(_mm256_add_pd(y, half),
                                   _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-      if (ep.rectify) r = _mm256_min_pd(_mm256_max_pd(r, lo), hi);
-      _mm256_store_pd(k, r);
-      int64_t* o = counts + c0 * count_stride + i;
-      for (int64_t j = 0; j < live; ++j) {
-        o[j * count_stride] = static_cast<int64_t>(k[j]);
-      }
+      r = _mm256_min_pd(_mm256_max_pd(r, lo), hi);
+      _mm_store_si128(reinterpret_cast<__m128i*>(k), _mm256_cvttpd_epi32(r));
+      int32_t* o = counts + c0 * count_stride + i;
+      for (int64_t j = 0; j < live; ++j) o[j * count_stride] = k[j];
     }
     if (y_out != nullptr && n > 0) _mm256_maskstore_pd(y_out + c0, mask, y);
   }
@@ -446,7 +444,7 @@ void avx2_accumulate_rows_batch(const int32_t*, const int32_t*, int64_t,
                                 const double*, int64_t, const double*,
                                 int64_t, double*) {}
 void avx2_read_epilogue(const double*, int64_t, int64_t, const ReadEpilogue&,
-                        int64_t*, int64_t, double*) {}
+                        int32_t*, int64_t, double*) {}
 
 #endif  // __AVX2__
 

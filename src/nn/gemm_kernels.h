@@ -1,6 +1,7 @@
 // Internal interface between the GEMM entry points (gemm.cpp / igemm.cpp)
-// and the AVX2 micro-kernel translation units (gemm_avx2.cpp /
-// igemm_avx2.cpp), which are the only files compiled with -mavx2.
+// and the SIMD micro-kernel translation units (gemm_avx2.cpp /
+// igemm_avx2.cpp, compiled with -mavx2, and gemm_avx512.cpp, compiled with
+// -mavx512f -mavx512vl -mavx512dq), the only files built for a wider ISA.
 //
 // Bit-exactness contract (fp32): every kernel here must reproduce the
 // scalar reference loops in gemm.cpp bit-for-bit —
@@ -65,13 +66,39 @@ void avx2_gemm_at_b_acc_rows(const float* a, const float* b_panel, float* c,
 void avx2_gemm_a_bt_acc_rows(const float* a, const float* bt_panel, float* c,
                              int64_t k, int64_t n, int64_t i0, int64_t i1);
 
-/// Batched sparse row drive (fp64), bit-identical to the scalar loop of
-/// nn::accumulate_rows_batch. Images go in tiles of up to 4; a tile of k
-/// images holds k x (kEventTileVecs / k) ymm accumulators — 4 x 3, 3 x 4,
-/// 2 x 6 or 1 x 12 — in registers across all events, so each panel-row
-/// vector is loaded once per tile and every column sum is its own add
-/// chain. A column block whose width is not a multiple of 4 ends in a
-/// masked vector.
+// ---- SNC collapsed read: batched fp64 row drive and read epilogue ----
+//
+// nn::accumulate_rows_batch and nn::read_epilogue dispatch to one of three
+// tiers below; all of them are bit-identical to the scalar loops, and tests
+// call each compiled tier directly.
+
+/// The scalar reference of nn::accumulate_rows_batch: per image, ascending
+/// events from +0.0, one multiply and one add per term.
+void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
+                                  int64_t n_events, const double* drives,
+                                  int64_t batch, const double* panel,
+                                  int64_t width, double* acc);
+
+/// The clamp range of nn::read_epilogue's rounded counts, in double:
+/// [0, ceiling] on rectified stages, else the int32 range.
+inline double count_lo(const ReadEpilogue& ep) {
+  return ep.rectify ? 0.0 : -0x1p31;
+}
+inline double count_hi(const ReadEpilogue& ep) {
+  return ep.rectify ? static_cast<double>(ep.ceiling) : 0x1p31 - 1.0;
+}
+
+/// The scalar reference of nn::read_epilogue (std::floor rounding).
+void scalar_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                          const ReadEpilogue& ep, int32_t* counts,
+                          int64_t count_stride, double* y_out);
+
+/// AVX2 tier (CPUs without AVX-512). Images go in tiles of up to 4; a tile
+/// of k images holds k x (kEventTileVecs / k) ymm accumulators — 4 x 3,
+/// 3 x 4, 2 x 6 or 1 x 12 — in registers across all events, so each
+/// panel-row vector is loaded once per tile and every column sum is its
+/// own add chain. A column block whose width is not a multiple of 4 ends in
+/// a masked vector.
 inline constexpr int64_t kEventTileVecs = 12;
 inline constexpr int64_t kEventTileImages = 4;
 void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
@@ -79,11 +106,31 @@ void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                 int64_t batch, const double* panel,
                                 int64_t width, double* acc);
 
-/// nn::read_epilogue, four columns per vector: hsub deinterleaves the
+/// AVX2 nn::read_epilogue, four columns per vector: hsub deinterleaves the
 /// (plus, minus) pairs and vroundpd is the floor.
 void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
-                        const ReadEpilogue& ep, int64_t* counts,
+                        const ReadEpilogue& ep, int32_t* counts,
                         int64_t count_stride, double* y_out);
+
+/// AVX-512 tier. Images go in tiles of up to 8; a full tile holds 8 images
+/// x up to 3 zmm column vectors (24 of the 32 registers), so one panel-row
+/// load serves 8 images. Smaller tiles (a batch's last 1..7 images, and
+/// B=1) trade images for wider column blocks, up to 1 image x 8 vectors
+/// (64 columns). The last vector of every column block is loaded and
+/// stored under a __mmask8.
+inline constexpr int64_t kEventTileImages512 = 8;
+void avx512_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
+                                  int64_t n_events, const double* drives,
+                                  int64_t batch, const double* panel,
+                                  int64_t width, double* acc);
+
+/// AVX-512 nn::read_epilogue, eight columns per vector (conv1's 6 columns
+/// are one masked vector): vpermt2pd deinterleaves the (plus, minus)
+/// pairs, vrndscalepd is the floor, vcvttpd2dq converts all lanes at once,
+/// and each row's counts are scattered to their column planes.
+void avx512_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
+                          const ReadEpilogue& ep, int32_t* counts,
+                          int64_t count_stride, double* y_out);
 
 // ---- integer kernels (exact int32 accumulation; no rounding concerns) ----
 

@@ -21,12 +21,27 @@ bool detect_avx2() {
 #endif
 }
 
+bool detect_avx512() {
+#if defined(QSNC_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512dq");
+#else
+  return false;
+#endif
+}
+
 std::atomic<bool> g_force_scalar{false};
 
 }  // namespace
 
 bool cpu_has_avx2() {
   static const bool has = detect_avx2();
+  return has;
+}
+
+bool cpu_has_avx512() {
+  static const bool has = detect_avx512();
   return has;
 }
 
@@ -38,6 +53,12 @@ bool env_forced_scalar() {
 bool use_avx2() {
   return cpu_has_avx2() && !env_forced_scalar() &&
          !g_force_scalar.load(std::memory_order_relaxed);
+}
+
+bool use_avx512() { return cpu_has_avx512() && use_avx2(); }
+
+const char* dispatch_tier() {
+  return use_avx512() ? "avx512" : use_avx2() ? "avx2" : "scalar";
 }
 
 bool set_force_scalar(bool force) {

@@ -1,16 +1,25 @@
 // Runtime ISA dispatch for the kernel layer.
 //
-// The SIMD micro-kernels in gemm_avx2.cpp / igemm_avx2.cpp are compiled in
-// their own translation units with -mavx2 and selected here at runtime via
-// CPUID, so the library still runs (on the scalar reference path) on any
-// x86-64. Two overrides force the scalar path:
+// The SIMD micro-kernels live in their own translation units, each
+// compiled for one instruction set and selected here at runtime via CPUID,
+// so the library still runs (on the scalar reference path) on any x86-64.
+// There are three tiers:
+//   * scalar — the reference loops in gemm.cpp / igemm.cpp, generic x86-64;
+//   * avx2   — gemm_avx2.cpp / igemm_avx2.cpp (-mavx2): every fp32 and
+//              integer GEMM, and the SNC row drive and read epilogue on
+//              CPUs without AVX-512;
+//   * avx512 — gemm_avx512.cpp (-mavx512f -mavx512vl -mavx512dq): the SNC
+//              row drive (an 8-image register tile) and read epilogue
+//              only; everything else stays on the AVX2 kernels.
+// Two overrides force the scalar path for every kernel:
 //   * QSNC_FORCE_SCALAR=1 in the environment (read once, at first dispatch);
 //   * set_force_scalar(true), the programmatic knob the equivalence tests
 //     flip to compare both paths inside one process.
 // The scalar loops are the semantic reference: a SIMD kernel must produce
-// bit-identical fp32 results (no FMA contraction, same per-element
-// accumulation order, same zero-skip tests), so dispatch never changes bits
-// — only speed.
+// bit-identical results (no FMA contraction, same per-element accumulation
+// order, same zero-skip tests), so dispatch never changes bits — only
+// speed. Tests reach every compiled tier directly through
+// nn/gemm_kernels.h, independent of what this dispatch picks.
 #pragma once
 
 namespace qsnc::nn::simd {
@@ -18,9 +27,21 @@ namespace qsnc::nn::simd {
 /// True when the CPU supports AVX2 *and* the AVX2 kernels were compiled in.
 bool cpu_has_avx2();
 
+/// True when the CPU supports AVX-512 F, VL and DQ *and* the AVX-512
+/// kernels were compiled in.
+bool cpu_has_avx512();
+
 /// True when kernels should take the AVX2 path: cpu_has_avx2() and neither
 /// override is active.
 bool use_avx2();
+
+/// True when the SNC row drive and epilogue should take the AVX-512 path:
+/// cpu_has_avx512() and neither override is active.
+bool use_avx512();
+
+/// The tier the SNC row drive currently dispatches to: "avx512", "avx2" or
+/// "scalar" (bench headers record it).
+const char* dispatch_tier();
 
 /// Programmatic scalar override (test hook); returns the previous value.
 /// Layered on top of the environment knob: clearing it does not undo

@@ -70,11 +70,16 @@ bool Router::handle_infer(serve::InferRequest request,
   // moves a sticky session. Sessionless requests spray over the ring
   // with a counter so one hot model still uses the whole fleet.
   const std::string base = serve::base_model_name(request.model);
-  const uint64_t rh =
-      request.session.empty()
-          ? route_hash(base,
-                       "\x01" + std::to_string(spread_.fetch_add(1)))
-          : route_hash(base, request.session);
+  uint64_t rh = 0;
+  if (request.session.empty()) {
+    // Appended rather than `"\x01" + std::to_string(...)`: GCC 12 at -O3
+    // reports a false -Wrestrict overlap inside that operator+.
+    std::string spray(1, '\x01');
+    spray += std::to_string(spread_.fetch_add(1));
+    rh = route_hash(base, spray);
+  } else {
+    rh = route_hash(base, request.session);
+  }
   const std::vector<size_t> candidates = ring_.pick_n(rh, pool_.size());
 
   serve::ForwardedInfer forward;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "core/bn_folding.h"
@@ -385,6 +387,16 @@ namespace {
 // read: the tile stays in L1 between the kernel and the epilogue.
 constexpr int64_t kReadTileDoubles = 2048;
 
+using Clock = std::chrono::steady_clock;
+
+int64_t nanos(Clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+}
+
+double micros_since(Clock::time_point t0) {
+  return static_cast<double>(nanos(Clock::now() - t0)) * 1e-3;
+}
+
 // Fills the stage header of one image's stats: geometry plus the
 // programming-time fault counters (programming happened once, before any
 // inference ran).
@@ -426,8 +438,7 @@ nn::Rng SncSystem::next_coding_rng() {
 // logits, predictions, and per-image stats are bit-identical at every
 // batch size.
 void SncSystem::run_crossbar_stage(
-    const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
-    std::vector<std::vector<int64_t>>& outputs,
+    const Stage& stage, const Signals& inputs, Signals& outputs,
     const std::vector<SncStageStats*>& stats,
     std::vector<nn::Rng>& coding_rngs) {
   const int64_t B = static_cast<int64_t>(inputs.size());
@@ -447,30 +458,59 @@ void SncSystem::run_crossbar_stage(
   const double* panel = stage.xbar->packed_panel();
   const int64_t row_bytes = width * static_cast<int64_t>(sizeof(double));
 
-  std::vector<int64_t*> out(static_cast<size_t>(B));
-  for (int64_t b = 0; b < B; ++b) {
-    out[static_cast<size_t>(b)] = outputs[static_cast<size_t>(b)].data();
-  }
+  // Host timing, only when stats are requested: a few clock reads per
+  // position tile, summed over the chunks of every thread.
+  SncStageTiming* const timing = stage_timing_;
+  std::atomic<int64_t> read_ns{0};
+  std::atomic<int64_t> epilogue_ns{0};
+  std::atomic<int64_t> stage_panel{0};
+  const auto drive_t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
 
   // Drive buffer, union mask, and per-image event counts, shared read-only
-  // by every position chunk.
+  // by every position chunk. Slot s of the drive buffer holds input s - 1
+  // of every image side by side; slot 0 stays the all-zero padding slot.
+  // Every entry is written, input-major, so the stores are sequential.
   const int64_t n_in = static_cast<int64_t>(stage.fanout.size());
-  std::vector<uint8_t> live(static_cast<size_t>(n_in + 1), 0);
-  std::vector<double> drives(static_cast<size_t>((n_in + 1) * B), 0.0);
-  for (int64_t b = 0; b < B; ++b) {
-    const int64_t* in = inputs[static_cast<size_t>(b)].data();
-    int64_t events = 0;
+  drives_.resize(static_cast<size_t>((n_in + 1) * B));
+  live_.resize(static_cast<size_t>(n_in + 1));
+  std::fill(drives_.begin(), drives_.begin() + B, 0.0);
+  live_[0] = 0;
+  double* const drives = drives_.data();
+  if (B == 1) {
+    // One image: the same buffer, without the per-input image loop.
+    const int32_t* in = inputs[0].data();
     for (int64_t i = 0; i < n_in; ++i) {
-      if (in[i] == 0) continue;
-      live[static_cast<size_t>(i + 1)] = 1;
-      events += stage.fanout[static_cast<size_t>(i)];
-      drives[static_cast<size_t>((i + 1) * B + b)] =
-          static_cast<double>(in[i]);
+      drives[i + 1] = static_cast<double>(in[i]);
+      live_[static_cast<size_t>(i + 1)] = in[i] != 0;
     }
-    if (stats[static_cast<size_t>(b)] != nullptr) {
-      stats[static_cast<size_t>(b)]->input_events = events;
+  } else {
+    for (int64_t i = 0; i < n_in; ++i) {
+      double* d = drives + (i + 1) * B;
+      int32_t any = 0;
+      for (int64_t b = 0; b < B; ++b) {
+        const int32_t v =
+            inputs[static_cast<size_t>(b)][static_cast<size_t>(i)];
+        d[b] = static_cast<double>(v);
+        any |= v;
+      }
+      live_[static_cast<size_t>(i + 1)] = any != 0;
     }
   }
+  const uint8_t* const live = live_.data();
+  const int32_t* const fanout = stage.fanout.data();
+  for (int64_t b = 0; b < B; ++b) {
+    if (stats[static_cast<size_t>(b)] == nullptr) continue;
+    const int32_t* in = inputs[static_cast<size_t>(b)].data();
+    // Branch-free int32 sum (a stage's events fit): a data-dependent
+    // branch here mispredicts every few inputs and used to cost more than
+    // the drive copy itself.
+    int32_t events = 0;
+    for (int64_t i = 0; i < n_in; ++i) {
+      events += fanout[i] & -static_cast<int32_t>(in[i] != 0);
+    }
+    stats[static_cast<size_t>(b)]->input_events = events;
+  }
+  if (timing != nullptr) timing->drive_us = micros_since(drive_t0);
 
   // Epilogue of the collapsed ideal read over n consecutive positions from
   // pos0 whose column sums sit position-major in acc (B image rows of
@@ -486,30 +526,45 @@ void SncSystem::run_crossbar_stage(
   auto finish_read = [&](int64_t pos0, int64_t n, const double* acc) {
     for (int64_t b = 0; b < B; ++b) {
       nn::read_epilogue(acc + b * width, n, B * width, epilogue,
-                        out[static_cast<size_t>(b)] + pos0, positions,
+                        outputs[static_cast<size_t>(b)].data() + pos0,
+                        positions,
                         stage.final_readout
                             ? readout_[static_cast<size_t>(b)].data()
                             : nullptr);
     }
   };
 
-  std::vector<std::atomic<int64_t>> occupied_count(static_cast<size_t>(B));
-  for (std::atomic<int64_t>& c : occupied_count) {
-    c.store(0, std::memory_order_relaxed);
-  }
+  // Per-image occupied-slot totals; only the slot modes count them.
+  std::vector<std::atomic<int64_t>> occupied_count(
+      static_cast<size_t>(slot_mode ? B : 0));
 
   auto run_ideal = [&](int64_t p0, int64_t p1) {
-    // Per-chunk scratch; the position loop never allocates. The
-    // accumulator tile holds a few positions — enough to amortize the
-    // epilogue, small enough to stay in L1 — never the whole stage.
+    // Per-thread scratch, grown on first use; the position loop never
+    // allocates. The accumulator tile holds a few positions — enough to
+    // amortize the epilogue, small enough to stay in L1 — never the whole
+    // stage.
     const int64_t tile = std::clamp<int64_t>(kReadTileDoubles / (B * width),
                                              1, p1 - p0);
-    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
-    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
-    std::vector<double> acc(static_cast<size_t>(tile * B * width));
+    thread_local std::vector<int32_t> tl_event_rows;
+    thread_local std::vector<int32_t> tl_event_slots;
+    thread_local std::vector<double> tl_acc;
+    if (tl_event_rows.size() < static_cast<size_t>(rows)) {
+      tl_event_rows.resize(static_cast<size_t>(rows));
+      tl_event_slots.resize(static_cast<size_t>(rows));
+    }
+    if (tl_acc.size() < static_cast<size_t>(tile * B * width)) {
+      tl_acc.resize(static_cast<size_t>(tile * B * width));
+    }
+    int32_t* const event_rows = tl_event_rows.data();
+    int32_t* const event_slots = tl_event_slots.data();
+    double* const acc = tl_acc.data();
     int64_t chunk_panel = 0;
+    int64_t chunk_read_ns = 0;
+    int64_t chunk_epilogue_ns = 0;
     for (int64_t t0 = p0; t0 < p1; t0 += tile) {
       const int64_t t1 = std::min(t0 + tile, p1);
+      const auto ta =
+          timing != nullptr ? Clock::now() : Clock::time_point{};
       for (int64_t pos = t0; pos < t1; ++pos) {
         // Branch-free tap filter: every tap is written, only live ones
         // advance the list.
@@ -519,21 +574,35 @@ void SncSystem::run_crossbar_stage(
         for (int64_t r = 0; r < rows; ++r) {
           const int32_t slot =
               (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
-          event_rows[static_cast<size_t>(n)] = static_cast<int32_t>(r);
-          event_slots[static_cast<size_t>(n)] = slot;
-          n += live[static_cast<size_t>(slot)];
+          event_rows[n] = static_cast<int32_t>(r);
+          event_slots[n] = slot;
+          n += live[slot];
         }
         chunk_panel += n * row_bytes;
-        nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), n,
-                                  drives.data(), B, panel, width,
-                                  acc.data() + (pos - t0) * B * width);
+        nn::accumulate_rows_batch(event_rows, event_slots, n, drives, B,
+                                  panel, width, acc + (pos - t0) * B * width);
       }
-      finish_read(t0, t1 - t0, acc.data());
+      if (timing != nullptr) {
+        const auto tb = Clock::now();
+        finish_read(t0, t1 - t0, acc);
+        const auto tc = Clock::now();
+        chunk_read_ns += nanos(tb - ta);
+        chunk_epilogue_ns += nanos(tc - tb);
+      } else {
+        finish_read(t0, t1 - t0, acc);
+      }
     }
     panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
+    if (timing != nullptr) {
+      stage_panel.fetch_add(chunk_panel, std::memory_order_relaxed);
+      read_ns.fetch_add(chunk_read_ns, std::memory_order_relaxed);
+      epilogue_ns.fetch_add(chunk_epilogue_ns, std::memory_order_relaxed);
+    }
   };
 
   auto run_slots = [&](int64_t p0, int64_t p1) {
+    const auto chunk_t0 =
+        timing != nullptr ? Clock::now() : Clock::time_point{};
     // Per-chunk scratch sized once for the whole batch; the position and
     // slot loops below never allocate. fires[(b * T + t) * rows + i] is
     // the i-th panel row (ascending) whose spike train fires in slot t of
@@ -646,14 +715,15 @@ void SncSystem::run_crossbar_stage(
           }
         }
         for (int64_t col = 0; col < cols; ++col) {
-          out[static_cast<size_t>(b)][col * positions + pos] =
+          outputs[static_cast<size_t>(b)][static_cast<size_t>(
+              col * positions + pos)] =
               counters[static_cast<size_t>(col)].value();
         }
       }
       if (!stage.rectify) {
         chunk_panel += nu * row_bytes;
         nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), nu,
-                                  drives.data(), B, panel, width, acc.data());
+                                  drives, B, panel, width, acc.data());
         finish_read(pos, 1, acc.data());
       }
     }
@@ -662,6 +732,11 @@ void SncSystem::run_crossbar_stage(
           chunk_occupied[static_cast<size_t>(b)], std::memory_order_relaxed);
     }
     panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
+    if (timing != nullptr) {
+      stage_panel.fetch_add(chunk_panel, std::memory_order_relaxed);
+      read_ns.fetch_add(nanos(Clock::now() - chunk_t0),
+                        std::memory_order_relaxed);
+    }
   };
 
   // Positions parallelize on deterministic non-readout stages; chunk
@@ -677,17 +752,27 @@ void SncSystem::run_crossbar_stage(
     }
   };
   if (!config_.stochastic_coding && !stage.final_readout) {
+    // Passed by reference: a std::function holding the lambda itself would
+    // not fit the small-object buffer and would allocate on every stage.
     util::parallel_for(0, positions, std::max<int64_t>(1, positions / 32),
-                       run_positions);
+                       std::cref(run_positions));
   } else {
     run_positions(0, positions);
   }
 
-  for (int64_t b = 0; b < B; ++b) {
+  for (int64_t b = 0; b < B && slot_mode; ++b) {
     SncStageStats* st = stats[static_cast<size_t>(b)];
     if (st == nullptr) continue;
     st->occupied_slots = occupied_count[static_cast<size_t>(b)].load(
         std::memory_order_relaxed);
+  }
+  if (timing != nullptr) {
+    timing->panel_bytes = stage_panel.load(std::memory_order_relaxed);
+    timing->read_us =
+        static_cast<double>(read_ns.load(std::memory_order_relaxed)) * 1e-3;
+    timing->epilogue_us =
+        static_cast<double>(epilogue_ns.load(std::memory_order_relaxed)) *
+        1e-3;
   }
 }
 
@@ -702,8 +787,7 @@ void SncSystem::run_crossbar_stage(
 // bit for bit exactly when the panel is in sync with the arrays. Runs
 // serially and streams no panel bytes.
 void SncSystem::run_reference_stage(
-    const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
-    std::vector<std::vector<int64_t>>& outputs,
+    const Stage& stage, const Signals& inputs, Signals& outputs,
     const std::vector<SncStageStats*>& stats,
     std::vector<nn::Rng>& coding_rngs) {
   const int64_t T = window_slots(config_.signal_bits);
@@ -728,8 +812,8 @@ void SncSystem::run_reference_stage(
   };
 
   for (size_t b = 0; b < inputs.size(); ++b) {
-    const std::vector<int64_t>& input = inputs[b];
-    std::vector<int64_t>& output = outputs[b];
+    const std::vector<int32_t>& input = inputs[b];
+    std::vector<int32_t>& output = outputs[b];
     int64_t events = 0;
     int64_t occupied = 0;
     std::vector<double> volts(static_cast<size_t>(rows));
@@ -766,11 +850,11 @@ void SncSystem::run_reference_stage(
         const double y =
             charge(plus, minus, c) +
             static_cast<double>(stage.bias[static_cast<size_t>(c)]);
-        counts[static_cast<size_t>(c)] = core::round_half_up(y);
-        if (stage.rectify) {
-          counts[static_cast<size_t>(c)] =
-              std::clamp<int64_t>(counts[static_cast<size_t>(c)], 0, T);
-        }
+        // Rectified counts saturate at the counter ceiling, raw ones at
+        // the int32 signal range.
+        counts[static_cast<size_t>(c)] = std::clamp<int64_t>(
+            core::round_half_up(y), stage.rectify ? 0 : INT32_MIN,
+            stage.rectify ? T : INT32_MAX);
         if (stage.final_readout) readout_[b][static_cast<size_t>(c)] = y;
       }
 
@@ -830,7 +914,7 @@ void SncSystem::run_reference_stage(
       }
       for (int64_t c = 0; c < cols; ++c) {
         output[static_cast<size_t>(c * positions + pos)] =
-            counts[static_cast<size_t>(c)];
+            static_cast<int32_t>(counts[static_cast<size_t>(c)]);
       }
     }
     if (stats[b] != nullptr) {
@@ -840,21 +924,19 @@ void SncSystem::run_reference_stage(
   }
 }
 
-std::vector<int64_t> SncSystem::run_pool_stage(
-    const Stage& stage, const std::vector<int64_t>& signal) const {
+void SncSystem::run_pool_stage(const Stage& stage,
+                               const std::vector<int32_t>& signal,
+                               std::vector<int32_t>& out) const {
+  out.resize(static_cast<size_t>(stage.out_c * stage.out_h * stage.out_w));
   switch (stage.kind) {
     case Stage::Kind::kMaxPool: {
       // Counts are never negative, so the walk starts at the 0 floor.
-      std::vector<int64_t> out(
-          static_cast<size_t>(stage.out_c * stage.out_h * stage.out_w));
       nn::max_pool_planes(signal.data(), stage.in_c, stage.in_h, stage.in_w,
                           stage.kernel, stage.stride, stage.out_h,
-                          stage.out_w, int64_t{0}, out.data());
-      return out;
+                          stage.out_w, int32_t{0}, out.data());
+      return;
     }
     case Stage::Kind::kAvgPool: {
-      std::vector<int64_t> out(
-          static_cast<size_t>(stage.out_c * stage.out_h * stage.out_w));
       const int64_t window = stage.kernel * stage.kernel;
       for (int64_t ch = 0; ch < stage.in_c; ++ch) {
         for (int64_t oy = 0; oy < stage.out_h; ++oy) {
@@ -869,25 +951,26 @@ std::vector<int64_t> SncSystem::run_pool_stage(
                     (ch * stage.in_h + iy) * stage.in_w + ix)];
               }
             }
+            // Digital rounded divide.
             out[static_cast<size_t>(
                 (ch * stage.out_h + oy) * stage.out_w + ox)] =
-                (acc + window / 2) / window;  // digital rounded divide
+                static_cast<int32_t>((acc + window / 2) / window);
           }
         }
       }
-      return out;
+      return;
     }
     case Stage::Kind::kGlobalAvgPool: {
-      std::vector<int64_t> out(static_cast<size_t>(stage.in_c));
       const int64_t hw = stage.in_h * stage.in_w;
       for (int64_t ch = 0; ch < stage.in_c; ++ch) {
         int64_t acc = 0;
         for (int64_t i = 0; i < hw; ++i) {
           acc += signal[static_cast<size_t>(ch * hw + i)];
         }
-        out[static_cast<size_t>(ch)] = (acc + hw / 2) / hw;
+        out[static_cast<size_t>(ch)] =
+            static_cast<int32_t>((acc + hw / 2) / hw);
       }
-      return out;
+      return;
     }
     default:
       throw std::logic_error("SncSystem::run_pool_stage: not a pool stage");
@@ -897,8 +980,8 @@ std::vector<int64_t> SncSystem::run_pool_stage(
 // Digital skip add (pad-identity shortcut): subsample spatially, zero-pad
 // new channels, then rectify to the counter ceiling.
 int64_t SncSystem::apply_skip_add(const Stage& stage,
-                                  std::vector<int64_t>& signal,
-                                  const std::vector<int64_t>& skip) const {
+                                  std::vector<int32_t>& signal,
+                                  const std::vector<int32_t>& skip) const {
   const int64_t T = window_slots(config_.signal_bits);
   const int64_t in_h = stage.out_h * stage.skip_stride;
   const int64_t in_w = stage.out_w * stage.skip_stride;
@@ -915,28 +998,13 @@ int64_t SncSystem::apply_skip_add(const Stage& stage,
         }
         v = std::clamp<int64_t>(v, 0, T);
         signal[static_cast<size_t>(
-            (oc * stage.out_h + y) * stage.out_w + x)] = v;
+            (oc * stage.out_h + y) * stage.out_w + x)] =
+            static_cast<int32_t>(v);
         post_add_spikes += v;
       }
     }
   }
   return post_add_spikes;
-}
-
-// Input encoder: pixel -> signal units -> M-bit spike count.
-std::vector<int64_t> SncSystem::encode_image(const float* pixels, int64_t n,
-                                             int64_t* total_spikes) const {
-  const int64_t T = window_slots(config_.signal_bits);
-  std::vector<int64_t> signal(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const float scaled = pixels[i] * config_.input_scale;
-    signal[static_cast<size_t>(i)] = std::clamp<int64_t>(
-        static_cast<int64_t>(std::llround(scaled)), 0, T);
-    if (total_spikes != nullptr) {
-      *total_spikes += signal[static_cast<size_t>(i)];
-    }
-  }
-  return signal;
 }
 
 std::vector<int64_t> SncSystem::run_network(const float* pixels,
@@ -945,85 +1013,130 @@ std::vector<int64_t> SncSystem::run_network(const float* pixels,
                                             StageRunner run_stage) {
   const size_t B = static_cast<size_t>(count);
   const int64_t T = window_slots(config_.signal_bits);
-  last_batch_logits_.assign(B, {});
-  readout_.clear();
+  // Buffers are resized, never released, so a steady-state call reuses
+  // the previous call's storage.
+  last_batch_logits_.resize(B);
   if (stats != nullptr) {
     stats->assign(B, SncStats{});
     for (SncStats& s : *stats) {
       s.window_slots = T;
       s.stage.assign(crossbar_stage_count_, SncStageStats{});
     }
+    timing_.assign(crossbar_stage_count_, SncStageTiming{});
+  } else {
+    timing_.clear();
   }
   std::vector<int64_t> preds;
   if (B == 0) return preds;
 
   // One coding stream per image, issued in image order — the streams do
   // not depend on how images are grouped into calls.
-  std::vector<nn::Rng> coding_rngs;
-  coding_rngs.reserve(B);
-  for (size_t b = 0; b < B; ++b) coding_rngs.push_back(next_coding_rng());
-
-  const int64_t chw = input_chw_[0] * input_chw_[1] * input_chw_[2];
-  std::vector<std::vector<int64_t>> signals(B);
+  // Only stochastic coding draws from them; other modes just advance the
+  // stream count, which keeps later stochastic calls on the same numbering
+  // without seeding an mt19937_64 per image.
+  coding_rngs_.clear();
   for (size_t b = 0; b < B; ++b) {
-    signals[b] = encode_image(
-        pixels + static_cast<int64_t>(b) * chw, chw,
-        stats != nullptr ? &(*stats)[b].total_spikes : nullptr);
+    if (config_.stochastic_coding) {
+      coding_rngs_.push_back(next_coding_rng());
+    } else {
+      ++coding_streams_issued_;
+    }
   }
 
-  std::vector<std::vector<int64_t>> skips(B);
+  const int64_t chw = input_chw_[0] * input_chw_[1] * input_chw_[2];
+  signals_.resize(B);
+  next_.resize(B);
+  for (size_t b = 0; b < B; ++b) {
+    std::vector<int32_t>& signal = signals_[b];
+    signal.resize(static_cast<size_t>(chw));
+    const float* px = pixels + static_cast<int64_t>(b) * chw;
+    for (int64_t i = 0; i < chw; ++i) {
+      signal[static_cast<size_t>(i)] =
+          encode_pixel(px[i], config_.input_scale, T);
+    }
+    if (stats != nullptr) {
+      for (const int32_t v : signal) (*stats)[b].total_spikes += v;
+    }
+  }
+
   size_t xbar_idx = 0;
+  bool has_readout = false;
+  SncStageTiming* timing = nullptr;  // the last crossbar stage's entry
   for (const auto& stage : stages_) {
     if (stage->kind != Stage::Kind::kConv &&
         stage->kind != Stage::Kind::kDense) {
-      for (std::vector<int64_t>& signal : signals) {
-        signal = run_pool_stage(*stage, signal);
+      const auto t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
+      for (size_t b = 0; b < B; ++b) {
+        run_pool_stage(*stage, signals_[b], next_[b]);
       }
+      signals_.swap(next_);
+      if (timing != nullptr) timing->pool_us += micros_since(t0);
       continue;
     }
     const int64_t positions =
         stage->kind == Stage::Kind::kConv ? stage->out_h * stage->out_w : 1;
-    std::vector<SncStageStats*> st(B, nullptr);
+    stage_stats_.assign(B, nullptr);
     for (size_t b = 0; b < B && stats != nullptr; ++b) {
-      st[b] = &(*stats)[b].stage[xbar_idx];
+      stage_stats_[b] = &(*stats)[b].stage[xbar_idx];
       fill_stage_header(stage->fault, stage->xbar->rows(),
-                        stage->xbar->cols(), positions, st[b]);
+                        stage->xbar->cols(), positions, stage_stats_[b]);
     }
+    timing = stats != nullptr ? &timing_[xbar_idx] : nullptr;
     ++xbar_idx;
-    if (stage->save_skip) skips = signals;
-    if (stage->final_readout) {
-      readout_.assign(B, std::vector<double>(
-                             static_cast<size_t>(stage->xbar->cols()), 0.0));
+    if (stage->save_skip) {
+      const auto t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
+      skips_ = signals_;
+      if (timing != nullptr) timing->skip_us += micros_since(t0);
     }
-    std::vector<std::vector<int64_t>> outs(
-        B, std::vector<int64_t>(
-               static_cast<size_t>(stage->out_c * positions), 0));
-    (this->*run_stage)(*stage, signals, outs, st, coding_rngs);
-    signals = std::move(outs);
+    if (stage->final_readout) {
+      has_readout = true;
+      readout_.resize(B);
+      for (std::vector<double>& r : readout_) {
+        r.assign(static_cast<size_t>(stage->xbar->cols()), 0.0);
+      }
+    }
+    // Every runner writes every output element.
+    for (std::vector<int32_t>& out : next_) {
+      out.resize(static_cast<size_t>(stage->out_c * positions));
+    }
+    const auto t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
+    stage_timing_ = timing;
+    (this->*run_stage)(*stage, signals_, next_, stage_stats_, coding_rngs_);
+    stage_timing_ = nullptr;
+    if (timing != nullptr) timing->stage_us = micros_since(t0);
+    signals_.swap(next_);
+    const auto skip_t0 =
+        timing != nullptr && stage->add_skip ? Clock::now()
+                                             : Clock::time_point{};
     for (size_t b = 0; b < B; ++b) {
       // add_skip stages report spikes after the digital skip add: raw
       // pre-add counts are not what crosses the boundary.
       int64_t spikes = 0;
       if (stage->add_skip) {
-        spikes = apply_skip_add(*stage, signals[b], skips[b]);
+        spikes = apply_skip_add(*stage, signals_[b], skips_[b]);
+      } else if (stats != nullptr && stage->rectify) {
+        for (const int32_t v : signals_[b]) spikes += v;  // never negative
       } else if (stats != nullptr) {
-        for (const int64_t v : signals[b]) spikes += std::max<int64_t>(v, 0);
+        for (const int32_t v : signals_[b]) spikes += std::max(v, 0);
       }
       if (stats != nullptr) {
-        st[b]->spikes = spikes;
+        stage_stats_[b]->spikes = spikes;
         ++(*stats)[b].layers;
         (*stats)[b].total_spikes += spikes;
       }
+    }
+    if (timing != nullptr && stage->add_skip) {
+      timing->skip_us += micros_since(skip_t0);
     }
   }
 
   preds.assign(B, 0);
   for (size_t b = 0; b < B; ++b) {
     std::vector<double>& logits = last_batch_logits_[b];
-    if (!readout_.empty()) {
-      logits = std::move(readout_[b]);
+    if (has_readout) {
+      logits.assign(readout_[b].begin(), readout_[b].end());
     } else {
-      logits.assign(signals[b].begin(), signals[b].end());
+      logits.assign(signals_[b].begin(), signals_[b].end());
     }
     int64_t best = 0;
     for (size_t j = 1; j < logits.size(); ++j) {
@@ -1034,7 +1147,6 @@ std::vector<int64_t> SncSystem::run_network(const float* pixels,
     preds[b] = best;
   }
   last_logits_ = last_batch_logits_.back();
-  readout_.clear();
   return preds;
 }
 

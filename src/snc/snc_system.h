@@ -137,6 +137,25 @@ struct SncStageStats {
   }
 };
 
+/// Where one crossbar stage's host time went in the last call that
+/// requested stats: SncSystem::last_call_timing(). These are properties of
+/// the call, not of each image (a B-image call reports one entry per stage
+/// for all B images), measured with a few steady_clock reads per position
+/// tile. read_us and epilogue_us are summed over the pool threads that ran
+/// the stage's position chunks, so with more than one thread they can
+/// exceed stage_us, the stage's wall time.
+struct SncStageTiming {
+  /// Conductance-panel bytes the stage streamed (deterministic; the
+  /// per-stage share of SncSystem::panel_bytes_streamed()).
+  int64_t panel_bytes = 0;
+  double drive_us = 0.0;     // drive buffer, union mask and event counts
+  double read_us = 0.0;      // tap filter + panel accumulate (thread sum)
+  double epilogue_us = 0.0;  // rounding sums into counts (thread sum)
+  double stage_us = 0.0;     // the whole crossbar stage, wall time
+  double pool_us = 0.0;      // digital pool stages that follow it
+  double skip_us = 0.0;      // residual skip latch and skip add
+};
+
 /// Per-inference activity statistics.
 struct SncStats {
   int64_t total_spikes = 0;   // spikes transported across all boundaries
@@ -176,19 +195,23 @@ class SncSystem {
   /// from a per-input tap fan-out table baked at programming time. Per
   /// position the collapsed ideal read keeps only the taps live in some
   /// image and runs one image-tiled kernel (nn::accumulate_rows_batch)
-  /// that shares each panel-row load across a tile of up to 4 images; a
-  /// small tile of positions then goes through one vectorized epilogue
-  /// (nn::read_epilogue) that rounds the column sums into counts. Slot
-  /// modes (online integration, stochastic coding) gather the union rows
-  /// once, encode every image's spike trains into per-slot firing-row
-  /// lists, and run the same kernel once per (image, occupied slot); their
+  /// that shares each panel-row load across a tile of up to 8 images
+  /// (AVX-512; 4 on AVX2); a small tile of positions then goes through one
+  /// vectorized epilogue (nn::read_epilogue) that rounds the column sums
+  /// into counts. Slot modes (online integration, stochastic coding)
+  /// gather the union rows once, encode every image's spike trains into
+  /// per-slot firing-row lists, and run the same kernel once per (image,
+  /// occupied slot); their
   /// unrectified stages take the collapsed read above. Per-image spike
   /// trains, IFC state, slot occupancy, stochastic-coding RNG streams, and
   /// stats do not depend on the grouping: logits, predictions, and
   /// per-image SncStats are bit-identical to infer_reference() at every
-  /// batch size, at any pool size and under either kernel dispatch.
+  /// batch size, at any pool size and under every kernel dispatch tier.
   /// Returns one predicted class per image; `stats`, when non-null, is
-  /// resized to B.
+  /// resized to B (and last_call_timing() filled). In ideal integration
+  /// the buffers a call needs are owned by the system and by per-thread
+  /// scratch, so once a call at the same B has run, a call allocates only
+  /// its returned vector (plus stats entries when `stats` grows).
   std::vector<int64_t> infer_batch(const nn::Tensor& batch,
                                    std::vector<SncStats>* stats = nullptr);
 
@@ -222,6 +245,13 @@ class SncSystem {
     return panel_bytes_.load(std::memory_order_relaxed);
   }
 
+  /// Per-crossbar-stage host timing of the last inference call, one entry
+  /// per crossbar stage in network order; empty when that call did not
+  /// request stats. The timer only runs when stats are requested.
+  const std::vector<SncStageTiming>& last_call_timing() const {
+    return timing_;
+  }
+
   /// Reads a programmed weight back through the conductance domain
   /// (crossbar `layer`, logical row/col) — used by round-trip tests.
   float read_back_weight(size_t layer, int64_t row, int64_t col) const;
@@ -252,6 +282,11 @@ class SncSystem {
  private:
   struct Stage;
 
+  /// Per-image integer signals between stages (spike counts, CHW-major).
+  /// int32 holds every count: rectified stages stay in [0, T] and the
+  /// read epilogue saturates unrectified ones to the int32 range.
+  using Signals = std::vector<std::vector<int32_t>>;
+
   /// Stochastic coding draws from a per-inference stream: image k of the
   /// system's lifetime (counting across every inference call in order)
   /// draws from stream_seed(config.seed, kCodingStreamBase + k).
@@ -265,10 +300,10 @@ class SncSystem {
   /// A crossbar-stage executor over a group of images: fills outputs[b]
   /// (presized), the input_events and occupied_slots of stats[b] (entries
   /// may be null) and, on the final readout stage, readout_[b].
-  /// coding_rngs[b] is image b's stochastic stream.
+  /// coding_rngs[b] is image b's stochastic stream (empty unless
+  /// stochastic coding is on).
   using StageRunner = void (SncSystem::*)(
-      const Stage& stage, const std::vector<std::vector<int64_t>>& inputs,
-      std::vector<std::vector<int64_t>>& outputs,
+      const Stage& stage, const Signals& inputs, Signals& outputs,
       const std::vector<SncStageStats*>& stats,
       std::vector<nn::Rng>& coding_rngs);
   /// The crossbar-stage runner behind infer() and infer_batch(): stage-wide
@@ -276,15 +311,13 @@ class SncSystem {
   /// kernel call per position and one epilogue per position tile (ideal
   /// read), or one kernel call per (image, occupied slot) over a union
   /// gather (slot modes).
-  void run_crossbar_stage(const Stage& stage,
-                          const std::vector<std::vector<int64_t>>& inputs,
-                          std::vector<std::vector<int64_t>>& outputs,
+  void run_crossbar_stage(const Stage& stage, const Signals& inputs,
+                          Signals& outputs,
                           const std::vector<SncStageStats*>& stats,
                           std::vector<nn::Rng>& coding_rngs);
   /// The dense oracle behind infer_reference().
-  void run_reference_stage(const Stage& stage,
-                           const std::vector<std::vector<int64_t>>& inputs,
-                           std::vector<std::vector<int64_t>>& outputs,
+  void run_reference_stage(const Stage& stage, const Signals& inputs,
+                           Signals& outputs,
                            const std::vector<SncStageStats*>& stats,
                            std::vector<nn::Rng>& coding_rngs);
   /// The network walk shared by every inference call: encodes `count`
@@ -298,16 +331,12 @@ class SncSystem {
   int64_t run_one(const nn::Tensor& image, SncStats* stats,
                   StageRunner run_stage);
 
-  /// Digital pool stages.
-  std::vector<int64_t> run_pool_stage(const Stage& stage,
-                                      const std::vector<int64_t>& input) const;
+  /// Digital pool stage from `input` into `output` (resized).
+  void run_pool_stage(const Stage& stage, const std::vector<int32_t>& input,
+                      std::vector<int32_t>& output) const;
   /// Digital pad-identity skip add in place; returns post-add spikes.
-  int64_t apply_skip_add(const Stage& stage, std::vector<int64_t>& signal,
-                         const std::vector<int64_t>& skip) const;
-  /// Pixel -> M-bit spike-count encoder for one image; adds the input
-  /// spikes to *total_spikes when non-null.
-  std::vector<int64_t> encode_image(const float* pixels, int64_t n,
-                                    int64_t* total_spikes) const;
+  int64_t apply_skip_add(const Stage& stage, std::vector<int32_t>& signal,
+                         const std::vector<int32_t>& skip) const;
 
   SncConfig config_;
   nn::Shape input_chw_;
@@ -318,6 +347,22 @@ class SncSystem {
   /// Per-image final-stage charges of the running call.
   std::vector<std::vector<double>> readout_;
   std::atomic<int64_t> panel_bytes_{0};
+  std::vector<SncStageTiming> timing_;
+  /// The running stage's timing entry (null when stats are off).
+  SncStageTiming* stage_timing_ = nullptr;
+
+  // Call workspace, reused across calls so a steady-state ideal-read call
+  // at a fixed batch size allocates only its result: per-image signals
+  // ping-pong between signals_ and next_ stage by stage, skips_ latches
+  // residual inputs, drives_ / live_ are the crossbar stage's image-minor
+  // drive buffer and union mask.
+  Signals signals_;
+  Signals next_;
+  Signals skips_;
+  std::vector<double> drives_;
+  std::vector<uint8_t> live_;
+  std::vector<nn::Rng> coding_rngs_;
+  std::vector<SncStageStats*> stage_stats_;
   uint64_t coding_streams_issued_ = 0;
   double elapsed_windows_ = 0.0;
   double windows_since_refresh_ = 0.0;

@@ -17,6 +17,25 @@ namespace qsnc::snc {
 /// Spike window length for an M-bit signal.
 constexpr int64_t window_slots(int bits) { return (int64_t{1} << bits) - 1; }
 
+/// The input encoder: pixel -> signal units -> M-bit spike count, i.e.
+/// std::llround(pixel * input_scale) clamped to [0, window], with the
+/// product rounded to float first. The rounding is an exact truncation:
+/// for a float s below 2^52, double(s) + 0.5 is exact, so truncating it
+/// rounds half away from zero as llround does on s >= 0 (s < 0 clamps to 0
+/// either way); from 2^52 up every float is an even integer, so adding
+/// 0.5 rounds back to s. As with llround on x86-64, whose out-of-range
+/// result is LLONG_MIN, s >= 2^63, +-inf and NaN encode to 0. The clamp is
+/// done in double and `window` must be below 2^31, so the count is an
+/// int32 and the loop over an image vectorizes.
+inline int32_t encode_pixel(float pixel, float input_scale, int64_t window) {
+  const float scaled = pixel * input_scale;
+  double v = static_cast<double>(scaled) + 0.5;
+  v = v < 0x1p63 ? v : 0.0;  // NaN fails the compare too
+  v = v > 0.0 ? v : 0.0;
+  v = v < static_cast<double>(window) ? v : static_cast<double>(window);
+  return static_cast<int32_t>(v);
+}
+
 /// Encodes an integer value into a deterministic spike train of
 /// `window_slots(bits)` slots with evenly spread spikes (values are clamped
 /// to [0, 2^M - 1]). Deterministic coding keeps the behavioural simulator

@@ -76,7 +76,9 @@ TEST_F(QatPipelineTest, RegularizerConstrainsSignalRange) {
     nn::Network net = models::make_lenet(rng);
     NeuronConvergenceRegularizer reg(4, 0.1f);
     TrainResult r = train(net, *train_, cfg, with_nc ? &reg : nullptr);
-    if (with_nc) EXPECT_GT(r.history.front().penalty, 0.0f);
+    if (with_nc) {
+      EXPECT_GT(r.history.front().penalty, 0.0f);
+    }
     MaxRecorder recorder;
     net.set_signal_quantizer(&recorder);
     nn::Tensor batch = test_->batch_images(0, 64);

@@ -42,7 +42,9 @@ TEST(DropoutTest, SurvivorsScaledToPreserveExpectation) {
   // E[y] = x: survivors carry 2.0 / 0.75.
   EXPECT_NEAR(y.mean(), 2.0f, 0.1f);
   for (int64_t i = 0; i < y.numel(); ++i) {
-    if (y[i] != 0.0f) EXPECT_NEAR(y[i], 2.0f / 0.75f, 1e-5f);
+    if (y[i] != 0.0f) {
+      EXPECT_NEAR(y[i], 2.0f / 0.75f, 1e-5f);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/fixed_point.h"
+#include "nn/gemm_kernels.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
 
@@ -208,8 +209,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{31, 257, 47}, GemmShape{67, 97, 101},
                       GemmShape{97, 193, 259}),
     [](const ::testing::TestParamInfo<GemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "_k" +
-             std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
+      return (::testing::Message() << "m" << info.param.m << "_k"
+                                   << info.param.k << "_n" << info.param.n)
+          .GetString();
     });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,8 +223,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{8, 512, 33},    // split-k dW shape
                       GemmShape{128, 96, 64}),  // wide-M dW shape
     [](const ::testing::TestParamInfo<GemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "_k" +
-             std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
+      return (::testing::Message() << "m" << info.param.m << "_k"
+                                   << info.param.k << "_n" << info.param.n)
+          .GetString();
     });
 
 TEST(GemmSimdDispatchTest, EnvForcedScalarDisablesAvx2) {
@@ -280,14 +283,49 @@ void expect_double_bits_equal(const std::vector<double>& got,
   }
 }
 
-const int64_t kAccumulateBatches[] = {1, 3, 4, 5, 8, 9};
+// Batch sizes that fill, split and overhang both image tiles (4 on AVX2,
+// 8 on AVX-512).
+const int64_t kAccumulateBatches[] = {1, 3, 4, 5, 7, 8, 9, 16, 17};
 
-// Every width from 2 to 50 (multiples of 4 and of 12 and everything in
+using AccumulateFn = void (*)(const int32_t*, const int32_t*, int64_t,
+                              const double*, int64_t, const double*, int64_t,
+                              double*);
+using EpilogueFn = void (*)(const double*, int64_t, int64_t,
+                            const ReadEpilogue&, int32_t*, int64_t, double*);
+
+// One way to reach the row drive and the epilogue: the dispatching entry
+// points, or one compiled tier called directly.
+struct ReadTier {
+  std::string name;
+  AccumulateFn accumulate;
+  EpilogueFn epilogue;
+};
+
+// The dispatch plus every compiled tier below AVX-512 this CPU runs, so
+// the AVX2 tile stays tested on an AVX-512 host; the AVX-512 tier has its
+// own cases that skip without CPU support.
+std::vector<ReadTier> tiers_below_avx512() {
+  std::vector<ReadTier> tiers = {
+      {"dispatch", &accumulate_rows_batch, &read_epilogue},
+      {"scalar", &kernels::scalar_accumulate_rows_batch,
+       &kernels::scalar_read_epilogue}};
+  if (simd::cpu_has_avx2()) {
+    tiers.push_back({"avx2", &kernels::avx2_accumulate_rows_batch,
+                     &kernels::avx2_read_epilogue});
+  }
+  return tiers;
+}
+
+const ReadTier kAvx512Tier = {"avx512",
+                              &kernels::avx512_accumulate_rows_batch,
+                              &kernels::avx512_read_epilogue};
+
+// Every width from 2 to 50 (multiples of 4, 8 and 12 and everything in
 // between, so every tile shape and masked tail runs) at batch sizes that
-// fill, split and overhang the 4-image tile. Drives are spike-count-like
+// fill, split and overhang the image tiles. Drives are spike-count-like
 // with many zeros, slot 0 is the all-zero padding slot, and the last image
 // never fires, so its sums must stay +0.0 despite negative panel entries.
-TEST(AccumulateRowsBatchTest, MatchesNaiveLoopBitExact) {
+void check_accumulate_matches_naive(const ReadTier& tier) {
   const int64_t panel_rows = 37;
   const int64_t slots = 11;
   for (int64_t width = 2; width <= 50; ++width) {
@@ -313,38 +351,47 @@ TEST(AccumulateRowsBatchTest, MatchesNaiveLoopBitExact) {
       }
       const std::vector<double> want =
           naive_accumulate(rows, srcs, drives, batch, panel, width);
-      for (const bool scalar : {false, true}) {
-        ForceScalarGuard guard(scalar);
-        std::vector<double> got(static_cast<size_t>(batch * width), -7.0);
-        accumulate_rows_batch(rows.data(), srcs.data(),
-                              static_cast<int64_t>(rows.size()),
-                              drives.data(), batch, panel.data(), width,
-                              got.data());
-        expect_double_bits_equal(
-            got, want,
-            "width " + std::to_string(width) + " batch " +
-                std::to_string(batch) + (scalar ? " scalar" : " native"));
-      }
+      std::vector<double> got(static_cast<size_t>(batch * width), -7.0);
+      tier.accumulate(rows.data(), srcs.data(),
+                      static_cast<int64_t>(rows.size()), drives.data(), batch,
+                      panel.data(), width, got.data());
+      expect_double_bits_equal(got, want,
+                               "width " + std::to_string(width) + " batch " +
+                                   std::to_string(batch) + " " + tier.name);
     }
   }
 }
 
-TEST(AccumulateRowsBatchTest, EmptyEventListZeroesAccumulator) {
+void check_empty_event_list(const ReadTier& tier) {
   const std::vector<double> panel(4 * 50, 3.0);
   for (const int64_t width : {2, 12, 13, 50}) {
     for (const int64_t batch : kAccumulateBatches) {
-      for (const bool scalar : {false, true}) {
-        ForceScalarGuard guard(scalar);
-        std::vector<double> acc(static_cast<size_t>(batch * width), -1.0);
-        accumulate_rows_batch(nullptr, nullptr, 0, nullptr, batch,
-                              panel.data(), width, acc.data());
-        expect_double_bits_equal(
-            acc, std::vector<double>(acc.size(), 0.0),
-            "width " + std::to_string(width) + " batch " +
-                std::to_string(batch) + (scalar ? " scalar" : " native"));
-      }
+      std::vector<double> acc(static_cast<size_t>(batch * width), -1.0);
+      tier.accumulate(nullptr, nullptr, 0, nullptr, batch, panel.data(),
+                      width, acc.data());
+      expect_double_bits_equal(acc, std::vector<double>(acc.size(), 0.0),
+                               "width " + std::to_string(width) + " batch " +
+                                   std::to_string(batch) + " " + tier.name);
     }
   }
+}
+
+TEST(AccumulateRowsBatchTest, MatchesNaiveLoopBitExact) {
+  for (const ReadTier& tier : tiers_below_avx512()) {
+    check_accumulate_matches_naive(tier);
+  }
+}
+
+TEST(AccumulateRowsBatchTest, EmptyEventListZeroesAccumulator) {
+  for (const ReadTier& tier : tiers_below_avx512()) {
+    check_empty_event_list(tier);
+  }
+}
+
+TEST(AccumulateRowsBatchTest, Avx512TileMatchesNaiveLoopBitExact) {
+  if (!simd::cpu_has_avx512()) GTEST_SKIP() << "no AVX-512 F/VL/DQ";
+  check_accumulate_matches_naive(kAvx512Tier);
+  check_empty_event_list(kAvx512Tier);
 }
 
 // One epilogue case: the y each (row, column) must produce, through
@@ -358,12 +405,13 @@ struct EpilogueCase {
 };
 
 void check_epilogue(const EpilogueCase& ec, int64_t n, int64_t cols,
-                    bool rectify, const std::string& what) {
+                    bool rectify, const std::string& what,
+                    const std::vector<ReadTier>& tiers) {
   const int64_t ceiling = 15;
   const int64_t acc_stride = 2 * cols + 3;  // rows need not be packed
   const int64_t count_stride = n + 2;
   std::vector<double> acc(static_cast<size_t>(n * acc_stride), 99.0);
-  std::vector<int64_t> want_counts(static_cast<size_t>(cols * count_stride),
+  std::vector<int32_t> want_counts(static_cast<size_t>(cols * count_stride),
                                    -1);
   std::vector<double> want_y(static_cast<size_t>(cols));
   for (int64_t i = 0; i < n; ++i) {
@@ -374,9 +422,13 @@ void check_epilogue(const EpilogueCase& ec, int64_t n, int64_t cols,
       const double y =
           ec.step * ((ec.plus[e] - ec.minus[e]) / ec.dg) +
           static_cast<double>(ec.bias[static_cast<size_t>(c)]);
-      int64_t k = core::round_half_up(y);
-      if (rectify) k = std::clamp<int64_t>(k, 0, ceiling);
-      want_counts[static_cast<size_t>(c * count_stride + i)] = k;
+      // Rectified counts clamp to the ceiling, raw ones saturate at the
+      // int32 range.
+      const int64_t k = std::clamp<int64_t>(
+          core::round_half_up(y), rectify ? 0 : INT32_MIN,
+          rectify ? ceiling : INT32_MAX);
+      want_counts[static_cast<size_t>(c * count_stride + i)] =
+          static_cast<int32_t>(k);
       if (i == n - 1) want_y[static_cast<size_t>(c)] = y;
     }
   }
@@ -387,19 +439,18 @@ void check_epilogue(const EpilogueCase& ec, int64_t n, int64_t cols,
   ep.bias = ec.bias.data();
   ep.rectify = rectify;
   ep.ceiling = ceiling;
-  for (const bool scalar : {false, true}) {
-    ForceScalarGuard guard(scalar);
-    const std::string ctx = what + (rectify ? " rectified" : " raw") +
-                            (scalar ? " scalar" : " native");
-    std::vector<int64_t> counts(want_counts.size(), -1);
+  for (const ReadTier& tier : tiers) {
+    const std::string ctx =
+        what + (rectify ? " rectified " : " raw ") + tier.name;
+    std::vector<int32_t> counts(want_counts.size(), -1);
     std::vector<double> y(static_cast<size_t>(cols), -5.0);
-    read_epilogue(acc.data(), n, acc_stride, ep, counts.data(), count_stride,
+    tier.epilogue(acc.data(), n, acc_stride, ep, counts.data(), count_stride,
                   y.data());
     EXPECT_EQ(counts, want_counts) << ctx;
     expect_double_bits_equal(y, want_y, ctx + " y");
     // Without a y output only the counts are written.
-    std::vector<int64_t> counts_only(want_counts.size(), -1);
-    read_epilogue(acc.data(), n, acc_stride, ep, counts_only.data(),
+    std::vector<int32_t> counts_only(want_counts.size(), -1);
+    tier.epilogue(acc.data(), n, acc_stride, ep, counts_only.data(),
                   count_stride, nullptr);
     EXPECT_EQ(counts_only, want_counts) << ctx << " no y";
   }
@@ -407,9 +458,10 @@ void check_epilogue(const EpilogueCase& ec, int64_t n, int64_t cols,
 
 // Half-integer ties k +- 0.5 (up, never to even), the largest double below
 // 0.5 (whose y + 0.5 rounds to 1.0), negative y on an unrectified stage,
-// and -0.0 (a -0.0 bias keeps it, so y itself is -0.0), at column counts
-// that exercise full and masked vectors.
-TEST(ReadEpilogueTest, RoundsHalfUpLikeCore) {
+// -0.0 (a -0.0 bias keeps it, so y itself is -0.0), and values around and
+// beyond the int32 range, which raw counts saturate to, at column counts
+// that exercise full and masked vectors of both SIMD widths.
+void check_ties(const std::vector<ReadTier>& tiers) {
   std::vector<double> ys;
   for (int k = -4; k <= 17; ++k) {
     ys.push_back(k - 0.5);
@@ -421,7 +473,14 @@ TEST(ReadEpilogueTest, RoundsHalfUpLikeCore) {
   ys.push_back(-2.7);
   ys.push_back(-1e9);
   ys.push_back(-0.0);
-  for (const int64_t cols : {1, 2, 3, 4, 5, 7, 8, 9}) {
+  ys.push_back(2147483646.5);
+  ys.push_back(2147483647.49);
+  ys.push_back(2147483647.5);
+  ys.push_back(-2147483648.5);
+  ys.push_back(-2147483648.51);
+  ys.push_back(3e9);
+  ys.push_back(-3e9);
+  for (const int64_t cols : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17}) {
     const int64_t n = (static_cast<int64_t>(ys.size()) + cols - 1) / cols;
     EpilogueCase ec;
     ec.dg = 1.0;
@@ -433,15 +492,19 @@ TEST(ReadEpilogueTest, RoundsHalfUpLikeCore) {
     }
     for (const bool rectify : {false, true}) {
       check_epilogue(ec, n, cols, rectify,
-                     "ties cols " + std::to_string(cols));
+                     "ties cols " + std::to_string(cols), tiers);
     }
   }
 }
 
+TEST(ReadEpilogueTest, RoundsHalfUpLikeCore) {
+  check_ties(tiers_below_avx512());
+}
+
 // Conductance-scale sums through a non-unit dg, step and bias, as the
 // runner produces them.
-TEST(ReadEpilogueTest, MatchesCoreOnConductanceSums) {
-  for (const int64_t cols : {1, 3, 4, 6, 12, 13}) {
+void check_conductance_sums(const std::vector<ReadTier>& tiers) {
+  for (const int64_t cols : {1, 3, 4, 6, 8, 12, 13, 16, 20}) {
     Rng rng(static_cast<uint64_t>(cols));
     const int64_t n = 9;
     EpilogueCase ec;
@@ -456,24 +519,39 @@ TEST(ReadEpilogueTest, MatchesCoreOnConductanceSums) {
     }
     for (const bool rectify : {false, true}) {
       check_epilogue(ec, n, cols, rectify,
-                     "conductance cols " + std::to_string(cols));
+                     "conductance cols " + std::to_string(cols), tiers);
     }
   }
 }
 
-TEST(ReadEpilogueTest, NoRowsWritesNothing) {
+TEST(ReadEpilogueTest, MatchesCoreOnConductanceSums) {
+  check_conductance_sums(tiers_below_avx512());
+}
+
+void check_no_rows(const std::vector<ReadTier>& tiers) {
   const std::vector<float> bias{1.0f, 2.0f};
   ReadEpilogue ep;
   ep.cols = 2;
   ep.bias = bias.data();
-  for (const bool scalar : {false, true}) {
-    ForceScalarGuard guard(scalar);
-    std::vector<int64_t> counts{-1, -1};
+  for (const ReadTier& tier : tiers) {
+    std::vector<int32_t> counts{-1, -1};
     std::vector<double> y{-5.0, -5.0};
-    read_epilogue(nullptr, 0, 4, ep, counts.data(), 1, y.data());
-    EXPECT_EQ(counts, (std::vector<int64_t>{-1, -1}));
-    EXPECT_EQ(y, (std::vector<double>{-5.0, -5.0}));
+    tier.epilogue(nullptr, 0, 4, ep, counts.data(), 1, y.data());
+    EXPECT_EQ(counts, (std::vector<int32_t>{-1, -1})) << tier.name;
+    EXPECT_EQ(y, (std::vector<double>{-5.0, -5.0})) << tier.name;
   }
+}
+
+TEST(ReadEpilogueTest, NoRowsWritesNothing) {
+  check_no_rows(tiers_below_avx512());
+}
+
+TEST(ReadEpilogueTest, Avx512MatchesCore) {
+  if (!simd::cpu_has_avx512()) GTEST_SKIP() << "no AVX-512 F/VL/DQ";
+  const std::vector<ReadTier> tiers = {kAvx512Tier};
+  check_ties(tiers);
+  check_conductance_sums(tiers);
+  check_no_rows(tiers);
 }
 
 }  // namespace

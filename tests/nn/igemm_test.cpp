@@ -125,8 +125,9 @@ INSTANTIATE_TEST_SUITE_P(
                       IGemmShape{5, 129, 33}, IGemmShape{13, 131, 17},
                       IGemmShape{31, 257, 47}, IGemmShape{67, 97, 101}),
     [](const ::testing::TestParamInfo<IGemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "_k" +
-             std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
+      return (::testing::Message() << "m" << info.param.m << "_k"
+                                   << info.param.k << "_n" << info.param.n)
+          .GetString();
     });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -137,8 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
                       IGemmShape{64, 300, 16},   // dense head batch
                       IGemmShape{128, 96, 64}),
     [](const ::testing::TestParamInfo<IGemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "_k" +
-             std::to_string(info.param.k) + "_n" + std::to_string(info.param.n);
+      return (::testing::Message() << "m" << info.param.m << "_k"
+                                   << info.param.k << "_n" << info.param.n)
+          .GetString();
     });
 
 // How A's k pairs are filled in the tile sweep below.
@@ -183,10 +185,10 @@ TEST(IGemmTest, EveryTileRowCountKTailAndWidthMatchesNaive) {
           naive_igemm_acc(a.data(), b.data(), from_zero.data(), m, k, n);
           const IGemmPackedB packed(b.data(), k, n);
           for (bool force_scalar : {false, true}) {
-            SCOPED_TRACE("m" + std::to_string(m) + " k" + std::to_string(k) +
-                         " n" + std::to_string(n) + " fill " +
-                         std::to_string(static_cast<int>(fill)) +
-                         " force_scalar " + std::to_string(force_scalar));
+            SCOPED_TRACE(::testing::Message()
+                         << "m" << m << " k" << k << " n" << n << " fill "
+                         << static_cast<int>(fill) << " force_scalar "
+                         << force_scalar);
             ForceScalarGuard guard(force_scalar);
             std::vector<int32_t> got = c0;
             igemm_acc(a.data(), b.data(), got.data(), m, k, n);
@@ -299,10 +301,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeometry{2, 8, 8, 1, 1, 0, 5}),    // 1x1, k 2
     [](const ::testing::TestParamInfo<ConvGeometry>& info) {
       const ConvGeometry& g = info.param;
-      return "c" + std::to_string(g.channels) + "_" +
-             std::to_string(g.height) + "x" + std::to_string(g.width) + "_k" +
-             std::to_string(g.kernel) + "_s" + std::to_string(g.stride) +
-             "_p" + std::to_string(g.pad) + "_m" + std::to_string(g.m);
+      return (::testing::Message()
+              << "c" << g.channels << "_" << g.height << "x" << g.width
+              << "_k" << g.kernel << "_s" << g.stride << "_p" << g.pad << "_m"
+              << g.m)
+          .GetString();
     });
 
 // The AVX2 gather must emit exactly pack_ib_panel's layout, zero padding

@@ -155,7 +155,8 @@ TEST(FleetChaosTest, SigkillUnderSoakLosesNoAcceptedRequests) {
       options.vnodes);
   std::string doomed_session;
   for (int i = 0; i < 1000 && doomed_session.empty(); ++i) {
-    const std::string s = "s" + std::to_string(i);
+    std::string s = "s";
+    s += std::to_string(i);
     if (ring.pick(route_hash("lenet-mini", s)) == 1) doomed_session = s;
   }
   ASSERT_FALSE(doomed_session.empty());

@@ -87,7 +87,8 @@ std::string session_owned_by(const RouterOptions& options, size_t want) {
   for (const auto& ep : options.backends) labels.push_back(ep.str());
   const HashRing ring(labels, options.vnodes);
   for (int i = 0; i < 1000; ++i) {
-    const std::string session = "s" + std::to_string(i);
+    std::string session = "s";
+    session += std::to_string(i);
     if (ring.pick(route_hash("lenet-mini", session)) == want) {
       return session;
     }

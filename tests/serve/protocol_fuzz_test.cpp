@@ -289,7 +289,7 @@ TEST(ProtocolFuzzTest, MutatedValidFramesNeverEscape) {
       encode_hello(Hello{}),
       encode_hello_ack(HelloAck{kProtocolVersion, true}),
       encode_health_probe(HealthProbe{123}),
-      encode_health_ack(HealthAck{123, true, 7}),
+      encode_health_ack(HealthAck{123, true, 7, {}}),
       // The v5 model-lifecycle frames (mutations hit the version strings,
       // the state length, and the checkpoint bytes alike).
       encode_load_version(valid_load()),

@@ -14,6 +14,8 @@
 #include "nn/layers/flatten.h"
 #include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
+#include "support/allocation_counter.h"
+#include "util/thread_pool.h"
 
 namespace qsnc::snc {
 namespace {
@@ -282,6 +284,45 @@ TEST(SncSystemTest, DeviceVariationDegradesGracefully) {
     if (noisy.infer(img) == clean.infer(img)) ++agree;
   }
   EXPECT_GE(agree, 30);  // small variation rarely flips predictions
+}
+
+// Once a call at the same batch size has run, an ideal-read infer_batch
+// reuses the system's workspace and its thread's scratch: the only
+// allocation left is the returned prediction vector, with or without a
+// reused stats vector (which also fills last_call_timing()).
+TEST(SncSystemTest, SteadyStateInferBatchAllocatesOnlyItsResult) {
+  nn::Rng rng(9);
+  nn::Network net = models::make_lenet_mini(rng);
+  core::fold_batchnorm(net);
+  core::WeightClusterConfig wc;
+  wc.bits = 4;
+  SncConfig cfg;
+  cfg.weight_scales.clear();
+  for (const auto& r : core::apply_weight_clustering(net, wc)) {
+    cfg.weight_scales.push_back(r.scale);
+  }
+  const int threads = util::num_threads();
+  util::set_num_threads(1);  // every chunk runs on this thread
+  SncSystem system(net, {1, 28, 28}, cfg);
+  for (const int64_t batch : {1, 8}) {
+    nn::Tensor images({batch, 1, 28, 28});
+    nn::Rng pixels(static_cast<uint64_t>(batch));
+    for (int64_t i = 0; i < images.numel(); ++i) {
+      images[i] = pixels.uniform(0.0f, 1.0f);
+    }
+    std::vector<SncStats> stats;
+    system.infer_batch(images, &stats);  // sizes the workspace
+    system.infer_batch(images);
+    const std::function<void()> plain = [&] { system.infer_batch(images); };
+    const std::function<void()> with_stats = [&] {
+      system.infer_batch(images, &stats);
+    };
+    EXPECT_EQ(test_support::count_allocations(plain), 1) << "B=" << batch;
+    EXPECT_EQ(test_support::count_allocations(with_stats), 1)
+        << "B=" << batch << " with stats";
+    EXPECT_EQ(system.last_call_timing().size(), stats[0].stage.size());
+  }
+  util::set_num_threads(threads);
 }
 
 TEST(SncSystemIntegrationTest, TrainedLenetDeploysWithHighAgreement) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -136,6 +139,63 @@ TEST(IfcChainTest, DeterministicTrainThroughIfcReproducesProduct) {
     }
     EXPECT_EQ(counter.value(), n);
   }
+}
+
+// The encoder the SNC input stage used before encode_pixel: llround of the
+// float product, clamped to the window. On x86-64 llround's out-of-range
+// result (NaN, +-inf, |x| >= 2^63) is LLONG_MIN, which clamps to 0.
+int64_t llround_encode(float pixel, float input_scale, int64_t window) {
+  const float scaled = pixel * input_scale;
+  return std::clamp<int64_t>(static_cast<int64_t>(std::llround(scaled)), 0,
+                             window);
+}
+
+// Every k + 0.5 tie and its float neighbours, signed zeros, negatives,
+// infinities, NaN and huge values, at input scales 15 and 16 and windows
+// of 3, 4 and 8 bits; pixels are chosen so that pixel * scale lands on
+// the interesting product.
+TEST(EncodePixelTest, MatchesLlroundAndClamp) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> products = {0.0f,   -0.0f,  0.25f, -0.25f, -0.5f,
+                                 -1.5f,  -7.0f,  inf,   -inf,   nan,
+                                 -nan,   1e30f,  -1e30f, 9.2e18f, 9.3e18f,
+                                 0x1p52f, 0x1p53f, 0x1p62f, 0x1p63f,
+                                 std::numeric_limits<float>::max(),
+                                 std::numeric_limits<float>::min(),
+                                 std::numeric_limits<float>::denorm_min()};
+  for (int k = -3; k <= 300; ++k) {
+    const float tie = static_cast<float>(k) + 0.5f;
+    products.push_back(tie);
+    products.push_back(std::nextafter(tie, inf));
+    products.push_back(std::nextafter(tie, -inf));
+    products.push_back(static_cast<float>(k));
+  }
+  for (const float scale : {15.0f, 16.0f}) {
+    for (const int bits : {3, 4, 8}) {
+      const int64_t window = window_slots(bits);
+      for (const float product : products) {
+        // Both the product itself (scale 1) and a pixel that scales to it.
+        for (const auto& [pixel, s] :
+             {std::pair{product, 1.0f}, std::pair{product / scale, scale}}) {
+          EXPECT_EQ(encode_pixel(pixel, s, window),
+                    llround_encode(pixel, s, window))
+              << "pixel " << pixel << " scale " << s << " bits " << bits;
+        }
+      }
+    }
+  }
+}
+
+TEST(EncodePixelTest, OutOfRangeAndNanEncodeToZero) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(encode_pixel(inf, 16.0f, 15), 0);
+  EXPECT_EQ(encode_pixel(-inf, 16.0f, 15), 0);
+  EXPECT_EQ(encode_pixel(std::nanf(""), 16.0f, 15), 0);
+  EXPECT_EQ(encode_pixel(0x1p63f, 1.0f, 15), 0);
+  EXPECT_EQ(encode_pixel(0x1p62f, 1.0f, 15), 15);
+  EXPECT_EQ(encode_pixel(1.0f, 16.0f, 15), 15);
+  EXPECT_EQ(encode_pixel(0.5f / 16.0f, 16.0f, 15), 1);
 }
 
 }  // namespace

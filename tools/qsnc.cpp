@@ -924,9 +924,11 @@ int cmd_loadgen(const util::Flags& flags) {
           ++cls.sent;
           // Session key: request i belongs to session i % K, so a router
           // in the path pins each session to one backend.
-          const std::string session =
-              sessions > 0 ? "s" + std::to_string(i % sessions)
-                           : std::string();
+          std::string session;
+          if (sessions > 0) {
+            session = "s";
+            session += std::to_string(i % sessions);
+          }
           int64_t attempts = 0;
           for (;;) {
             const auto s0 = std::chrono::steady_clock::now();
