@@ -80,11 +80,14 @@ void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                   int64_t width, double* acc);
 
 /// The clamp range of nn::read_epilogue's rounded counts, in double:
-/// [0, ceiling] on rectified stages, else the int32 range.
-inline double count_lo(const ReadEpilogue& ep) {
+/// [0, ceiling] on rectified stages, else the int32 range. Always inlined,
+/// so no TU emits an out-of-line copy: gemm_avx2.cpp and gemm_avx512.cpp
+/// call them from code built with -mavx2 / -mavx512f, and a weak copy from
+/// either could otherwise be the one the linker keeps for the scalar tier.
+[[gnu::always_inline]] inline double count_lo(const ReadEpilogue& ep) {
   return ep.rectify ? 0.0 : -0x1p31;
 }
-inline double count_hi(const ReadEpilogue& ep) {
+[[gnu::always_inline]] inline double count_hi(const ReadEpilogue& ep) {
   return ep.rectify ? static_cast<double>(ep.ceiling) : 0x1p31 - 1.0;
 }
 

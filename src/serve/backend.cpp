@@ -241,8 +241,12 @@ std::vector<int64_t> SncBackend::infer_batch(const nn::Tensor& batch) {
     // deployments (per_replica_seeds) fan out below instead: their
     // replicas are intentionally non-identical, and spraying images
     // across them is the feature.
+    // The activity report needs per-image stats, so a served window also
+    // pays the per-stage timer (a few clock reads per position tile). The
+    // stats vector is the calling thread's and is reused, so a
+    // steady-state window allocates only its predictions.
+    thread_local std::vector<snc::SncStats> stats;
     snc::SncSystem* system = acquire();
-    std::vector<snc::SncStats> stats;
     std::vector<int64_t> predictions;
     try {
       predictions = system->infer_batch(batch, &stats);

@@ -476,25 +476,15 @@ void SncSystem::run_crossbar_stage(
   std::fill(drives_.begin(), drives_.begin() + B, 0.0);
   live_[0] = 0;
   double* const drives = drives_.data();
-  if (B == 1) {
-    // One image: the same buffer, without the per-input image loop.
-    const int32_t* in = inputs[0].data();
-    for (int64_t i = 0; i < n_in; ++i) {
-      drives[i + 1] = static_cast<double>(in[i]);
-      live_[static_cast<size_t>(i + 1)] = in[i] != 0;
+  for (int64_t i = 0; i < n_in; ++i) {
+    double* d = drives + (i + 1) * B;
+    int32_t any = 0;
+    for (int64_t b = 0; b < B; ++b) {
+      const int32_t v = inputs[static_cast<size_t>(b)][static_cast<size_t>(i)];
+      d[b] = static_cast<double>(v);
+      any |= v;
     }
-  } else {
-    for (int64_t i = 0; i < n_in; ++i) {
-      double* d = drives + (i + 1) * B;
-      int32_t any = 0;
-      for (int64_t b = 0; b < B; ++b) {
-        const int32_t v =
-            inputs[static_cast<size_t>(b)][static_cast<size_t>(i)];
-        d[b] = static_cast<double>(v);
-        any |= v;
-      }
-      live_[static_cast<size_t>(i + 1)] = any != 0;
-    }
+    live_[static_cast<size_t>(i + 1)] = any != 0;
   }
   const uint8_t* const live = live_.data();
   const int32_t* const fanout = stage.fanout.data();
@@ -1114,8 +1104,6 @@ std::vector<int64_t> SncSystem::run_network(const float* pixels,
       int64_t spikes = 0;
       if (stage->add_skip) {
         spikes = apply_skip_add(*stage, signals_[b], skips_[b]);
-      } else if (stats != nullptr && stage->rectify) {
-        for (const int32_t v : signals_[b]) spikes += v;  // never negative
       } else if (stats != nullptr) {
         for (const int32_t v : signals_[b]) spikes += std::max(v, 0);
       }

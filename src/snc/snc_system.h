@@ -247,7 +247,8 @@ class SncSystem {
 
   /// Per-crossbar-stage host timing of the last inference call, one entry
   /// per crossbar stage in network order; empty when that call did not
-  /// request stats. The timer only runs when stats are requested.
+  /// request stats. The timer only runs when stats are requested, which
+  /// the serving backend does on every window.
   const std::vector<SncStageTiming>& last_call_timing() const {
     return timing_;
   }
