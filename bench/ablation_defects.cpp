@@ -9,11 +9,13 @@
 // over the passive baseline at each rate. Writes BENCH_faults.json
 // (override with QSNC_BENCH_OUT).
 #include "bench_common.h"
+#include "bench_json.h"
 #include "core/neuron_convergence.h"
 #include "core/qat_pipeline.h"
 #include "core/weight_clustering.h"
 #include "models/model_zoo.h"
 #include "snc/snc_system.h"
+#include "util/thread_pool.h"
 
 using namespace qsnc;
 
@@ -121,15 +123,11 @@ int main() {
               "mean; fault-free %s):\n%s",
               report::pct(fault_free).c_str(), rt.to_string().c_str());
 
-  const char* env = std::getenv("QSNC_BENCH_OUT");
-  const std::string path = env ? env : "BENCH_faults.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "ablation_defects: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"fault_free_accuracy\": %.4f,\n  \"rows\": [\n",
+  std::string path;
+  std::FILE* f =
+      bench::open_json("BENCH_faults.json", util::num_threads(), &path);
+  if (f == nullptr) return 1;
+  std::fprintf(f, "  \"fault_free_accuracy\": %.4f,\n  \"rows\": [\n",
                fault_free);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,

@@ -2,11 +2,13 @@
 // code and which machine produced it: git sha (with "-dirty" when tracked
 // sources differ from it; the BENCH files themselves do not count), nproc,
 // CPU model, the kernel dispatch tier, the pool's thread count and whether
-// QSNC_BENCH_FAST shrank the workload.
+// QSNC_BENCH_FAST shrank the workload. Every bench that writes JSON opens
+// its file through open_json:
 //
-//   std::fprintf(f, "{\n");
-//   qsnc::bench::write_json_header(f, threads);   // "machine": {...},
-//   ... the bench's own keys ...
+//   std::string path;
+//   std::FILE* f = qsnc::bench::open_json("BENCH_x.json", threads, &path);
+//   if (f == nullptr) return 1;   // "{" and "machine": {...}, written
+//   ... the bench's own keys, then "}" ...
 #pragma once
 
 #include <cstdio>
@@ -66,18 +68,30 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Writes `  "machine": {...},` plus a newline: the first key of a bench's
-/// top-level JSON object.
-inline void write_json_header(std::FILE* f, int threads) {
+/// Opens the bench's JSON output — the QSNC_BENCH_OUT path, else
+/// `default_name` — stores that path in `*path`, and writes the top-level
+/// object's opening brace and its first key, `"machine": {...},`. The
+/// caller writes its own keys and the closing brace. Returns null, after
+/// saying why on stderr, when the file cannot be opened.
+inline std::FILE* open_json(const char* default_name, int threads,
+                            std::string* path) {
+  const char* out = std::getenv("QSNC_BENCH_OUT");
+  *path = out != nullptr ? out : default_name;
+  std::FILE* f = std::fopen(path->c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path->c_str());
+    return nullptr;
+  }
   const char* fast = std::getenv("QSNC_BENCH_FAST");
   std::fprintf(f,
-               "  \"machine\": {\"git_sha\": \"%s\", \"nproc\": %u, "
+               "{\n  \"machine\": {\"git_sha\": \"%s\", \"nproc\": %u, "
                "\"cpu\": \"%s\", \"dispatch\": \"%s\", \"threads\": %d, "
                "\"bench_fast\": %s},\n",
                json_escape(git_sha()).c_str(),
                std::thread::hardware_concurrency(),
                json_escape(cpu_model()).c_str(), nn::simd::dispatch_tier(),
                threads, fast != nullptr && fast[0] == '1' ? "true" : "false");
+  return f;
 }
 
 }  // namespace qsnc::bench

@@ -521,16 +521,10 @@ void run_thread_sweep(std::vector<SweepRow>& rows) {
 }
 
 void emit_rows(const std::vector<SweepRow>& rows) {
-  const char* env = std::getenv("QSNC_BENCH_OUT");
-  const std::string path = env ? env : "BENCH_kernels.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "thread sweep: cannot open %s for writing\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  bench::write_json_header(f, util::num_threads());
+  std::string path;
+  std::FILE* f =
+      bench::open_json("BENCH_kernels.json", util::num_threads(), &path);
+  if (f == nullptr) return;
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];

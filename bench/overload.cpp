@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.h"
 #include "nn/rng.h"
 #include "router/hash_ring.h"
 #include "router/router_config.h"
@@ -37,6 +38,7 @@
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -356,16 +358,12 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   const HedgeRow hedge = run_router_hedging(hedge_requests);
 
-  const char* env = std::getenv("QSNC_BENCH_OUT");
-  const std::string path = env ? env : "BENCH_overload.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "overload: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
+  std::string path;
+  std::FILE* f =
+      bench::open_json("BENCH_overload.json", util::num_threads(), &path);
+  if (f == nullptr) return 1;
   std::fprintf(f,
-               "{\n  \"model\": \"lenet-mini\",\n"
+               "  \"model\": \"lenet-mini\",\n"
                "  \"capacity_qps\": %.5g,\n  \"results\": [\n",
                capacity);
   for (size_t i = 0; i < points.size(); ++i) {

@@ -15,10 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "bench_json.h"
 #include "nn/rng.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -65,7 +67,6 @@ SweepPoint run_point(serve::BackendKind backend, uint32_t max_batch,
   opts.batch_timeout_us = 200;
   opts.queue_capacity = 1024;
   serve::ServeCore core(registry, opts);
-  serve::ServeClient client(core);
 
   const auto images = make_images(32);
   std::atomic<int> remaining{requests};
@@ -82,12 +83,12 @@ SweepPoint run_point(serve::BackendKind backend, uint32_t max_batch,
       while (remaining.fetch_sub(1) > 0 &&
              std::chrono::steady_clock::now() < deadline) {
         const nn::Tensor& img = images[next++ % images.size()];
-        serve::Response r = client.infer("m", img);
+        serve::Response r = core.infer("m", img);
         while (r.status == serve::Status::kRejected) {
           ++client_rejects;
           std::this_thread::sleep_for(std::chrono::microseconds(
               std::min<uint64_t>(r.retry_after_us, 50000)));
-          r = client.infer("m", img);
+          r = core.infer("m", img);
         }
       }
     });
@@ -146,15 +147,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* env = std::getenv("QSNC_BENCH_OUT");
-  const std::string path = env ? env : "BENCH_serve.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "serve_throughput: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"model\": \"lenet-mini\",\n  \"producers\": %d,\n"
+  std::string path;
+  std::FILE* f =
+      bench::open_json("BENCH_serve.json", util::num_threads(), &path);
+  if (f == nullptr) return 1;
+  std::fprintf(f, "  \"model\": \"lenet-mini\",\n  \"producers\": %d,\n"
                "  \"results\": [\n", producers);
   for (size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];

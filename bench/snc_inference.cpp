@@ -110,19 +110,7 @@ PathRun run_path(nn::Network& net, const ModelCase& model,
                                   ? system.infer_reference(s.image, &stats)
                                   : system.infer(s.image, &stats));
     run.logits.push_back(system.last_logits());
-    if (run.totals.stage.size() < stats.stage.size()) {
-      run.totals.stage.resize(stats.stage.size());
-    }
-    run.totals.total_spikes += stats.total_spikes;
-    run.totals.window_slots = stats.window_slots;
-    for (size_t st = 0; st < stats.stage.size(); ++st) {
-      run.totals.stage[st].rows = stats.stage[st].rows;
-      run.totals.stage[st].cols = stats.stage[st].cols;
-      run.totals.stage[st].positions += stats.stage[st].positions;
-      run.totals.stage[st].input_events += stats.stage[st].input_events;
-      run.totals.stage[st].spikes += stats.stage[st].spikes;
-      run.totals.stage[st].occupied_slots += stats.stage[st].occupied_slots;
-    }
+    run.totals.add(stats);
   }
   run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -467,16 +455,9 @@ int main(int argc, char** argv) {
     if (!p.predictions_match) all_match = false;
   }
 
-  const char* env = std::getenv("QSNC_BENCH_OUT");
-  const std::string path = env ? env : "BENCH_snc.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "snc_inference: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  bench::write_json_header(f, threads);
+  std::string path;
+  std::FILE* f = bench::open_json("BENCH_snc.json", threads, &path);
+  if (f == nullptr) return 1;
   std::fprintf(f, "  \"threads\": %d,\n  \"results\": [\n", threads);
   for (size_t i = 0; i < results.size(); ++i) {
     const ModeResult& r = results[i];

@@ -14,7 +14,6 @@
 #include "nn/layers/batchnorm.h"
 #include "nn/layers/conv2d.h"
 #include "nn/layers/dense.h"
-#include "nn/layers/dropout.h"
 #include "nn/layers/flatten.h"
 #include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
@@ -230,8 +229,6 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
       // Activations are flat per image already; only the shape changes.
       if (shape.size() != 3) return nullptr;
       shape = {shape[0] * shape[1] * shape[2]};
-    } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      // Inference dropout returns its input unchanged; no op needed.
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
       // Only the exact inference identity (scale 1, shift 0 bitwise, e.g.
       // after BN folding's reset_to_identity) is bit-transparent.

@@ -46,7 +46,7 @@ class IntQuantEngine {
  public:
   /// Attempts to compile `net` for integer execution at M = `signal_bits`.
   /// Returns nullptr unless every layer is supported (Conv2d, Dense, ReLU,
-  /// MaxPool2d, Flatten, Dropout, exact-identity BatchNorm2d) and every
+  /// MaxPool2d, Flatten, exact-identity BatchNorm2d) and every
   /// crossbar layer passes the dyadic-representability and 2^24 exactness
   /// checks above. Weights are snapshotted at build time; rebuild after
   /// mutating the network.

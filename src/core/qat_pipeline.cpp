@@ -7,7 +7,6 @@
 #include "core/dynamic_fixed_point.h"
 #include "core/fixed_point.h"
 #include "core/metrics.h"
-#include "data/augment.h"
 #include "data/batcher.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -46,12 +45,6 @@ TrainResult train(nn::Network& net, const data::InMemoryDataset& train_set,
       std::make_shared<data::InMemoryDataset>(train_set), config.batch_size,
       config.seed + 17);
   nn::Sgd opt(net.params(), {config.lr, config.momentum, config.weight_decay});
-  std::unique_ptr<data::Augmenter> augmenter;
-  if (config.augment) {
-    data::AugmentConfig acfg;
-    acfg.seed = config.seed + 53;
-    augmenter = std::make_unique<data::Augmenter>(acfg);
-  }
 
   std::unique_ptr<IntegerSignalQuantizer> fq;
   if (fake_quant_bits > 0) {
@@ -68,7 +61,6 @@ TrainResult train(nn::Network& net, const data::InMemoryDataset& train_set,
     double penalty_acc = 0.0;
     for (int64_t s = 0; s < steps; ++s) {
       data::Batch batch = batcher.next();
-      if (augmenter) augmenter->apply(&batch.images);
       scale_and_maybe_quantize_input(batch.images, config.input_scale,
                                      quantizing ? fake_quant_bits : 0);
 

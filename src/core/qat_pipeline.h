@@ -48,10 +48,6 @@ struct TrainConfig {
   float input_scale = 16.0f;   // signal-units input convention (see above)
   uint64_t seed = 42;
   bool verbose = false;
-  /// Apply random shift/flip augmentation to each training batch
-  /// (data::Augmenter with its defaults). Off by default so experiment
-  /// arms stay directly comparable.
-  bool augment = false;
 };
 
 /// Neuron Convergence arm options.

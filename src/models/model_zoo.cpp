@@ -10,7 +10,6 @@
 
 namespace qsnc::models {
 
-using nn::AvgPool2d;
 using nn::BatchNorm2d;
 using nn::Conv2d;
 using nn::Dense;

@@ -11,16 +11,4 @@ void he_normal(Tensor& w, int64_t fan_in, Rng& rng) {
   for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal(0.0f, stddev);
 }
 
-void xavier_uniform(Tensor& w, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  if (fan_in <= 0 || fan_out <= 0) {
-    throw std::invalid_argument("xavier_uniform: non-positive fan");
-  }
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.uniform(-a, a);
-}
-
-void uniform(Tensor& w, float a, Rng& rng) {
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.uniform(-a, a);
-}
-
 }  // namespace qsnc::nn

@@ -12,10 +12,4 @@ namespace qsnc::nn {
 /// and dense layers (every hidden activation in the model zoo is ReLU).
 void he_normal(Tensor& w, int64_t fan_in, Rng& rng);
 
-/// Glorot/Xavier-uniform init: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-void xavier_uniform(Tensor& w, int64_t fan_in, int64_t fan_out, Rng& rng);
-
-/// Uniform init in [-a, a].
-void uniform(Tensor& w, float a, Rng& rng);
-
 }  // namespace qsnc::nn

@@ -74,88 +74,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-AvgPool2d::AvgPool2d(int64_t kernel, int64_t stride)
-    : kernel_(kernel), stride_(stride) {
-  if (kernel <= 0 || stride <= 0) {
-    throw std::invalid_argument("AvgPool2d: invalid geometry");
-  }
-}
-
-Tensor AvgPool2d::forward(const Tensor& input, bool train) {
-  if (input.rank() != 4) {
-    throw std::invalid_argument("AvgPool2d::forward: expected rank-4 input");
-  }
-  const int64_t batch = input.dim(0);
-  const int64_t channels = input.dim(1);
-  const int64_t in_h = input.dim(2);
-  const int64_t in_w = input.dim(3);
-  const int64_t out_h = conv_out_extent(in_h, kernel_, stride_, 0);
-  const int64_t out_w = conv_out_extent(in_w, kernel_, stride_, 0);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor output({batch, channels, out_h, out_w});
-  if (train) input_shape_ = input.shape();
-
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * in_h * in_w;
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox, ++out_idx) {
-          float acc = 0.0f;
-          for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t iy = oy * stride_ + ky;
-            if (iy >= in_h) break;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-              const int64_t ix = ox * stride_ + kx;
-              if (ix >= in_w) break;
-              acc += plane[iy * in_w + ix];
-            }
-          }
-          output[out_idx] = acc * inv;
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  if (input_shape_.empty()) {
-    throw std::logic_error("AvgPool2d::backward before forward(train=true)");
-  }
-  const int64_t batch = input_shape_[0];
-  const int64_t channels = input_shape_[1];
-  const int64_t in_h = input_shape_[2];
-  const int64_t in_w = input_shape_[3];
-  const int64_t out_h = grad_output.dim(2);
-  const int64_t out_w = grad_output.dim(3);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor grad_input(input_shape_);
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      float* plane = grad_input.data() + (n * channels + c) * in_h * in_w;
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox, ++out_idx) {
-          const float g = grad_output[out_idx] * inv;
-          for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t iy = oy * stride_ + ky;
-            if (iy >= in_h) break;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-              const int64_t ix = ox * stride_ + kx;
-              if (ix >= in_w) break;
-              plane[iy * in_w + ix] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& input, bool train) {
   if (input.rank() != 4) {
     throw std::invalid_argument("GlobalAvgPool: expected rank-4 input");

@@ -1,4 +1,5 @@
-// Max and average pooling over NCHW activations (square window).
+// Max pooling (square window) and global average pooling over NCHW
+// activations.
 #pragma once
 
 #include <cstdint>
@@ -25,23 +26,6 @@ class MaxPool2d : public Layer {
   int64_t stride_;
   Shape input_shape_;
   std::vector<int64_t> argmax_;  // flat input index per output element
-};
-
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(int64_t kernel, int64_t stride);
-
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "AvgPool2d"; }
-
-  int64_t kernel() const { return kernel_; }
-  int64_t stride() const { return stride_; }
-
- private:
-  int64_t kernel_;
-  int64_t stride_;
-  Shape input_shape_;
 };
 
 /// Global average pooling: [N, C, H, W] -> [N, C].

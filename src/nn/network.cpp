@@ -82,11 +82,4 @@ std::vector<int64_t> Network::predict(const Tensor& batch) {
   return labels;
 }
 
-std::vector<std::string> Network::layer_names() const {
-  std::vector<std::string> out;
-  out.reserve(layers_.size());
-  for (const auto& layer : layers_) out.push_back(layer->name());
-  return out;
-}
-
 }  // namespace qsnc::nn

@@ -72,9 +72,6 @@ class Network {
   /// Per-sample argmax class prediction for a batch of inputs.
   std::vector<int64_t> predict(const Tensor& batch);
 
-  /// Layer type names in order, for diagnostics.
-  std::vector<std::string> layer_names() const;
-
  private:
   std::vector<LayerPtr> layers_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -42,31 +41,6 @@ std::string Table::to_string() const {
   os << std::string(total, '-') << '\n';
   for (const auto& row : rows_) emit_row(row);
   return os.str();
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("Table::write_csv: cannot open " + path);
-  auto emit = [&f](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) f << ',';
-      // Quote fields containing commas or quotes.
-      if (row[c].find_first_of(",\"\n") != std::string::npos) {
-        std::string quoted = "\"";
-        for (char ch : row[c]) {
-          if (ch == '"') quoted += "\"\"";
-          else quoted += ch;
-        }
-        quoted += '"';
-        f << quoted;
-      } else {
-        f << row[c];
-      }
-    }
-    f << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
 }
 
 std::string fmt(double v, int decimals) {

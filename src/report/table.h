@@ -1,4 +1,4 @@
-// Plain-text report emitters: aligned tables, ASCII histograms, CSV dumps.
+// Plain-text report emitters: aligned tables and ASCII histograms.
 // Every bench binary renders the paper's tables/figures through these.
 #pragma once
 
@@ -17,9 +17,6 @@ class Table {
 
   /// Renders with a header rule and 2-space column gaps.
   std::string to_string() const;
-
-  /// Writes the table as CSV to `path` (throws on I/O failure).
-  void write_csv(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

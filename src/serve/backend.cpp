@@ -69,18 +69,19 @@ std::vector<int64_t> QuantBackend::infer_batch(const nn::Tensor& batch) {
 SncBackend::SncBackend(nn::Network& net, nn::Shape input_chw,
                        const snc::SncConfig& config, int replicas,
                        const ReplicaHealthConfig& health)
-    : net_(net), input_chw_(std::move(input_chw)), health_(health) {
-  int n = replicas > 0 ? replicas : util::num_threads();
-  if (n < 1) n = 1;
+    : net_(net), input_chw_(std::move(input_chw)), health_(health),
+      fan_out_(health.enabled && health.per_replica_seeds) {
+  // Identically seeded replicas would be bit-identical, and a window runs
+  // on one system, so only a fan-out deployment needs more than one.
+  int n = 1;
+  if (fan_out_) n = std::max(1, replicas > 0 ? replicas : util::num_threads());
   replica_configs_.reserve(static_cast<size_t>(n));
   replicas_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    // Same network, same config (including the seed): every replica's
-    // programmed conductances are identical, so which replica serves an
-    // image never changes the prediction. per_replica_seeds opts into
-    // independent fault draws instead (see ReplicaHealthConfig).
+    // Fan-out replicas draw independent device faults (see
+    // ReplicaHealthConfig::per_replica_seeds).
     snc::SncConfig replica_config = config;
-    if (health_.enabled && health_.per_replica_seeds) {
+    if (fan_out_) {
       replica_config.seed =
           nn::Rng::stream_seed(config.seed, static_cast<uint64_t>(i));
     }
@@ -234,31 +235,25 @@ std::vector<int64_t> SncBackend::infer_batch(const nn::Tensor& batch) {
   }
   last_degraded_ = false;
   const int64_t n = check_batch_shape(batch, input_chw_);
-  if (!(health_.enabled && health_.per_replica_seeds)) {
-    // The whole micro-batch window runs on ONE replica through
+  if (!fan_out_) {
+    // The whole micro-batch window runs on the one replica through
     // SncSystem::infer_batch, so each stage's conductance panel is
-    // streamed once per window instead of once per image. Fault-diversity
-    // deployments (per_replica_seeds) fan out below instead: their
-    // replicas are intentionally non-identical, and spraying images
-    // across them is the feature.
+    // streamed once per window instead of once per image. A healthy
+    // backend's replica is never quarantined here (quarantining the only
+    // replica degrades above), and only this thread reprograms it.
     // The activity report needs per-image stats, so a served window also
     // pays the per-stage timer (a few clock reads per position tile). The
     // stats vector is the calling thread's and is reused, so a
     // steady-state window allocates only its predictions.
     thread_local std::vector<snc::SncStats> stats;
-    snc::SncSystem* system = acquire();
-    std::vector<int64_t> predictions;
-    try {
-      predictions = system->infer_batch(batch, &stats);
-    } catch (...) {
-      release(system);
-      throw;
-    }
-    release(system);
+    std::vector<int64_t> predictions =
+        replicas_.front()->infer_batch(batch, &stats);
     // Fold stats image by image: a batched window contributes B images of
     // input_events/spikes/occupied_slots, keeping the activity report's
     // per-image averages comparable with single-image serving.
-    for (const snc::SncStats& s : stats) fold_stats(s);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    for (const snc::SncStats& s : stats) totals_.add(s);
+    stat_images_ += static_cast<int64_t>(stats.size());
     return predictions;
   }
   const int64_t image_numel =
@@ -278,38 +273,12 @@ std::vector<int64_t> SncBackend::infer_batch(const nn::Tensor& batch) {
         throw;
       }
       release(system);
-      fold_stats(stats);
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      totals_.add(stats);
+      ++stat_images_;
     }
   });
   return predictions;
-}
-
-void SncBackend::fold_stats(const snc::SncStats& stats) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  if (totals_.stage.size() < stats.stage.size()) {
-    totals_.stage.resize(stats.stage.size());
-  }
-  totals_.total_spikes += stats.total_spikes;
-  totals_.window_slots = stats.window_slots;
-  totals_.layers = stats.layers;
-  for (size_t s = 0; s < stats.stage.size(); ++s) {
-    snc::SncStageStats& acc = totals_.stage[s];
-    const snc::SncStageStats& st = stats.stage[s];
-    acc.rows = st.rows;
-    acc.cols = st.cols;
-    acc.positions += st.positions;
-    acc.input_events += st.input_events;
-    acc.spikes += st.spikes;
-    acc.occupied_slots += st.occupied_slots;
-    // Programming-time facts, constant per inference: assign, not sum.
-    acc.write_retries = st.write_retries;
-    acc.faults_detected = st.faults_detected;
-    acc.faults_compensated = st.faults_compensated;
-    acc.residual_faults = st.residual_faults;
-    acc.remapped_cols = st.remapped_cols;
-    acc.refreshes = st.refreshes;
-  }
-  ++stat_images_;
 }
 
 ReplicaHealthSnapshot SncBackend::health_snapshot() const {
@@ -323,9 +292,9 @@ snc::SncStats SncBackend::activity_totals(int64_t* images) const {
   return totals_;
 }
 
-std::string SncBackend::activity_report() const {
-  int64_t images = 0;
-  const snc::SncStats totals = activity_totals(&images);
+std::string snc_activity_tables(const snc::SncStats& totals, int64_t images,
+                                const snc::FaultReport& faults,
+                                const std::string& fault_title) {
   std::string out;
   if (images > 0) {
     report::Table table({"stage", "rows", "cols", "events/img", "sparsity",
@@ -342,14 +311,6 @@ std::string SncBackend::activity_report() const {
     }
     out = table.to_string();
   }
-
-  // Fault-recovery + replica-health appendix. health_mu_ also fences the
-  // replica unique_ptrs against a concurrent reprogram swap.
-  std::lock_guard<std::mutex> lock(health_mu_);
-  snc::FaultReport faults;
-  for (const auto& replica : replicas_) {
-    faults.add(replica->fault_report());
-  }
   if (faults.cells > 0) {
     report::Table ft({"cells", "retries", "detected", "compensated",
                       "residual", "remapped", "spares left", "refreshes"});
@@ -362,8 +323,23 @@ std::string SncBackend::activity_report() const {
                 std::to_string(faults.spare_cols_left),
                 std::to_string(faults.refreshes)});
     if (!out.empty()) out += "\n";
-    out += "fault recovery (all replicas):\n" + ft.to_string();
+    out += fault_title + ":\n" + ft.to_string();
   }
+  return out;
+}
+
+std::string SncBackend::activity_report() const {
+  int64_t images = 0;
+  const snc::SncStats totals = activity_totals(&images);
+  // health_mu_ also fences the replica unique_ptrs against a concurrent
+  // reprogram swap.
+  std::lock_guard<std::mutex> lock(health_mu_);
+  snc::FaultReport faults;
+  for (const auto& replica : replicas_) {
+    faults.add(replica->fault_report());
+  }
+  std::string out = snc_activity_tables(totals, images, faults,
+                                        "fault recovery (all replicas)");
   if (health_counters_.enabled) {
     const ReplicaHealthSnapshot& h = health_counters_;
     report::Table ht({"replicas", "healthy", "quarantined", "canaries",

@@ -7,10 +7,11 @@
 //  * quant — the paper's deployed M-bit path: inputs are encoded like the
 //            SNC input encoder would (scale, round, clamp) and inter-layer
 //            signals run through the attached IntegerSignalQuantizer.
-//  * snc   — full spike-level execution on SncSystem. infer() is per-image
-//            and stateful, so the backend keeps a pool of identically
-//            programmed replica systems and fans a batch out over the
-//            process thread pool, one replica per in-flight image.
+//  * snc   — full spike-level execution on SncSystem. A micro-batch window
+//            runs through one programmed system's infer_batch; only a
+//            fault-diversity deployment (per_replica_seeds) keeps a pool
+//            of differently seeded replicas and fans each window's images
+//            out over it on the process thread pool.
 //
 // Contracts: infer_batch takes [N, C, H, W] pixels in [0, 1] and returns N
 // predictions in order. A Backend instance is driven by one batcher thread
@@ -130,10 +131,11 @@ struct ReplicaHealthConfig {
   uint64_t canary_seed = 12345;     // deterministic canary pixels
   double min_healthy_fraction = 0.5;
   int max_reprogram_attempts = 1;   // reprograms before quarantine
-  /// Derive replica i's SncConfig::seed as stream_seed(seed, i) so
-  /// replicas draw *independent* device faults (fault diversity). Off by
-  /// default: identical seeds keep every replica bit-identical, so which
-  /// replica serves an image never changes the prediction.
+  /// Build a pool of replicas whose SncConfig::seed is stream_seed(seed, i),
+  /// so they draw *independent* device faults (fault diversity), and fan
+  /// each window's images out across them. Off by default: the backend
+  /// then programs one system, since identically seeded replicas would be
+  /// bit-identical.
   bool per_replica_seeds = false;
 };
 
@@ -150,21 +152,20 @@ struct ReplicaHealthSnapshot {
   int64_t degraded_batches = 0;     // batches served on the fallback
 };
 
-/// Spike-level execution on a pool of identically programmed SncSystem
-/// replicas. Each batch checks a replica out of a free list (blocking
-/// until one frees when the pool is oversubscribed — never deadlocks,
-/// since every checkout is returned when its work ends); under
-/// per_replica_seeds each image of the batch checks out its own.
+/// Spike-level execution on programmed SncSystem replicas. By default the
+/// backend programs one system and runs each micro-batch window through
+/// its SncSystem::infer_batch (panels streamed once per window).
+/// Fault-diversity deployments (health.enabled with per_replica_seeds)
+/// program a pool of differently seeded replicas instead and fan each
+/// window's images out across it: every image checks a replica out of a
+/// free list (blocking until one frees when the pool is oversubscribed —
+/// never deadlocks, since every checkout is returned when its work ends).
 class SncBackend final : public Backend {
  public:
-  /// Builds `replicas` systems programmed from `net` (replicas <= 0 picks
-  /// the thread-pool size). `net` must already be BN-folded and weight-
-  /// clustered per `config` (see ModelRegistry, which prepares it).
-  /// Each micro-batch window runs through SncSystem::infer_batch on one
-  /// replica (panels streamed once per window). Fault-diversity
-  /// deployments (health.per_replica_seeds) fan the window's images out
-  /// across replicas instead, since routing a window to one replica would
-  /// defeat the per-replica seed diversity.
+  /// Programs the system(s) from `net`. `replicas` sizes only a fan-out
+  /// pool (<= 0 picks the thread-pool size); otherwise one system is
+  /// built. `net` must already be BN-folded and weight-clustered per
+  /// `config` (see ModelRegistry, which prepares it).
   SncBackend(nn::Network& net, nn::Shape input_chw,
              const snc::SncConfig& config, int replicas = 0,
              const ReplicaHealthConfig& health = {});
@@ -202,7 +203,6 @@ class SncBackend final : public Backend {
  private:
   snc::SncSystem* acquire();
   void release(snc::SncSystem* system);
-  void fold_stats(const snc::SncStats& stats);
   std::vector<int64_t> canary_predictions(snc::SncSystem& system) const;
   void run_health_check();
   void rebuild_free_list();
@@ -221,6 +221,7 @@ class SncBackend final : public Backend {
   // replica is idle (infer_batch entry), so no extra locking beyond mu_
   // for the free-list swap.
   ReplicaHealthConfig health_;
+  bool fan_out_;  // per-replica seeds: one image per replica checkout
   std::vector<nn::Tensor> canary_;
   std::vector<int64_t> canary_reference_;
   std::vector<bool> quarantined_;
@@ -236,6 +237,15 @@ class SncBackend final : public Backend {
   snc::SncStats totals_;      // stage-wise sums over all served images
   int64_t stat_images_ = 0;
 };
+
+/// The snc activity tables that `qsnc deploy` and
+/// SncBackend::activity_report print: per-stage spike and input-sparsity
+/// counters averaged over `images` inferences (omitted when `images` is
+/// 0), then the fault-recovery counters under `fault_title` (omitted when
+/// `faults` programmed no cell, i.e. fault recovery is off).
+std::string snc_activity_tables(const snc::SncStats& totals, int64_t images,
+                                const snc::FaultReport& faults,
+                                const std::string& fault_title);
 
 /// Throws std::invalid_argument unless `batch` is [N, C, H, W] matching
 /// the per-image shape. Returns N.

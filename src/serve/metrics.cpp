@@ -29,11 +29,6 @@ void LatencyHistogram::record(uint64_t micros) {
   sum_us_ += static_cast<double>(micros);
 }
 
-uint64_t LatencyHistogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
 uint64_t LatencyHistogram::max_us() const {
   std::lock_guard<std::mutex> lock(mu_);
   return max_us_;

@@ -25,7 +25,6 @@ class LatencyHistogram {
 
   void record(uint64_t micros);
 
-  uint64_t count() const;
   uint64_t max_us() const;
   double mean_us() const;
 

@@ -84,16 +84,6 @@ std::string base_model_name(const std::string& name) {
   return split_versioned_name(name).first;
 }
 
-const char* version_state_name(VersionState state) {
-  switch (state) {
-    case VersionState::kActive: return "active";
-    case VersionState::kStandby: return "standby";
-    case VersionState::kShadow: return "shadow";
-    case VersionState::kQuarantined: return "quarantined";
-  }
-  return "?";
-}
-
 struct ModelRegistry::Entry {
   ModelConfig config;
   nn::Shape input_chw;

@@ -67,8 +67,6 @@ enum class VersionState : uint8_t {
   kQuarantined = 3,
 };
 
-const char* version_state_name(VersionState state);
-
 struct ModelConfig {
   /// Model-zoo architecture: lenet[-mini] | alexnet[-mini] | resnet[-mini].
   std::string architecture = "lenet-mini";
@@ -86,8 +84,9 @@ struct ModelConfig {
   /// Signal bits (quant, snc) and weight bits (snc).
   int bits = 4;
   uint64_t init_seed = 1;
-  /// SncSystem replica count for the snc backend; <= 0 uses the thread
-  /// pool size.
+  /// Replica count of an snc fan-out pool (snc_health.per_replica_seeds);
+  /// <= 0 uses the thread pool size. Other snc deployments program one
+  /// system.
   int snc_replicas = 0;
 
   // --- snc device non-idealities + fault recovery ----------------------

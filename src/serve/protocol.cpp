@@ -306,19 +306,15 @@ HealthAck decode_health_ack(const std::vector<uint8_t>& body) {
   }
   ack.healthy = healthy != 0;
   ack.queue_depth = c.take<uint32_t>("queue_depth");
-  // v4 acks end here; the v5 version-label list is optional so mixed
-  // fleets interoperate during an upgrade.
-  if (c.at < c.buf.size()) {
-    const uint16_t count = c.take<uint16_t>("version_count");
-    ack.versions.reserve(count);
-    for (uint16_t i = 0; i < count; ++i) {
-      ModelVersionLabel v;
-      const uint16_t model_len = c.take<uint16_t>("label_model_len");
-      v.model = c.take_string(model_len, "label_model");
-      const uint16_t version_len = c.take<uint16_t>("label_version_len");
-      v.version = c.take_string(version_len, "label_version");
-      ack.versions.push_back(std::move(v));
-    }
+  const uint16_t count = c.take<uint16_t>("version_count");
+  ack.versions.reserve(count);
+  for (uint16_t i = 0; i < count; ++i) {
+    ModelVersionLabel v;
+    const uint16_t model_len = c.take<uint16_t>("label_model_len");
+    v.model = c.take_string(model_len, "label_model");
+    const uint16_t version_len = c.take<uint16_t>("label_version_len");
+    v.version = c.take_string(version_len, "label_version");
+    ack.versions.push_back(std::move(v));
   }
   c.done("HealthAck");
   return ack;

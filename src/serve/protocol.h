@@ -62,8 +62,9 @@
 // server state untouched. Control frames change server state, so like
 // infer frames they require the kHello handshake first. The health-ack
 // version list (v5) is how the router tier learns each backend's
-// per-model active version; a v4-style ack without the trailing list
-// decodes as an empty list.
+// per-model active version. Every ack carries the list (possibly empty):
+// router, servers and clients ship together, and the hello handshake
+// refuses any peer whose version is not kProtocolVersion.
 //
 // Supervisor control frames (v6): kSuperviseCommand carries an operator
 // verb for the process supervisor's control endpoint — "status" (lane
@@ -193,8 +194,8 @@ struct HealthAck {
   uint64_t nonce = 0;
   bool healthy = false;
   uint32_t queue_depth = 0;  // total queued requests across models
-  /// Per-base active-version labels (v5); empty when the peer predates
-  /// them or serves no versioned models.
+  /// Per-base active-version labels (v5); empty when the peer serves no
+  /// versioned models.
   std::vector<ModelVersionLabel> versions;
 };
 

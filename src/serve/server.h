@@ -1,12 +1,10 @@
-// Serving front-ends: the in-process core/client and the socket server.
+// Serving front-ends: the in-process core and the socket server.
 //
 //   ServeCore     — registry + per-model shard pools (N MicroBatcher
 //                   lanes per model, each over its own identically-built
 //                   backend) + aggregated stats. This is the whole
 //                   serving data plane; both front-ends are thin shells
 //                   around it.
-//   ServeClient   — in-process client facade (tests, benches, loadgen
-//                   --in-process) with sync and async submission.
 //   FrameHandler  — what a front-end does with each decoded frame. The
 //                   SocketServer owns transport concerns (framing,
 //                   deadlines, chaos, shutdown); the handler owns
@@ -214,28 +212,6 @@ class ServeCore {
   mutable std::mutex journal_mu_;
   std::vector<std::pair<std::string, LoadVersionRequest>> journal_loads_;
   std::map<std::string, std::string> journal_quarantine_reasons_;
-};
-
-/// In-process client used by tests and the load generator.
-class ServeClient {
- public:
-  explicit ServeClient(ServeCore& core) : core_(core) {}
-
-  Response infer(const std::string& model, nn::Tensor image,
-                 uint64_t deadline_us = 0,
-                 Priority priority = Priority::kInteractive) {
-    return core_.infer(model, std::move(image), deadline_us, priority);
-  }
-  std::future<Response> infer_async(
-      const std::string& model, nn::Tensor image, uint64_t deadline_us = 0,
-      Priority priority = Priority::kInteractive) {
-    return core_.infer_async(model, std::move(image), deadline_us,
-                             priority);
-  }
-  std::string stats() const { return core_.stats_report(); }
-
- private:
-  ServeCore& core_;
 };
 
 /// Per-connection send interface handed to FrameHandler::handle. send()

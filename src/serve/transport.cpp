@@ -117,7 +117,7 @@ Endpoint parse_endpoint(const std::string& spec) {
     return endpoint;
   }
   if (!spec.empty() && spec[0] == '/') {
-    // Bare path: the historical --socket spelling.
+    // Bare path: shorthand for unix:/path.
     endpoint.kind = EndpointKind::kUnix;
     endpoint.path = spec;
     return endpoint;

@@ -5,8 +5,7 @@
 //   unix:/path/to.sock     — AF_UNIX stream socket at that path
 //   tcp:host:port          — TCP on host:port (port 0 = ephemeral; read
 //                            the bound port back with local_endpoint())
-//   /bare/path             — shorthand for unix:/bare/path (historical
-//                            --socket flag compatibility)
+//   /bare/path             — shorthand for unix:/bare/path
 //
 // listen_on()/connect_to() hide the address-family differences (stale
 // unix socket unlink, SO_REUSEADDR, TCP_NODELAY for the small

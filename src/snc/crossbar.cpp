@@ -20,6 +20,10 @@ Crossbar::Crossbar(int64_t rows, int64_t cols, const MemristorConfig& config)
       cols_(cols),
       config_(config),
       g_(checked_cells(rows, cols), g_min(config)) {
+  // g_min < g_max keeps every clamp to the conductance range well formed.
+  if (!(config.r_on_ohm > 0.0 && config.r_off_ohm > config.r_on_ohm)) {
+    throw std::invalid_argument("Crossbar: need 0 < R_on < R_off");
+  }
   if (config_.wire_resistance_ohm > 0.0) {
     geff_.resize(g_.size());
     for (int64_t r = 0; r < rows_; ++r) {
@@ -103,22 +107,6 @@ void Crossbar::set_defect(int64_t r, int64_t c, DefectKind kind) {
     g_[static_cast<size_t>(index(r, c))] = g_max(config_);
   }
   bake_effective(r, c);
-}
-
-DefectKind Crossbar::defect(int64_t r, int64_t c) const {
-  if (r < 0 || r >= rows_ || c < 0 || c >= cols_) {
-    throw std::out_of_range("Crossbar::defect: cell out of range");
-  }
-  if (defects_.empty()) return DefectKind::kNone;
-  return defects_[static_cast<size_t>(index(r, c))];
-}
-
-int64_t Crossbar::defect_count() const {
-  int64_t n = 0;
-  for (const DefectKind kind : defects_) {
-    if (kind != DefectKind::kNone) ++n;
-  }
-  return n;
 }
 
 void Crossbar::apply_drift(double dt, double rate, double sigma,

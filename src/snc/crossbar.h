@@ -56,9 +56,6 @@ class Crossbar {
   /// map first when absent).
   void set_defect(int64_t r, int64_t c, DefectKind kind);
 
-  DefectKind defect(int64_t r, int64_t c) const;
-  bool has_defect_map() const { return !defects_.empty(); }
-  int64_t defect_count() const;
 
   /// Retention drift: every non-stuck cell decays toward g_min over `dt`
   /// inference windows with a per-cell lognormal rate
@@ -154,10 +151,6 @@ class DifferentialCrossbar {
   /// Test/faultsim hook: forces the defect of one array's cell at the
   /// physical column currently backing logical column c.
   void set_defect(int64_t r, int64_t c, bool minus_array, DefectKind kind);
-
-  int64_t defect_count() const {
-    return plus_.defect_count() + minus_.defect_count();
-  }
 
   /// Physical column currently backing logical column c.
   int64_t physical_column(int64_t c) const;

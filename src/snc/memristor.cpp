@@ -9,13 +9,6 @@ namespace qsnc::snc {
 double g_min(const MemristorConfig& config) { return 1.0 / config.r_off_ohm; }
 double g_max(const MemristorConfig& config) { return 1.0 / config.r_on_ohm; }
 
-Memristor::Memristor(const MemristorConfig& config)
-    : config_(config), conductance_(g_min(config)) {
-  if (config.r_on_ohm <= 0 || config.r_off_ohm <= config.r_on_ohm) {
-    throw std::invalid_argument("Memristor: need 0 < R_on < R_off");
-  }
-}
-
 double level_conductance(int64_t level, int64_t max_level,
                          const MemristorConfig& config) {
   if (max_level <= 0 || level < 0 || level > max_level) {
@@ -48,17 +41,6 @@ double drift_conductance(double g, double lambda, double dt,
                          const MemristorConfig& config) {
   const double lo = g_min(config);
   return lo + (g - lo) * std::exp(-lambda * dt);
-}
-
-void Memristor::program(int64_t level, int64_t max_level, nn::Rng* rng) {
-  double g = level_conductance(level, max_level, config_);
-  if (config_.variation_sigma > 0.0 && rng != nullptr) {
-    const double eps =
-        rng->normal(0.0f, static_cast<float>(config_.variation_sigma));
-    g *= std::exp(eps);
-    g = std::clamp(g, g_min(config_), g_max(config_));
-  }
-  conductance_ = g;
 }
 
 }  // namespace qsnc::snc

@@ -8,13 +8,12 @@
 // differential pair of cells (positive and negative bit lines).
 //
 // Device variation: real devices land near, not on, the programmed level.
-// program() optionally draws a lognormal multiplicative error, which the
-// defect-injection extension benches use to study accuracy-vs-variation.
+// Crossbar::program_cell optionally draws a lognormal multiplicative error,
+// which the defect-injection extension benches use to study
+// accuracy-vs-variation.
 #pragma once
 
 #include <cstdint>
-
-#include "nn/rng.h"
 
 namespace qsnc::snc {
 
@@ -42,29 +41,9 @@ struct MemristorConfig {
 double g_min(const MemristorConfig& config);
 double g_max(const MemristorConfig& config);
 
-/// One programmable device.
-class Memristor {
- public:
-  explicit Memristor(const MemristorConfig& config);
-
-  /// Programs magnitude level k of an N-bit grid (k in [0, 2^{N-1}]);
-  /// level 0 maps to g_min (the off state still leaks), the top level to
-  /// g_max. When the config has variation, `rng` supplies the error draw.
-  void program(int64_t level, int64_t max_level, nn::Rng* rng = nullptr);
-
-  /// Present conductance in siemens.
-  double conductance() const { return conductance_; }
-
-  /// Current for a read voltage (amperes).
-  double read_current(double volts) const { return conductance_ * volts; }
-
- private:
-  MemristorConfig config_;
-  double conductance_;
-};
-
-/// The ideal (variation-free) conductance of a grid level; exposed so the
-/// crossbar can build dense arrays without one object per cell.
+/// The ideal (variation-free) conductance of magnitude level k of an N-bit
+/// grid (k in [0, 2^{N-1}]): level 0 maps to g_min (the off state still
+/// leaks), the top level to g_max.
 double level_conductance(int64_t level, int64_t max_level,
                          const MemristorConfig& config);
 

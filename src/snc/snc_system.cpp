@@ -28,7 +28,6 @@ struct SncSystem::Stage {
     kConv,
     kDense,
     kMaxPool,
-    kAvgPool,
     kGlobalAvgPool,
   };
   Kind kind = Kind::kConv;
@@ -93,6 +92,29 @@ double SncStats::input_sparsity() const {
   return dense > 0 ? 1.0 - static_cast<double>(input_events()) /
                                static_cast<double>(dense)
                    : 0.0;
+}
+
+void SncStats::add(const SncStats& other) {
+  total_spikes += other.total_spikes;
+  window_slots = other.window_slots;
+  layers = other.layers;
+  if (stage.size() < other.stage.size()) stage.resize(other.stage.size());
+  for (size_t s = 0; s < other.stage.size(); ++s) {
+    SncStageStats& acc = stage[s];
+    const SncStageStats& st = other.stage[s];
+    acc.positions += st.positions;
+    acc.input_events += st.input_events;
+    acc.spikes += st.spikes;
+    acc.occupied_slots += st.occupied_slots;
+    acc.rows = st.rows;
+    acc.cols = st.cols;
+    acc.write_retries = st.write_retries;
+    acc.faults_detected = st.faults_detected;
+    acc.faults_compensated = st.faults_compensated;
+    acc.residual_faults = st.residual_faults;
+    acc.remapped_cols = st.remapped_cols;
+    acc.refreshes = st.refreshes;
+  }
 }
 
 SncSystem::~SncSystem() = default;
@@ -320,19 +342,6 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
       stage->stride = mp->stride();
       stage->out_h = nn::conv_out_extent(h, mp->kernel(), mp->stride(), 0);
       stage->out_w = nn::conv_out_extent(w, mp->kernel(), mp->stride(), 0);
-      h = stage->out_h;
-      w = stage->out_w;
-      stages_.push_back(std::move(stage));
-    } else if (auto* ap = dynamic_cast<nn::AvgPool2d*>(layer)) {
-      auto stage = std::make_unique<Stage>();
-      stage->kind = Stage::Kind::kAvgPool;
-      stage->in_c = stage->out_c = c;
-      stage->in_h = h;
-      stage->in_w = w;
-      stage->kernel = ap->kernel();
-      stage->stride = ap->stride();
-      stage->out_h = nn::conv_out_extent(h, ap->kernel(), ap->stride(), 0);
-      stage->out_w = nn::conv_out_extent(w, ap->kernel(), ap->stride(), 0);
       h = stage->out_h;
       w = stage->out_w;
       stages_.push_back(std::move(stage));
@@ -924,30 +933,6 @@ void SncSystem::run_pool_stage(const Stage& stage,
       nn::max_pool_planes(signal.data(), stage.in_c, stage.in_h, stage.in_w,
                           stage.kernel, stage.stride, stage.out_h,
                           stage.out_w, int32_t{0}, out.data());
-      return;
-    }
-    case Stage::Kind::kAvgPool: {
-      const int64_t window = stage.kernel * stage.kernel;
-      for (int64_t ch = 0; ch < stage.in_c; ++ch) {
-        for (int64_t oy = 0; oy < stage.out_h; ++oy) {
-          for (int64_t ox = 0; ox < stage.out_w; ++ox) {
-            int64_t acc = 0;
-            for (int64_t ky = 0; ky < stage.kernel; ++ky) {
-              for (int64_t kx = 0; kx < stage.kernel; ++kx) {
-                const int64_t iy = oy * stage.stride + ky;
-                const int64_t ix = ox * stage.stride + kx;
-                if (iy >= stage.in_h || ix >= stage.in_w) continue;
-                acc += signal[static_cast<size_t>(
-                    (ch * stage.in_h + iy) * stage.in_w + ix)];
-              }
-            }
-            // Digital rounded divide.
-            out[static_cast<size_t>(
-                (ch * stage.out_h + oy) * stage.out_w + ox)] =
-                static_cast<int32_t>((acc + window / 2) / window);
-          }
-        }
-      }
       return;
     }
     case Stage::Kind::kGlobalAvgPool: {

@@ -9,8 +9,8 @@
 // crossbar column currents are integrated by IFCs, and counters reconstruct
 // the next layer's integer signals.
 //
-// Supported topologies: sequential Conv2d / ReLU / MaxPool2d / AvgPool2d /
-// GlobalAvgPool / Flatten / Dense networks plus pad-identity ResidualBlock
+// Supported topologies: sequential Conv2d / ReLU / MaxPool2d / GlobalAvgPool
+// / Flatten / Dense networks plus pad-identity ResidualBlock
 // composites — i.e. all three model-zoo networks. Batch norms must be
 // folded into their convolutions first (core::fold_batchnorm); the
 // constructor verifies every remaining BN is the exact identity and
@@ -170,6 +170,12 @@ struct SncStats {
   int64_t dense_row_drives() const;
   /// Overall fraction of row drives the runner skips.
   double input_sparsity() const;
+
+  /// Folds one inference's stats into this running total: spikes and the
+  /// per-stage activity counters (positions, input events, spikes,
+  /// occupied slots) sum; shape facts (window, layers, rows, cols) and the
+  /// programming-time fault counters take `other`'s value.
+  void add(const SncStats& other);
 };
 
 class SncSystem {

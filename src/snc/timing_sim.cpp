@@ -98,25 +98,6 @@ TimingResult simulate_window(int64_t layers, int64_t window_slots,
   return result;
 }
 
-TimingResult simulate_window_with_refresh(int64_t layers,
-                                          int64_t window_slots,
-                                          const TimingConfig& config,
-                                          int64_t active_slots,
-                                          double windows_between_refresh,
-                                          double refresh_pause_ns) {
-  TimingResult result =
-      simulate_window(layers, window_slots, config, active_slots);
-  if (windows_between_refresh <= 0.0 || refresh_pause_ns <= 0.0) {
-    return result;
-  }
-  const double inference_ns = result.period_ns;
-  result.period_ns += refresh_pause_ns / windows_between_refresh;
-  result.speed_mhz = 1e3 / result.period_ns;
-  // Busy time is unchanged; stages idle through the amortized pause.
-  result.utilization *= inference_ns / result.period_ns;
-  return result;
-}
-
 std::vector<TimingResult> simulate_windows(
     const std::vector<WindowSpec>& specs) {
   std::vector<TimingResult> results(specs.size());

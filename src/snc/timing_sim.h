@@ -54,20 +54,6 @@ TimingResult simulate_window(int64_t layers, int64_t window_slots,
                              const TimingConfig& config = {},
                              int64_t active_slots = -1);
 
-/// Like simulate_window, but with a periodic refresh pause amortized into
-/// the period: every `windows_between_refresh` windows the pipeline stalls
-/// for `refresh_pause_ns` while drifted cells are reprogrammed, so each
-/// window pays refresh_pause_ns / windows_between_refresh on average.
-/// Utilization is rescaled to the stretched period (stages are idle during
-/// a refresh). Non-positive pause or interval degenerates to
-/// simulate_window.
-TimingResult simulate_window_with_refresh(int64_t layers,
-                                          int64_t window_slots,
-                                          const TimingConfig& config,
-                                          int64_t active_slots,
-                                          double windows_between_refresh,
-                                          double refresh_pause_ns);
-
 /// One independent window simulation in a batch (e.g. a per-crossbar or
 /// per-model sweep point).
 struct WindowSpec {

@@ -82,14 +82,6 @@ TEST(GradCheck, MaxPoolInput) {
   EXPECT_LT(gradcheck_input(pool, x), 1e-2f);
 }
 
-TEST(GradCheck, AvgPoolInput) {
-  Rng rng(28);
-  AvgPool2d pool(2, 2);
-  Tensor x({1, 2, 4, 4});
-  randomize(x, rng);
-  EXPECT_LT(gradcheck_input(pool, x), 1e-2f);
-}
-
 TEST(GradCheck, GlobalAvgPoolInput) {
   Rng rng(29);
   GlobalAvgPool pool;

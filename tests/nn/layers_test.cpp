@@ -145,13 +145,6 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gi[3], 0);
 }
 
-TEST(AvgPoolTest, Averages) {
-  AvgPool2d pool(2, 2);
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 6});
-  Tensor y = pool.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-}
-
 TEST(GlobalAvgPoolTest, ReducesToChannelMeans) {
   GlobalAvgPool pool;
   Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 namespace qsnc::report {
@@ -30,21 +27,6 @@ TEST(TableTest, AlignsColumns) {
 TEST(TableTest, RowArityMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), std::invalid_argument);
-}
-
-TEST(TableTest, CsvEscapesSpecials) {
-  Table t({"name", "note"});
-  t.add_row({"x,y", "said \"hi\""});
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "qsnc_table.csv").string();
-  t.write_csv(path);
-  std::ifstream f(path);
-  std::string header, row;
-  std::getline(f, header);
-  std::getline(f, row);
-  EXPECT_EQ(header, "name,note");
-  EXPECT_EQ(row, "\"x,y\",\"said \"\"hi\"\"\"");
-  std::remove(path.c_str());
 }
 
 TEST(FmtTest, FixedDecimals) {

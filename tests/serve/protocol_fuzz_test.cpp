@@ -253,21 +253,12 @@ TEST(ProtocolFuzzTest, EveryTruncationOfAValidBodyIsAProtocolError) {
   const std::vector<uint8_t> aframe = encode_health_ack(ack);
   const std::vector<uint8_t> abody(aframe.begin() + 5, aframe.end());
   for (size_t cut = 0; cut < abody.size(); ++cut) {
-    // Cutting exactly before the v5 version list is legal: a v4-style
-    // ack without the trailing list decodes as an empty list.
-    if (cut == 8 + 1 + 4) continue;
     const std::vector<uint8_t> truncated(
         abody.begin(), abody.begin() + static_cast<ptrdiff_t>(cut));
     EXPECT_THROW((void)decode_health_ack(truncated), ProtocolError)
         << "cut at " << cut;
   }
   EXPECT_EQ(decode_health_ack(abody).queue_depth, 9u);
-  {
-    const std::vector<uint8_t> v4_style(abody.begin(), abody.begin() + 13);
-    const HealthAck compat = decode_health_ack(v4_style);
-    EXPECT_EQ(compat.queue_depth, 9u);
-    EXPECT_TRUE(compat.versions.empty());
-  }
 
   const std::vector<uint8_t> hframe = encode_hello(Hello{});
   const std::vector<uint8_t> hbody(hframe.begin() + 5, hframe.end());
@@ -479,9 +470,6 @@ TEST(ProtocolFuzzTest, EveryTruncationOfAV5FrameIsAProtocolError) {
     for (size_t cut = 0; cut < body.size(); ++cut) {
       const std::vector<uint8_t> truncated(
           body.begin(), body.begin() + static_cast<ptrdiff_t>(cut));
-      // The health ack's trailing version list is the one legal
-      // truncation point (v4 compat: the list may be absent entirely).
-      if (type == MsgType::kHealthAck && cut == 8 + 1 + 4) continue;
       Frame f{type, truncated};
       EXPECT_THROW(decode_by_type(f), ProtocolError)
           << "type " << static_cast<int>(type) << " cut at " << cut;

@@ -54,10 +54,9 @@ nn::Tensor as_batch(const std::vector<nn::Tensor>& images) {
 std::vector<int64_t> serve_predictions(ServeCore& core,
                                        const std::string& model,
                                        const std::vector<nn::Tensor>& imgs) {
-  ServeClient client(core);
   std::vector<std::future<Response>> futures;
   for (const nn::Tensor& img : imgs) {
-    futures.push_back(client.infer_async(model, img));
+    futures.push_back(core.infer_async(model, img));
   }
   std::vector<int64_t> out;
   bool saw_multi_batch = false;
@@ -140,8 +139,10 @@ TEST(RegistryBackendTest, SncMatchesDirectSpikeInference) {
   cfg.backend = BackendKind::kSnc;
   cfg.bits = kBits;
   cfg.init_seed = kSeed;
-  cfg.snc_replicas = 2;  // exercise the replica pool
+  cfg.snc_replicas = 2;  // ignored: identical replicas are not built
   registry.add("m", cfg);
+  EXPECT_EQ(
+      dynamic_cast<SncBackend&>(registry.backend("m")).replica_count(), 1u);
   BatchOptions opts;
   opts.max_batch = 4;
   opts.batch_timeout_us = 20000;  // wide window: the async burst must
@@ -199,6 +200,9 @@ TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
 
     auto* snc = dynamic_cast<SncBackend*>(&backend);
     ASSERT_NE(snc, nullptr);
+    // Only the fan-out deployment keeps a pool; identically seeded
+    // replicas would be bit-identical, so the other programs one system.
+    EXPECT_EQ(snc->replica_count(), fan_out ? 2u : 1u);
     int64_t folded = 0;
     const snc::SncStats totals = snc->activity_totals(&folded);
     EXPECT_EQ(folded, 6);
@@ -206,6 +210,41 @@ TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
     EXPECT_GT(totals.total_spikes, 0);
   }
   EXPECT_EQ(preds[0], preds[1]);
+}
+
+// snc_activity_tables (qsnc deploy, the snc stats appendix) averages each
+// stage's folded counters over the images, and adds the fault-recovery
+// table only when recovery programmed cells.
+TEST(RegistryBackendTest, SncActivityTablesAverageOverImages) {
+  snc::SncStats image;
+  image.stage.resize(1);
+  image.stage[0].rows = 4;
+  image.stage[0].cols = 2;
+  image.stage[0].positions = 1;
+  image.stage[0].input_events = 3;
+  image.stage[0].spikes = 5;
+  snc::SncStats totals;
+  totals.add(image);
+  image.stage[0].input_events = 1;
+  image.stage[0].spikes = 1;
+  totals.add(image);
+  EXPECT_EQ(totals.stage[0].positions, 2);
+
+  const std::string plain =
+      snc_activity_tables(totals, 2, snc::FaultReport{}, "faults");
+  // events/img (3+1)/2, sparsity 1 - 4/(4 rows x 2 positions), spikes/img.
+  EXPECT_NE(plain.find("2.0         50.0%     3.0"), std::string::npos)
+      << plain;
+  EXPECT_EQ(plain.find("faults:"), std::string::npos);
+
+  snc::FaultReport faults;
+  faults.cells = 8;
+  faults.write_retries = 3;
+  const std::string with_faults =
+      snc_activity_tables(totals, 2, faults, "faults");
+  EXPECT_EQ(with_faults.rfind(plain + "\nfaults:\n", 0), 0u) << with_faults;
+  EXPECT_EQ(snc_activity_tables(totals, 0, snc::FaultReport{}, "faults"),
+            "");
 }
 
 TEST(RegistryBackendTest, RegistryValidation) {

@@ -21,6 +21,44 @@ TEST(CrossbarTest, BadGeometryThrows) {
   EXPECT_THROW(Crossbar(4, -1, cfg), std::invalid_argument);
 }
 
+TEST(CrossbarTest, InvalidConfigThrows) {
+  MemristorConfig cfg;
+  cfg.r_on_ohm = 0;
+  EXPECT_THROW(Crossbar(2, 2, cfg), std::invalid_argument);
+  cfg.r_on_ohm = 2e6;  // R_on > R_off
+  EXPECT_THROW(Crossbar(2, 2, cfg), std::invalid_argument);
+  cfg.r_on_ohm = cfg.r_off_ohm;  // empty conductance range
+  EXPECT_THROW(Crossbar(2, 2, cfg), std::invalid_argument);
+  EXPECT_THROW(DifferentialCrossbar(2, 2, cfg), std::invalid_argument);
+}
+
+TEST(CrossbarTest, VariationStaysWithinPhysicalBounds) {
+  MemristorConfig cfg;
+  cfg.variation_sigma = 0.5;  // huge variation
+  Crossbar xb(1, 1, cfg);
+  nn::Rng rng(1);
+  for (int i = 0; i < 200; ++i) {
+    xb.program_cell(0, 0, 4, 8, &rng);
+    EXPECT_GE(xb.conductance(0, 0), g_min(cfg));
+    EXPECT_LE(xb.conductance(0, 0), g_max(cfg));
+  }
+}
+
+TEST(CrossbarTest, VariationIsZeroMeanIsh) {
+  MemristorConfig cfg;
+  cfg.variation_sigma = 0.05;
+  Crossbar xb(1, 1, cfg);
+  nn::Rng rng(2);
+  const double ideal = level_conductance(4, 8, cfg);
+  double acc = 0.0;
+  constexpr int kN = 2000;
+  for (int i = 0; i < kN; ++i) {
+    xb.program_cell(0, 0, 4, 8, &rng);
+    acc += xb.conductance(0, 0);
+  }
+  EXPECT_NEAR(acc / kN, ideal, ideal * 0.02);
+}
+
 TEST(CrossbarTest, OutOfRangeCellThrows) {
   MemristorConfig cfg;
   Crossbar xb(2, 2, cfg);

@@ -14,14 +14,6 @@ TEST(MemristorConfigTest, DefaultMatchesPaper) {
   EXPECT_DOUBLE_EQ(g_max(cfg), 2e-5);
 }
 
-TEST(MemristorTest, InvalidConfigThrows) {
-  MemristorConfig cfg;
-  cfg.r_on_ohm = 0;
-  EXPECT_THROW(Memristor{cfg}, std::invalid_argument);
-  cfg.r_on_ohm = 2e6;  // R_on > R_off
-  EXPECT_THROW(Memristor{cfg}, std::invalid_argument);
-}
-
 TEST(LevelConductanceTest, LinearInterpolation) {
   MemristorConfig cfg;
   EXPECT_DOUBLE_EQ(level_conductance(0, 8, cfg), g_min(cfg));
@@ -51,42 +43,6 @@ TEST(NearestLevelTest, ClampsOutOfRangeConductance) {
   MemristorConfig cfg;
   EXPECT_EQ(nearest_level(0.0, 8, cfg), 0);
   EXPECT_EQ(nearest_level(1.0, 8, cfg), 8);
-}
-
-TEST(MemristorTest, ProgramsAndReads) {
-  MemristorConfig cfg;
-  Memristor m(cfg);
-  EXPECT_DOUBLE_EQ(m.conductance(), g_min(cfg));  // powers up at off-state
-  m.program(8, 8);
-  EXPECT_DOUBLE_EQ(m.conductance(), g_max(cfg));
-  EXPECT_DOUBLE_EQ(m.read_current(0.5), 0.5 * g_max(cfg));
-}
-
-TEST(MemristorTest, VariationStaysWithinPhysicalBounds) {
-  MemristorConfig cfg;
-  cfg.variation_sigma = 0.5;  // huge variation
-  Memristor m(cfg);
-  nn::Rng rng(1);
-  for (int i = 0; i < 200; ++i) {
-    m.program(4, 8, &rng);
-    EXPECT_GE(m.conductance(), g_min(cfg));
-    EXPECT_LE(m.conductance(), g_max(cfg));
-  }
-}
-
-TEST(MemristorTest, VariationIsZeroMeanIsh) {
-  MemristorConfig cfg;
-  cfg.variation_sigma = 0.05;
-  Memristor m(cfg);
-  nn::Rng rng(2);
-  const double ideal = level_conductance(4, 8, cfg);
-  double acc = 0.0;
-  constexpr int kN = 2000;
-  for (int i = 0; i < kN; ++i) {
-    m.program(4, 8, &rng);
-    acc += m.conductance();
-  }
-  EXPECT_NEAR(acc / kN, ideal, ideal * 0.02);
 }
 
 }  // namespace

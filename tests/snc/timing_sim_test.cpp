@@ -129,30 +129,6 @@ TEST(TimingSimTest, AllQuietWindowIsPureSetup) {
   EXPECT_GT(r.speed_mhz, 0.0);
 }
 
-TEST(TimingSimTest, RefreshPauseStretchesPeriod) {
-  const TimingResult base = simulate_window(5, 15, {});
-  // 1000 ns pause every 100 windows -> +10 ns amortized per window.
-  const TimingResult r =
-      simulate_window_with_refresh(5, 15, {}, -1, 100.0, 1000.0);
-  EXPECT_DOUBLE_EQ(r.period_ns, base.period_ns + 10.0);
-  EXPECT_LT(r.speed_mhz, base.speed_mhz);
-  EXPECT_LT(r.utilization, base.utilization);
-  EXPECT_EQ(r.events, base.events);
-  // Busy-time accounting is untouched by the pause.
-  EXPECT_EQ(r.stage_busy_ns, base.stage_busy_ns);
-}
-
-TEST(TimingSimTest, NoRefreshDegeneratesToPlainWindow) {
-  const TimingResult base = simulate_window(4, 7, {});
-  const TimingResult no_pause =
-      simulate_window_with_refresh(4, 7, {}, -1, 100.0, 0.0);
-  const TimingResult no_interval =
-      simulate_window_with_refresh(4, 7, {}, -1, 0.0, 500.0);
-  EXPECT_DOUBLE_EQ(no_pause.period_ns, base.period_ns);
-  EXPECT_DOUBLE_EQ(no_interval.period_ns, base.period_ns);
-  EXPECT_DOUBLE_EQ(no_pause.utilization, base.utilization);
-}
-
 TEST(TimingSimTest, BatchHonorsActiveSlots) {
   std::vector<WindowSpec> specs(3);
   specs[0] = {5, 15, -1, {}};

@@ -22,7 +22,6 @@
 //               [--bits M] [--shards N] [--max-batch B]
 //               [--batch-timeout-us T] [--queue-cap Q]
 //               [--listen unix:/tmp/qsnc-serve.sock|tcp:host:port]
-//               (--socket path is the historical alias for --listen)
 //               [--snc-replicas R]
 //               [--snc-stuck-on R] [--snc-stuck-off R]
 //               [--snc-variation S] [--snc-write-verify] [--snc-spare-cols K]
@@ -49,10 +48,10 @@
 //               breaker; --chaos-profile injects deterministic seeded
 //               faults for resilience testing, reported at shutdown;
 //               --shards N runs N identical batcher+backend lanes;
-//               the snc backend runs each batch on one replica, except
-//               with --health-per-replica-seeds, which fans the images
-//               out, since fault diversity needs them spread across
-//               replica seeds)
+//               the snc backend programs one system and runs each batch
+//               on it, except with --health-per-replica-seeds, which
+//               programs --snc-replicas differently seeded replicas and
+//               fans the images out across them)
 //               [--shadow-fraction F] [--rollout-observe N]
 //               [--max-divergence R] [--rollout-canary-rounds K]
 //               [--rollout-canaries N] [--rollout-canary-interval-ms T]
@@ -109,8 +108,7 @@
 //               [--concurrency C] [--no-retry] [--deadline-us D]
 //               [--priority interactive|canary|batch|mix]
 //               [--sessions K] [--open-loop --rate R]
-//               (--socket path is the historical alias for --connect;
-//               --sessions K tags request i with session key i%K so a
+//               (--sessions K tags request i with session key i%K so a
 //               router pins each session to one backend)
 //               (load generator against a running server; closed-loop by
 //               default with rejected/shedded requests retrying under
@@ -150,6 +148,7 @@
 #include "report/table.h"
 #include "router/router_config.h"
 #include "router/router_server.h"
+#include "serve/backend.h"
 #include "serve/backoff.h"
 #include "serve/chaos.h"
 #include "serve/model_registry.h"
@@ -386,8 +385,6 @@ int cmd_deploy(const util::Flags& flags) {
   const int64_t chw = nn::shape_numel(model.input);
   int64_t correct = 0;
   snc::SncStats totals;
-  int64_t total_spikes = 0;
-  int64_t window_slots = 0;
   // B images share one pass over each stage's panel. Per-image stats fold
   // exactly as a per-image loop would (infer_batch is bit-identical to B
   // sequential infer calls).
@@ -405,23 +402,10 @@ int cmd_deploy(const util::Flags& flags) {
     const std::vector<int64_t> preds = system.infer_batch(batch,
                                                           &batch_stats);
     for (int64_t j = 0; j < b; ++j) {
-      const snc::SncStats& stats = batch_stats[static_cast<size_t>(j)];
       if (preds[static_cast<size_t>(j)] == labels[static_cast<size_t>(j)]) {
         ++correct;
       }
-      total_spikes += stats.total_spikes;
-      window_slots = stats.window_slots;
-      if (totals.stage.size() < stats.stage.size()) {
-        totals.stage.resize(stats.stage.size());
-      }
-      for (size_t st = 0; st < stats.stage.size(); ++st) {
-        totals.stage[st].rows = stats.stage[st].rows;
-        totals.stage[st].cols = stats.stage[st].cols;
-        totals.stage[st].positions += stats.stage[st].positions;
-        totals.stage[st].input_events += stats.stage[st].input_events;
-        totals.stage[st].spikes += stats.stage[st].spikes;
-        totals.stage[st].occupied_slots += stats.stage[st].occupied_slots;
-      }
+      totals.add(batch_stats[static_cast<size_t>(j)]);
     }
   }
   std::printf("SNC inference (batch %lld): %lld/%lld correct, "
@@ -429,37 +413,13 @@ int cmd_deploy(const util::Flags& flags) {
               static_cast<long long>(batch_size),
               static_cast<long long>(correct),
               static_cast<long long>(images),
-              static_cast<long long>(window_slots),
-              static_cast<double>(total_spikes) /
+              static_cast<long long>(totals.window_slots),
+              static_cast<double>(totals.total_spikes) /
                   static_cast<double>(images));
-  report::Table activity({"stage", "rows", "cols", "events/img", "sparsity",
-                          "spikes/img"});
-  const double inv = 1.0 / static_cast<double>(images);
-  for (size_t st = 0; st < totals.stage.size(); ++st) {
-    const snc::SncStageStats& sg = totals.stage[st];
-    activity.add_row(
-        {std::to_string(st), std::to_string(sg.rows),
-         std::to_string(sg.cols),
-         report::fmt(static_cast<double>(sg.input_events) * inv, 1),
-         report::pct(sg.input_sparsity(), 1),
-         report::fmt(static_cast<double>(sg.spikes) * inv, 1)});
-  }
-  std::printf("%s", activity.to_string().c_str());
-  if (cfg.recovery.enabled()) {
-    const snc::FaultReport fr = system.fault_report();
-    report::Table faults({"cells", "retries", "detected", "compensated",
-                          "residual", "remapped", "spares left",
-                          "refreshes"});
-    faults.add_row({std::to_string(fr.cells),
-                    std::to_string(fr.write_retries),
-                    std::to_string(fr.faults_detected),
-                    std::to_string(fr.faults_compensated),
-                    std::to_string(fr.residual_faults),
-                    std::to_string(fr.remapped_cols),
-                    std::to_string(fr.spare_cols_left),
-                    std::to_string(fr.refreshes)});
-    std::printf("fault recovery:\n%s", faults.to_string().c_str());
-  }
+  std::printf("%s", serve::snc_activity_tables(totals, images,
+                                               system.fault_report(),
+                                               "fault recovery")
+                        .c_str());
   return 0;
 }
 
@@ -687,10 +647,7 @@ int cmd_serve(const util::Flags& flags) {
   rollout.canary_interval_ms = flags.get_int("rollout-canary-interval-ms",
                                              rollout.canary_interval_ms);
   rollout.auto_decide = !flags.get_bool("rollout-manual", false);
-  // --listen takes any endpoint spelling; --socket is the historical
-  // unix-path alias (--listen wins when both are given).
-  const std::string socket =
-      flags.get("listen", flags.get("socket", "/tmp/qsnc-serve.sock"));
+  const std::string socket = flags.get("listen", "/tmp/qsnc-serve.sock");
   const std::string journal_path = flags.get("journal", "");
   const std::string chaos_name = flags.get("chaos-profile", "none");
   const uint64_t chaos_seed =
@@ -833,10 +790,7 @@ int cmd_router(const util::Flags& flags) {
 }
 
 int cmd_loadgen(const util::Flags& flags) {
-  // --connect takes any endpoint spelling; --socket is the historical
-  // unix-path alias (--connect wins when both are given).
-  const std::string socket =
-      flags.get("connect", flags.get("socket", "/tmp/qsnc-serve.sock"));
+  const std::string socket = flags.get("connect", "/tmp/qsnc-serve.sock");
   const std::string model = flags.get("model", "lenet-mini");
   const int64_t requests = flags.get_int("requests", 200);
   const int concurrency =
@@ -1065,8 +1019,7 @@ int cmd_rollout(const util::Flags& flags) {
         "rollout needs a verb: load|promote|rollback|status");
   }
   const std::string verb = flags.positional()[1];
-  const std::string socket =
-      flags.get("connect", flags.get("socket", "/tmp/qsnc-serve.sock"));
+  const std::string socket = flags.get("connect", "/tmp/qsnc-serve.sock");
   const std::string model = flags.get("model", "");
   serve::RolloutReply reply;
   if (verb == "load") {
