@@ -8,8 +8,8 @@
 //  2. Accuracy recovery — passive defect injection vs write-verify +
 //     differential compensation + spare-column remapping across spare
 //     budgets, at a fixed stuck-on rate.
-//  3. Refresh overhead — the analytic duty cycle the retention-drift
-//     refresh scheduler costs at several refresh intervals
+//  3. Refresh overhead — the analytic duty cycle a periodic retention
+//     refresh would cost at several refresh intervals
 //     (snc::evaluate_refresh against the Eq 1 cost model).
 #include <chrono>
 

@@ -29,7 +29,7 @@ class Rng {
   bool bernoulli(double p);
 
   /// SplitMix64-mixed seed for stream `stream_id` of a master seed.
-  /// Parallel components (per-cell drift rates, per-replica fault seeds)
+  /// Parallel components (stochastic coding, per-replica fault seeds)
   /// derive one statistically independent stream per work unit instead of
   /// sharing an engine, so draws are race-free and reproducible regardless
   /// of thread count or execution order.

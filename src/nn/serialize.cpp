@@ -14,11 +14,11 @@ namespace qsnc::nn {
 namespace {
 
 constexpr uint32_t kMagic = 0x51534e43;  // "QSNC"
-// v1: magic | version | payload.
 // v2: magic | version | crc32(payload) | payload — truncation and bit
-// flips are rejected before any tensor data is trusted. The payload
-// layout (u32 count, then per-tensor u32 rank | i64 dims | f32 data) is
-// identical in both versions, so v1 files remain readable.
+// flips are rejected before any tensor data is trusted. The payload is a
+// u32 count, then per tensor u32 rank | i64 dims | f32 data. Version 1
+// carried no checksum; it is rejected like any other unsupported version,
+// so no image can skip the CRC.
 constexpr uint32_t kVersion = 2;
 
 // Collects pointers to every state tensor in deterministic order:
@@ -157,37 +157,31 @@ void load_state_bytes(Network& net, const std::vector<uint8_t>& bytes,
   PayloadReader header(bytes, what);
   uint32_t magic = 0;
   uint32_t version = 0;
+  uint32_t expected_crc = 0;
   try {
     header.read_raw(&magic, sizeof(magic));
-    header.read_raw(&version, sizeof(version));
+    if (magic == kMagic) header.read_raw(&version, sizeof(version));
+    if (version == kVersion) {
+      header.read_raw(&expected_crc, sizeof(expected_crc));
+    }
   } catch (const std::runtime_error&) {
     throw std::runtime_error("load_state: truncated header in " + what);
   }
   if (magic != kMagic) {
     throw std::runtime_error("load_state: bad magic in " + what);
   }
-  if (version != 1 && version != 2) {
+  if (version != kVersion) {
     throw std::runtime_error("load_state: unsupported version " +
                              std::to_string(version) + " in " + what);
   }
-  size_t payload_at = 8;
-  if (version == 2) {
-    uint32_t expected_crc = 0;
-    try {
-      header.read_raw(&expected_crc, sizeof(expected_crc));
-    } catch (const std::runtime_error&) {
-      throw std::runtime_error("load_state: truncated header in " + what);
-    }
-    payload_at = 12;
-    if (util::crc32(bytes.data() + payload_at,
-                    bytes.size() - payload_at) != expected_crc) {
-      throw std::runtime_error(
-          "load_state: checksum mismatch (corrupt checkpoint) in " + what);
-    }
+  constexpr size_t kPayloadAt = 12;
+  if (util::crc32(bytes.data() + kPayloadAt, bytes.size() - kPayloadAt) !=
+      expected_crc) {
+    throw std::runtime_error(
+        "load_state: checksum mismatch (corrupt checkpoint) in " + what);
   }
-  const std::vector<uint8_t> payload(bytes.begin() +
-                                         static_cast<ptrdiff_t>(payload_at),
-                                     bytes.end());
+  const std::vector<uint8_t> payload(
+      bytes.begin() + static_cast<ptrdiff_t>(kPayloadAt), bytes.end());
   restore(net, parse_payload(payload, what));
 }
 
@@ -203,33 +197,9 @@ void save_state(Network& net, const std::string& path) {
 void load_state(Network& net, const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("load_state: cannot open " + path);
-
-  auto read_u32 = [&f, &path]() {
-    uint32_t v = 0;
-    f.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!f) throw std::runtime_error("load_state: truncated file " + path);
-    return v;
-  };
-
-  if (read_u32() != kMagic) {
-    throw std::runtime_error("load_state: bad magic in " + path);
-  }
-  const uint32_t version = read_u32();
-  if (version != 1 && version != 2) {
-    throw std::runtime_error("load_state: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  uint32_t expected_crc = 0;
-  if (version == 2) expected_crc = read_u32();
-
-  std::vector<uint8_t> payload(
-      (std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  if (version == 2 &&
-      util::crc32(payload.data(), payload.size()) != expected_crc) {
-    throw std::runtime_error(
-        "load_state: checksum mismatch (corrupt checkpoint) in " + path);
-  }
-  restore(net, parse_payload(payload, path));
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
+                                   std::istreambuf_iterator<char>());
+  load_state_bytes(net, bytes, path);
 }
 
 }  // namespace qsnc::nn

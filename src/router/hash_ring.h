@@ -39,8 +39,6 @@ class HashRing {
   /// starting with the owner. n >= node count returns every node.
   std::vector<size_t> pick_n(uint64_t hash, size_t n) const;
 
-  size_t num_nodes() const { return num_nodes_; }
-
  private:
   struct Point {
     uint64_t position;

@@ -8,10 +8,10 @@
 //            SNC input encoder would (scale, round, clamp) and inter-layer
 //            signals run through the attached IntegerSignalQuantizer.
 //  * snc   — full spike-level execution on SncSystem. A micro-batch window
-//            runs through one programmed system's infer_batch; only a
+//            runs whole through one programmed system's infer_batch; a
 //            fault-diversity deployment (per_replica_seeds) keeps a pool
-//            of differently seeded replicas and fans each window's images
-//            out over it on the process thread pool.
+//            of differently seeded replicas and rotates windows over the
+//            healthy ones.
 //
 // Contracts: infer_batch takes [N, C, H, W] pixels in [0, 1] and returns N
 // predictions in order. A Backend instance is driven by one batcher thread
@@ -20,7 +20,6 @@
 // results are deterministic for a given checkpoint.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -116,24 +115,23 @@ class QuantBackend final : public Backend {
 };
 
 /// Replica health monitoring knobs for the snc backend. Disabled by
-/// default; when enabled, infer_batch periodically runs a deterministic
+/// default; when enabled, the first infer_batch runs a deterministic
 /// canary batch through every replica and compares predictions against an
-/// ideal-device reference system. A deviating replica is reprogrammed (up
-/// to max_reprogram_attempts) and quarantined — removed from the free list,
-/// so no request is ever served from it — when it keeps deviating. When
-/// the healthy fraction drops below min_healthy_fraction the backend
+/// ideal-device reference system. A deviating replica is quarantined —
+/// left out of the serving rotation, so no request is ever served from it.
+/// One check suffices: a programmed replica's conductances never change,
+/// so under deterministic coding (every registry deployment) its verdict
+/// is fixed.
+/// When the healthy fraction is below min_healthy_fraction the backend
 /// degrades gracefully: batches run on the quant fallback path and
 /// last_batch_degraded() turns true.
 struct ReplicaHealthConfig {
   bool enabled = false;
-  int check_interval_batches = 16;  // canary every N infer_batch calls
   int canary_images = 2;            // canary batch size
-  uint64_t canary_seed = 12345;     // deterministic canary pixels
   double min_healthy_fraction = 0.5;
-  int max_reprogram_attempts = 1;   // reprograms before quarantine
   /// Build a pool of replicas whose SncConfig::seed is stream_seed(seed, i),
-  /// so they draw *independent* device faults (fault diversity), and fan
-  /// each window's images out across them. Off by default: the backend
+  /// so they draw *independent* device faults (fault diversity), and
+  /// rotate windows over the healthy ones. Off by default: the backend
   /// then programs one system, since identically seeded replicas would be
   /// bit-identical.
   bool per_replica_seeds = false;
@@ -146,26 +144,22 @@ struct ReplicaHealthSnapshot {
   int64_t healthy = 0;
   int64_t quarantined = 0;
   int64_t canary_runs = 0;          // per-replica canary evaluations
-  int64_t quarantine_events = 0;
-  int64_t reprogram_attempts = 0;
-  int64_t recoveries = 0;           // reprograms that restored health
   int64_t degraded_batches = 0;     // batches served on the fallback
 };
 
 /// Spike-level execution on programmed SncSystem replicas. By default the
-/// backend programs one system and runs each micro-batch window through
-/// its SncSystem::infer_batch (panels streamed once per window).
-/// Fault-diversity deployments (health.enabled with per_replica_seeds)
-/// program a pool of differently seeded replicas instead and fan each
-/// window's images out across it: every image checks a replica out of a
-/// free list (blocking until one frees when the pool is oversubscribed —
-/// never deadlocks, since every checkout is returned when its work ends).
+/// backend programs one system; fault-diversity deployments (health
+/// enabled with per_replica_seeds) program a pool of differently seeded
+/// replicas. Either way window w (counting infer_batch calls) runs whole
+/// on healthy replica w mod H through SncSystem::infer_batch, so each
+/// stage's panels stream once per window and the predictions depend only
+/// on the sequence of windows — not on thread count or timing.
 class SncBackend final : public Backend {
  public:
-  /// Programs the system(s) from `net`. `replicas` sizes only a fan-out
-  /// pool (<= 0 picks the thread-pool size); otherwise one system is
-  /// built. `net` must already be BN-folded and weight-clustered per
-  /// `config` (see ModelRegistry, which prepares it).
+  /// Programs the system(s) from `net`. `replicas` sizes only a
+  /// fault-diversity pool (<= 0 picks the thread-pool size); otherwise one
+  /// system is built. `net` must already be BN-folded and weight-clustered
+  /// per `config` (see ModelRegistry, which prepares it).
   SncBackend(nn::Network& net, nn::Shape input_chw,
              const snc::SncConfig& config, int replicas = 0,
              const ReplicaHealthConfig& health = {});
@@ -196,37 +190,31 @@ class SncBackend final : public Backend {
     quarantine_hook_ = std::move(hook);
   }
 
-  /// Direct replica access for tests (fault injection via advance_time /
-  /// set_defect). Do not call while a batch is in flight.
+  /// Direct replica access for tests and benches (panel traffic, fault
+  /// injection via set_defect). Do not call while a batch is in flight.
   snc::SncSystem& replica(size_t i) { return *replicas_.at(i); }
 
  private:
-  snc::SncSystem* acquire();
-  void release(snc::SncSystem* system);
   std::vector<int64_t> canary_predictions(snc::SncSystem& system) const;
   void run_health_check();
-  void rebuild_free_list();
   std::vector<int64_t> infer_fallback(const nn::Tensor& batch);
 
   std::string kind_ = "snc";
   nn::Network& net_;
   nn::Shape input_chw_;
-  std::vector<snc::SncConfig> replica_configs_;
+  int signal_bits_;
   std::vector<std::unique_ptr<snc::SncSystem>> replicas_;
-  std::vector<snc::SncSystem*> free_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  /// Replica indices in the serving rotation: every replica until the
+  /// health check, the healthy ones after it.
+  std::vector<size_t> healthy_;
+  uint64_t windows_ = 0;  // infer_batch calls served by a replica
 
-  // Health state. Mutated only from the single batcher thread while every
-  // replica is idle (infer_batch entry), so no extra locking beyond mu_
-  // for the free-list swap.
+  // Health state, mutated only from the single batcher thread;
+  // health_counters_ is also read by stats threads under health_mu_.
   ReplicaHealthConfig health_;
-  bool fan_out_;  // per-replica seeds: one image per replica checkout
+  bool checked_ = false;
   std::vector<nn::Tensor> canary_;
   std::vector<int64_t> canary_reference_;
-  std::vector<bool> quarantined_;
-  std::vector<int> reprogram_attempts_;
-  int batches_since_check_ = 0;
   bool last_degraded_ = false;
   std::function<void(size_t, const std::string&)> quarantine_hook_;
   std::unique_ptr<QuantBackend> fallback_;

@@ -84,7 +84,8 @@ struct ModelConfig {
   /// Signal bits (quant, snc) and weight bits (snc).
   int bits = 4;
   uint64_t init_seed = 1;
-  /// Replica count of an snc fan-out pool (snc_health.per_replica_seeds);
+  /// Replica count of an snc fault-diversity pool
+  /// (snc_health.per_replica_seeds);
   /// <= 0 uses the thread pool size. Other snc deployments program one
   /// system.
   int snc_replicas = 0;

@@ -11,6 +11,9 @@ namespace qsnc::serve {
 
 namespace {
 
+// Seed of the canary battery's fixed images (the same every round).
+constexpr uint64_t kCanarySeed = 0x5ca7ab1e;
+
 std::string percent(uint64_t part, uint64_t whole) {
   if (whole == 0) return "-";
   std::ostringstream out;
@@ -317,7 +320,7 @@ void RolloutController::run_canary_round(const std::string& blue_key,
   } catch (const std::exception&) {
     return;  // registry changed under us; next round re-reads
   }
-  nn::Rng rng(options_.canary_seed);
+  nn::Rng rng(kCanarySeed);
   std::vector<std::pair<std::future<Response>, std::future<Response>>> pairs;
   pairs.reserve(static_cast<size_t>(options_.canary_images));
   for (int i = 0; i < options_.canary_images; ++i) {
@@ -400,9 +403,7 @@ void RolloutController::rollback_locked(const std::string& reason) {
 }
 
 bool RolloutController::sample_shadow(Priority priority) {
-  if (options_.shadow_all_canary && priority == Priority::kCanary) {
-    return true;
-  }
+  if (priority == Priority::kCanary) return true;
   const double f = options_.shadow_fraction;
   if (f <= 0.0) return false;
   if (f >= 1.0) return true;

@@ -8,7 +8,7 @@
 //         client is answered from blue as always, and the controller
 //         compares the two predictions off the hot path. A deterministic
 //         canary battery (the replica-health idiom: fixed images from
-//         nn::Rng(canary_seed)) runs against both versions every
+//         one constant seed) runs against both versions every
 //         canary_interval_ms as a second, traffic-independent signal.
 //   auto-promote                    -->  compared >= observe_requests,
 //         canary_rounds clean battery passes, and divergence within
@@ -56,11 +56,9 @@ class ServeCore;
 struct RolloutOptions {
   /// Fraction of non-canary blue traffic duplicated to green while
   /// shadowing (deterministic fixed-point sampling, no RNG). 1.0 shadows
-  /// everything.
+  /// everything. kCanary-class requests always shadow (the priority class
+  /// exists to probe — see serve/admission.h).
   double shadow_fraction = 0.25;
-  /// kCanary-class requests always shadow (the priority class exists to
-  /// probe — see serve/admission.h).
-  bool shadow_all_canary = true;
   /// Compared prediction pairs required before an auto-promote.
   int observe_requests = 32;
   /// diverged/compared above this ratio rolls back (0 = any divergence).
@@ -70,7 +68,6 @@ struct RolloutOptions {
   /// Clean canary-battery passes required before an auto-promote.
   int canary_rounds = 1;
   int canary_images = 4;
-  uint64_t canary_seed = 0x5ca7ab1e;
   int64_t canary_interval_ms = 20;
   /// Off = observation only; promote/rollback wait for the operator.
   bool auto_decide = true;

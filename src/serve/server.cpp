@@ -372,18 +372,6 @@ void ServeCore::drain() {
   }
 }
 
-MicroBatcher& ServeCore::batcher(const std::string& model, size_t lane) {
-  ModelLanes* lanes = find_lanes(model);
-  if (lanes == nullptr) {
-    throw std::invalid_argument("ServeCore: unknown model '" + model + "'");
-  }
-  if (lane >= lanes->lanes.size()) {
-    throw std::invalid_argument("ServeCore: model '" + model +
-                                "' has no lane " + std::to_string(lane));
-  }
-  return *lanes->lanes[lane];
-}
-
 size_t ServeCore::num_lanes(const std::string& model) const {
   ModelLanes* lanes = find_lanes(model);
   if (lanes == nullptr) {

@@ -160,12 +160,7 @@ class ServeCore {
   ModelRegistry& registry() { return registry_; }
   RolloutController& rollout() { return *rollout_; }
 
-  /// Lane accessors; the single-argument form is lane 0 (compatible with
-  /// the pre-shard API).
-  MicroBatcher& batcher(const std::string& model) {
-    return batcher(model, 0);
-  }
-  MicroBatcher& batcher(const std::string& model, size_t lane);
+  /// Batcher lanes serving `model` (--shards).
   size_t num_lanes(const std::string& model) const;
 
   /// Total queued requests across every model and lane (the load figure
@@ -292,8 +287,6 @@ class SocketServer {
   /// The endpoint actually bound — an ephemeral tcp port (port 0) is
   /// resolved to the kernel-assigned one.
   const Endpoint& endpoint() const { return endpoint_; }
-  /// Endpoint spelling (kept for the historical unix-path accessor).
-  std::string socket_path() const { return endpoint_.str(); }
 
   /// Graceful shutdown; see the header comment. Idempotent.
   void stop();

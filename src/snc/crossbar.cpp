@@ -42,31 +42,11 @@ void Crossbar::program_cell(int64_t r, int64_t c, int64_t level,
   if (r < 0 || r >= rows_ || c < 0 || c >= cols_) {
     throw std::out_of_range("Crossbar::program_cell: cell out of range");
   }
-  if (!defects_.empty()) {
-    // Static-map mode: the fault is a property of the cell, not the write.
-    const DefectKind kind = defects_[static_cast<size_t>(index(r, c))];
-    if (kind == DefectKind::kStuckOff) {
-      g_[static_cast<size_t>(index(r, c))] = g_min(config_);
-      bake_effective(r, c);
-      return;
-    }
-    if (kind == DefectKind::kStuckOn) {
-      g_[static_cast<size_t>(index(r, c))] = g_max(config_);
-      bake_effective(r, c);
-      return;
-    }
-  } else if (rng != nullptr) {
-    // Fabrication defects override programming entirely.
-    if (config_.stuck_off_rate > 0.0 && rng->bernoulli(config_.stuck_off_rate)) {
-      g_[static_cast<size_t>(index(r, c))] = g_min(config_);
-      bake_effective(r, c);
-      return;
-    }
-    if (config_.stuck_on_rate > 0.0 && rng->bernoulli(config_.stuck_on_rate)) {
-      g_[static_cast<size_t>(index(r, c))] = g_max(config_);
-      bake_effective(r, c);
-      return;
-    }
+  // A stuck cell was pinned when its defect was installed: the fault is a
+  // property of the cell, not the write.
+  if (!defects_.empty() &&
+      defects_[static_cast<size_t>(index(r, c))] != DefectKind::kNone) {
+    return;
   }
   double g = level_conductance(level, max_level, config_);
   if (config_.variation_sigma > 0.0 && rng != nullptr) {
@@ -107,24 +87,6 @@ void Crossbar::set_defect(int64_t r, int64_t c, DefectKind kind) {
     g_[static_cast<size_t>(index(r, c))] = g_max(config_);
   }
   bake_effective(r, c);
-}
-
-void Crossbar::apply_drift(double dt, double rate, double sigma,
-                           uint64_t seed) {
-  if (dt <= 0.0 || rate <= 0.0) return;
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t c = 0; c < cols_; ++c) {
-      const size_t i = static_cast<size_t>(index(r, c));
-      if (!defects_.empty() && defects_[i] != DefectKind::kNone) continue;
-      double lambda = rate;
-      if (sigma > 0.0) {
-        nn::Rng cell_rng(nn::Rng::stream_seed(seed, static_cast<uint64_t>(i)));
-        lambda *= std::exp(sigma * cell_rng.normal(0.0f, 1.0f));
-      }
-      g_[i] = drift_conductance(g_[i], lambda, dt, config_);
-      bake_effective(r, c);
-    }
-  }
 }
 
 double Crossbar::conductance(int64_t r, int64_t c) const {
@@ -296,13 +258,6 @@ void DifferentialCrossbar::set_defect(int64_t r, int64_t c, bool minus_array,
     plus_.set_defect(r, pc, kind);
   }
   sync_panel_column(c);
-}
-
-void DifferentialCrossbar::apply_drift(double dt, double rate, double sigma,
-                                       uint64_t seed) {
-  plus_.apply_drift(dt, rate, sigma, nn::Rng::stream_seed(seed, 1));
-  minus_.apply_drift(dt, rate, sigma, nn::Rng::stream_seed(seed, 2));
-  for (int64_t c = 0; c < cols_; ++c) sync_panel_column(c);
 }
 
 std::vector<double> DifferentialCrossbar::read_columns_spiking(

@@ -38,12 +38,11 @@ class Crossbar {
   /// Programs the cell at (r, c) to the given magnitude level of an N-bit
   /// grid. Pass `rng` to draw programming variation per the device config.
   ///
-  /// Defect semantics: without a defect map (legacy passive-injection
-  /// mode), stuck-cell outcomes are drawn per call from `rng` at the
-  /// config rates. Once draw_defect_map()/set_defect() has installed a
-  /// static map, stuck cells are pinned by the map, no defect draws are
-  /// made, and retries against the same cell see the same fault — the
-  /// property closed-loop write-verify depends on.
+  /// Defect semantics: stuck cells are a static property of the array,
+  /// installed by draw_defect_map()/set_defect(). A stuck cell stays
+  /// pinned whatever is written and makes no draws, so retries against it
+  /// see the same fault — the property closed-loop write-verify depends
+  /// on. Without a map every cell is healthy.
   void program_cell(int64_t r, int64_t c, int64_t level, int64_t max_level,
                     nn::Rng* rng = nullptr);
 
@@ -55,14 +54,6 @@ class Crossbar {
   /// Test/faultsim hook: forces one cell's defect (installs an all-kNone
   /// map first when absent).
   void set_defect(int64_t r, int64_t c, DefectKind kind);
-
-
-  /// Retention drift: every non-stuck cell decays toward g_min over `dt`
-  /// inference windows with a per-cell lognormal rate
-  /// lambda_i = rate * exp(sigma * z_i), where z_i is re-derived from
-  /// nn::Rng::stream(seed, i) — repeated calls with the same seed drift
-  /// the same cells at the same rates (determinism across refresh cycles).
-  void apply_drift(double dt, double rate, double sigma, uint64_t seed);
 
   double conductance(int64_t r, int64_t c) const;
 
@@ -106,7 +97,7 @@ class Crossbar {
   MemristorConfig config_;
   std::vector<double> g_;     // row-major conductances
   std::vector<double> geff_;  // wire-model panel; empty when wires ideal
-  std::vector<DefectKind> defects_;  // static map; empty = legacy draws
+  std::vector<DefectKind> defects_;  // static map; empty = no defects
 };
 
 /// A differential pair of crossbars realizing a signed weight block.
@@ -172,14 +163,10 @@ class DifferentialCrossbar {
   /// mapped physical column.
   void sync_panel_column(int64_t c);
 
-  /// Retention drift over `dt` windows on both arrays (independent
-  /// per-array streams derived from `seed`), then a full panel resync.
-  void apply_drift(double dt, double rate, double sigma, uint64_t seed);
-
   /// Packed interleaved effective-conductance panel [rows x 2*cols]: the
   /// plus cell of logical column c at 2c, the minus cell at 2c+1 — a copy
   /// of the two arrays' effective conductances at physical_column(c), kept
-  /// in sync by every write, bind and drift. One cache-friendly row pass
+  /// in sync by every write and bind. One cache-friendly row pass
   /// feeds both accumulators while preserving the per-array accumulation
   /// order (plus and minus sums each see rows in ascending order, exactly
   /// like separate reads of plus()/minus()).

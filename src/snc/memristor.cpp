@@ -37,10 +37,4 @@ double fractional_level(double g, int64_t max_level,
   return std::clamp(t, 0.0, static_cast<double>(max_level));
 }
 
-double drift_conductance(double g, double lambda, double dt,
-                         const MemristorConfig& config) {
-  const double lo = g_min(config);
-  return lo + (g - lo) * std::exp(-lambda * dt);
-}
-
 }  // namespace qsnc::snc

@@ -59,11 +59,4 @@ int64_t nearest_level(double g, int64_t max_level,
 double fractional_level(double g, int64_t max_level,
                         const MemristorConfig& config);
 
-/// Retention drift: a programmed conductance relaxes toward g_min as
-/// g(t) = g_min + (g0 - g_min) * exp(-lambda * dt)  (lambda in 1/window,
-/// dt in inference windows). Per-cell lambda draws are lognormal around a
-/// nominal rate, mirroring published retention spreads.
-double drift_conductance(double g, double lambda, double dt,
-                         const MemristorConfig& config);
-
 }  // namespace qsnc::snc

@@ -56,10 +56,16 @@ void FaultReport::add(const FaultReport& other) {
   residual_faults += other.residual_faults;
   remapped_cols += other.remapped_cols;
   spare_cols_left += other.spare_cols_left;
-  refreshes += other.refreshes;
 }
 
 namespace {
+
+// Write-verify acceptance window, in differential levels.
+constexpr double kToleranceLevels = 0.45;
+// Extra program attempts per array cell after the first write.
+constexpr int kMaxRetries = 3;
+// Residual faults that send a column to the remap pass.
+constexpr int64_t kRemapFaultThreshold = 1;
 
 /// Differential level the pair at (r, phys_c) actually realizes, measured
 /// through the effective (wire-model) conductance — the verify read.
@@ -78,8 +84,8 @@ double achieved_level(const DifferentialCrossbar& xbar, int64_t r,
 /// after any remapping so abandoned columns stop counting.
 void program_pair_verified(DifferentialCrossbar& xbar, int64_t r,
                            int64_t phys_c, int64_t k, int64_t max_level,
-                           const WriteVerifyConfig& wv, nn::Rng& rng,
-                           FaultReport& report, int64_t* col_residual) {
+                           nn::Rng& rng, FaultReport& report,
+                           int64_t* col_residual) {
   const int64_t plus_target = k >= 0 ? k : 0;
   const int64_t minus_target = k >= 0 ? 0 : -k;
   ++report.cells;
@@ -88,8 +94,8 @@ void program_pair_verified(DifferentialCrossbar& xbar, int64_t r,
     xbar.program_array_cell(true, r, phys_c, minus_target, max_level, &rng);
     const double err =
         achieved_level(xbar, r, phys_c, max_level) - static_cast<double>(k);
-    if (std::fabs(err) <= wv.tolerance_levels) return;
-    if (attempt >= wv.max_retries) break;
+    if (std::fabs(err) <= kToleranceLevels) return;
+    if (attempt >= kMaxRetries) break;
     ++report.write_retries;
   }
   ++report.faults_detected;
@@ -114,11 +120,11 @@ void program_pair_verified(DifferentialCrossbar& xbar, int64_t r,
     xbar.program_array_cell(tune_minus, r, phys_c, target, max_level, &rng);
     const double err =
         achieved_level(xbar, r, phys_c, max_level) - static_cast<double>(k);
-    if (std::fabs(err) <= wv.tolerance_levels) {
+    if (std::fabs(err) <= kToleranceLevels) {
       ++report.faults_compensated;
       return;
     }
-    if (attempt >= wv.max_retries) break;
+    if (attempt >= kMaxRetries) break;
     ++report.write_retries;
   }
   if (col_residual != nullptr) ++*col_residual;
@@ -127,36 +133,20 @@ void program_pair_verified(DifferentialCrossbar& xbar, int64_t r,
 /// Programs every pair of one *physical* column (levels indexed by row).
 int64_t program_physical_column(DifferentialCrossbar& xbar, int64_t phys_c,
                                 const int64_t* levels, int64_t max_level,
-                                const WriteVerifyConfig& wv, nn::Rng& rng,
-                                FaultReport& report) {
+                                nn::Rng& rng, FaultReport& report) {
   int64_t residual = 0;
   for (int64_t r = 0; r < xbar.rows(); ++r) {
-    program_pair_verified(xbar, r, phys_c, levels[r], max_level, wv, rng,
-                          report, &residual);
+    program_pair_verified(xbar, r, phys_c, levels[r], max_level, rng, report,
+                          &residual);
   }
   return residual;
 }
 
 }  // namespace
 
-FaultReport program_column_verified(DifferentialCrossbar& xbar,
-                                    int64_t logical_col,
-                                    const int64_t* levels, int64_t max_level,
-                                    const WriteVerifyConfig& wv,
-                                    nn::Rng& rng) {
-  FaultReport report;
-  report.residual_faults = program_physical_column(
-      xbar, xbar.physical_column(logical_col), levels, max_level, wv, rng,
-      report);
-  xbar.sync_panel_column(logical_col);
-  report.spare_cols_left = xbar.spare_cols_left();
-  return report;
-}
-
 FaultReport program_verified(DifferentialCrossbar& xbar,
                              const std::vector<int64_t>& levels,
-                             int64_t max_level, const WriteVerifyConfig& wv,
-                             nn::Rng& rng) {
+                             int64_t max_level, nn::Rng& rng) {
   const int64_t rows = xbar.rows();
   const int64_t cols = xbar.cols();
   if (static_cast<int64_t>(levels.size()) != rows * cols) {
@@ -167,18 +157,17 @@ FaultReport program_verified(DifferentialCrossbar& xbar,
   for (int64_t c = 0; c < cols; ++c) {
     col_residual[static_cast<size_t>(c)] = program_physical_column(
         xbar, xbar.physical_column(c), levels.data() + c * rows, max_level,
-        wv, rng, report);
+        rng, report);
     xbar.sync_panel_column(c);
   }
 
   // Remap pass: worst columns claim spares first (stable sort keeps the
   // tie-break on column index deterministic). A trial-programmed spare is
   // only bound when it is strictly cleaner than the home column.
-  if (wv.remap_fault_threshold > 0 && xbar.spare_cols() > 0) {
+  if (xbar.spare_cols() > 0) {
     std::vector<int64_t> order;
     for (int64_t c = 0; c < cols; ++c) {
-      if (col_residual[static_cast<size_t>(c)] >=
-          wv.remap_fault_threshold) {
+      if (col_residual[static_cast<size_t>(c)] >= kRemapFaultThreshold) {
         order.push_back(c);
       }
     }
@@ -191,7 +180,7 @@ FaultReport program_verified(DifferentialCrossbar& xbar,
       const int64_t spare = xbar.claim_spare();
       if (spare < 0) break;
       const int64_t spare_residual = program_physical_column(
-          xbar, spare, levels.data() + c * rows, max_level, wv, rng, report);
+          xbar, spare, levels.data() + c * rows, max_level, rng, report);
       if (spare_residual < col_residual[static_cast<size_t>(c)]) {
         xbar.bind_column(c, spare);
         col_residual[static_cast<size_t>(c)] = spare_residual;

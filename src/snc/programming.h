@@ -67,19 +67,10 @@ ProgrammingCost evaluate_programming(const ModelMapping& mapping,
 // faults; the controller first tries *differential compensation* (reprogram
 // the healthy partner cell so the pair's difference still lands on the
 // target level — a stuck-on plus cell at level p is cancelled by minus at
-// clamp(round(p) - k)), and columns whose residual fault count still
-// exceeds a threshold are remapped onto spare physical columns.
-
-struct WriteVerifyConfig {
-  /// Accept a cell when |achieved - target| differential level error is at
-  /// most this (0.45 ~ "reads back to the right level with margin").
-  double tolerance_levels = 0.45;
-  /// Extra program attempts per array cell after the first write.
-  int max_retries = 3;
-  /// Remap a logical column onto a spare when its residual (uncompensated)
-  /// fault count reaches this. 0 disables remapping.
-  int remap_fault_threshold = 1;
-};
+// clamp(round(p) - k)), and columns still holding a residual fault are
+// remapped onto spare physical columns. The tolerance (0.45 levels: reads
+// back to the right level with margin), the retry budget (3 extra attempts
+// per array cell) and the remap threshold (1 residual fault) are fixed.
 
 /// Counters from one programming pass (aggregate with add()). residual
 /// faults describe the final state; the other counters describe activity,
@@ -92,33 +83,22 @@ struct FaultReport {
   int64_t residual_faults = 0;   // pairs still off-target after recovery
   int64_t remapped_cols = 0;     // logical columns rerouted onto spares
   int64_t spare_cols_left = 0;   // unclaimed spares after the pass
-  int64_t refreshes = 0;         // drift-refresh reprogram passes
 
   void add(const FaultReport& other);
 };
 
-/// Verified programming of one logical column (signed levels[rows]) at its
-/// current physical mapping. Used for initial programming and for drift
-/// refresh (which must reprogram *through* the existing remap table).
-FaultReport program_column_verified(DifferentialCrossbar& xbar,
-                                    int64_t logical_col,
-                                    const int64_t* levels, int64_t max_level,
-                                    const WriteVerifyConfig& wv,
-                                    nn::Rng& rng);
-
 /// Verified programming of a full signed level matrix
 /// (levels[col * rows + r], the SncSystem weight layout), followed by a
-/// remap pass: columns with >= remap_fault_threshold residual faults are
-/// trial-programmed onto spares (worst column first) and rebound when the
-/// spare is cleaner. Deterministic given the rng state.
+/// remap pass: columns with a residual fault are trial-programmed onto
+/// spares (worst column first) and rebound when the spare is cleaner.
+/// Deterministic given the rng state.
 FaultReport program_verified(DifferentialCrossbar& xbar,
                              const std::vector<int64_t>& levels,
-                             int64_t max_level, const WriteVerifyConfig& wv,
-                             nn::Rng& rng);
+                             int64_t max_level, nn::Rng& rng);
 
 /// Worst |achieved - target| differential level error over the logical
-/// cells of `xbar` (levels[col * rows + r]) — the refresh scheduler's
-/// drift monitor read.
+/// cells of `xbar` (levels[col * rows + r]), read through the effective
+/// conductances like the write-verify loop's verify read.
 double worst_level_error(const DifferentialCrossbar& xbar,
                          const std::vector<int64_t>& levels,
                          int64_t max_level);

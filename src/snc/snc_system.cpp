@@ -43,11 +43,8 @@ struct SncSystem::Stage {
   float step = 0.0f;     // weight units per grid level (scale / 2^N)
   bool rectify = false;  // followed by ReLU: clamp + M-bit counter ceiling
 
-  // Fault-recovery state (only populated when recovery is enabled): the
-  // programming pass counters and the signed level matrix
-  // (levels[col * rows + r]) kept so drift refresh can reprogram.
+  // Programming pass counters (only populated when recovery is enabled).
   FaultReport fault;
-  std::vector<int64_t> levels;
 
   // Runner im2col tap table (conv stages): taps[pos * rows + r] is
   // the flat input index of receptive-field tap r at output position pos,
@@ -113,7 +110,6 @@ void SncStats::add(const SncStats& other) {
     acc.faults_compensated = st.faults_compensated;
     acc.residual_faults = st.residual_faults;
     acc.remapped_cols = st.remapped_cols;
-    acc.refreshes = st.refreshes;
   }
 }
 
@@ -152,9 +148,6 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
     const FaultRecoveryConfig& rec = config_.recovery;
     stage.xbar = std::make_unique<DifferentialCrossbar>(
         rows, cols, config_.device, rec.enabled() ? rec.spare_cols : 0);
-    const bool nonideal = config_.device.variation_sigma > 0.0 ||
-                          config_.device.stuck_off_rate > 0.0 ||
-                          config_.device.stuck_on_rate > 0.0;
     std::vector<int64_t> levels(static_cast<size_t>(rows * cols));
     for (int64_t r = 0; r < rows; ++r) {
       for (int64_t col = 0; col < cols; ++col) {
@@ -172,39 +165,27 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
         levels[static_cast<size_t>(col * rows + r)] = k;
       }
     }
-    if (!rec.enabled()) {
-      // Legacy passive-injection path: per-write defect draws from the
-      // shared rng stream, byte-identical to the pre-recovery simulator.
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t col = 0; col < cols; ++col) {
-          stage.xbar->program_cell(r, col,
-                                   levels[static_cast<size_t>(col * rows + r)],
-                                   kmax, nonideal ? &rng_ : nullptr);
-        }
-      }
+    // Stuck faults are a static per-cell property, drawn before any write
+    // so every write (and every write-verify retry) meets the same fault.
+    if (config_.device.stuck_off_rate > 0.0 ||
+        config_.device.stuck_on_rate > 0.0) {
+      stage.xbar->draw_defect_maps(rng_);
+    }
+    if (rec.write_verify) {
+      stage.fault = program_verified(*stage.xbar, levels, kmax, rng_);
       return;
     }
-    // Recovery mode: faults become a static per-cell property first, then
-    // programming runs against the persistent map.
-    stage.xbar->draw_defect_maps(rng_);
-    if (rec.write_verify) {
-      WriteVerifyConfig wv;
-      wv.tolerance_levels = rec.tolerance_levels;
-      wv.max_retries = rec.max_write_retries;
-      wv.remap_fault_threshold = rec.remap_fault_threshold;
-      stage.fault = program_verified(*stage.xbar, levels, kmax, wv, rng_);
-    } else {
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t col = 0; col < cols; ++col) {
-          stage.xbar->program_cell(r, col,
-                                   levels[static_cast<size_t>(col * rows + r)],
-                                   kmax, nonideal ? &rng_ : nullptr);
-        }
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t col = 0; col < cols; ++col) {
+        stage.xbar->program_cell(r, col,
+                                 levels[static_cast<size_t>(col * rows + r)],
+                                 kmax, &rng_);
       }
+    }
+    if (rec.enabled()) {
       stage.fault.cells = rows * cols;
       stage.fault.spare_cols_left = stage.xbar->spare_cols_left();
     }
-    stage.levels = std::move(levels);
   };
 
   // Bakes the im2col tap index table and the per-input fan-out for a conv
@@ -420,7 +401,6 @@ void fill_stage_header(const FaultReport& fault, int64_t rows, int64_t cols,
   stats->faults_compensated = fault.faults_compensated;
   stats->residual_faults = fault.residual_faults;
   stats->remapped_cols = fault.remapped_cols;
-  stats->refreshes = fault.refreshes;
 }
 }  // namespace
 
@@ -1181,79 +1161,6 @@ FaultReport SncSystem::fault_report() const {
     if (stage->xbar) total.add(stage->fault);
   }
   return total;
-}
-
-void SncSystem::advance_time(double windows) {
-  if (windows <= 0.0) return;
-  const FaultRecoveryConfig& rec = config_.recovery;
-  elapsed_windows_ += windows;
-  if (rec.drift_rate_per_window <= 0.0) return;
-  size_t xbar_index = 0;
-  for (auto& stage : stages_) {
-    if (!stage->xbar) continue;
-    // Per-stage drift stream: re-derivable from the config seed so the
-    // same cells always carry the same decay rates.
-    stage->xbar->apply_drift(
-        windows, rec.drift_rate_per_window, rec.drift_sigma,
-        nn::Rng::stream_seed(config_.seed,
-                             0xD21F7000u + static_cast<uint64_t>(xbar_index)));
-    ++xbar_index;
-  }
-  windows_since_refresh_ += windows;
-  if (rec.refresh_interval_windows > 0.0 &&
-      windows_since_refresh_ >= rec.refresh_interval_windows) {
-    refresh();
-    windows_since_refresh_ = 0.0;
-  }
-}
-
-int64_t SncSystem::refresh() {
-  const FaultRecoveryConfig& rec = config_.recovery;
-  const int64_t kmax = int64_t{1} << (config_.weight_bits - 1);
-  const bool nonideal = config_.device.variation_sigma > 0.0 ||
-                        config_.device.stuck_off_rate > 0.0 ||
-                        config_.device.stuck_on_rate > 0.0;
-  WriteVerifyConfig wv;
-  wv.tolerance_levels = rec.tolerance_levels;
-  wv.max_retries = rec.max_write_retries;
-  wv.remap_fault_threshold = rec.remap_fault_threshold;
-  int64_t refreshed = 0;
-  for (auto& stage : stages_) {
-    if (!stage->xbar || stage->levels.empty()) continue;
-    if (worst_level_error(*stage->xbar, stage->levels, kmax) <=
-        rec.refresh_tolerance_levels) {
-      continue;
-    }
-    ++refreshed;
-    ++stage->fault.refreshes;
-    const int64_t rows = stage->xbar->rows();
-    const int64_t cols = stage->xbar->cols();
-    if (rec.write_verify) {
-      // Reprogram through the existing remap table (column granularity so
-      // already-assigned spares keep their bindings).
-      int64_t residual = 0;
-      for (int64_t c = 0; c < cols; ++c) {
-        const FaultReport pass = program_column_verified(
-            *stage->xbar, c, stage->levels.data() + c * rows, kmax, wv,
-            rng_);
-        stage->fault.cells += pass.cells;
-        stage->fault.write_retries += pass.write_retries;
-        stage->fault.faults_detected += pass.faults_detected;
-        stage->fault.faults_compensated += pass.faults_compensated;
-        residual += pass.residual_faults;
-      }
-      stage->fault.residual_faults = residual;
-    } else {
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-          stage->xbar->program_cell(
-              r, c, stage->levels[static_cast<size_t>(c * rows + r)], kmax,
-              nonideal ? &rng_ : nullptr);
-        }
-      }
-    }
-  }
-  return refreshed;
 }
 
 }  // namespace qsnc::snc

@@ -46,36 +46,18 @@ namespace qsnc::snc {
 
 enum class IntegrationMode { kIdealIntegration, kOnline };
 
-/// Closed-loop fault-recovery knobs. All off by default: the legacy
-/// passive-injection deployment (per-write defect draws, no verify) is
-/// byte-identical when enabled() is false. When any knob is on, each
-/// crossbar draws a *static* per-cell defect map at construction (stuck
-/// faults persist across retries and refreshes, as on real hardware) and
-/// keeps its programmed level matrix so drift refresh can reprogram.
+/// Closed-loop fault-recovery knobs. Both off by default. Stuck faults are
+/// a static per-cell map in every mode (drawn at construction whenever a
+/// stuck rate is nonzero); recovery changes only how the crossbars are
+/// programmed around that map, and fills the fault report.
 struct FaultRecoveryConfig {
   /// Closed-loop write-verify programming with differential compensation
   /// and (when spare_cols > 0) fault-aware column remapping.
   bool write_verify = false;
-  double tolerance_levels = 0.45;  // accept |err| <= this many levels
-  int max_write_retries = 3;       // extra attempts per array cell
   /// Spare physical columns per crossbar reserved for remapping.
   int64_t spare_cols = 0;
-  /// Remap a column once it holds this many residual faults (0 = never).
-  int remap_fault_threshold = 1;
 
-  /// Retention drift: nominal conductance decay rate per inference window
-  /// (lognormal per-cell spread drift_sigma), applied by advance_time().
-  double drift_rate_per_window = 0.0;
-  double drift_sigma = 0.0;
-  /// Auto-refresh cadence in windows (0 = only explicit refresh() calls).
-  double refresh_interval_windows = 0.0;
-  /// A refresh pass reprograms a crossbar only when its worst readback
-  /// error exceeds this many levels.
-  double refresh_tolerance_levels = 0.45;
-
-  bool enabled() const {
-    return write_verify || spare_cols > 0 || drift_rate_per_window > 0.0;
-  }
+  bool enabled() const { return write_verify || spare_cols > 0; }
 };
 
 struct SncConfig {
@@ -122,7 +104,6 @@ struct SncStageStats {
   int64_t faults_compensated = 0;  // recovered via partner compensation
   int64_t residual_faults = 0;    // still off-target after recovery
   int64_t remapped_cols = 0;      // logical columns routed onto spares
-  int64_t refreshes = 0;          // drift-refresh reprogram passes
 
   /// Row drives a dense simulator performs for this stage.
   int64_t dense_row_drives() const { return rows * positions; }
@@ -227,8 +208,8 @@ class SncSystem {
   /// physical array's own read (Crossbar::read_columns /
   /// read_columns_spiking) and routes columns with physical_column(). It
   /// never reads the packed panel the runner streams, so a panel that went
-  /// stale against its arrays (drift, remap, refresh) shows up as a
-  /// mismatch. Draws the next stochastic-coding stream like infer(), sets
+  /// stale against its arrays (a defect pin or a spare remap) shows up as
+  /// a mismatch. Draws the next stochastic-coding stream like infer(), sets
   /// last_logits(), and streams no panel bytes.
   int64_t infer_reference(const nn::Tensor& image, SncStats* stats = nullptr);
 
@@ -270,22 +251,6 @@ class SncSystem {
   /// zero when recovery is disabled).
   FaultReport fault_report() const;
 
-  /// Advances simulated retention time by `windows` inference windows:
-  /// applies conductance drift to every crossbar and, when an auto-refresh
-  /// interval is configured, runs due refresh passes. No-op without a
-  /// drift rate. Deterministic given SncConfig::seed and the call
-  /// sequence.
-  void advance_time(double windows);
-
-  /// Drift refresh: reprograms every crossbar stage whose worst readback
-  /// level error exceeds recovery.refresh_tolerance_levels (write-verify
-  /// reprogramming through the existing remap table when enabled).
-  /// Returns the number of stages reprogrammed.
-  int64_t refresh();
-
-  /// Simulated windows elapsed via advance_time().
-  double elapsed_windows() const { return elapsed_windows_; }
-
  private:
   struct Stage;
 
@@ -299,8 +264,7 @@ class SncSystem {
   /// draws from stream_seed(config.seed, kCodingStreamBase + k).
   /// Stream-per-image seeding is what keeps stochastic results
   /// bit-identical regardless of how images are grouped into batches. The
-  /// base tag keeps coding streams disjoint from the drift streams
-  /// (0xD21F7000 + stage) and the raw programming seed.
+  /// base tag keeps coding streams disjoint from the raw programming seed.
   static constexpr uint64_t kCodingStreamBase = uint64_t{1} << 40;
   nn::Rng next_coding_rng();
 
@@ -371,8 +335,6 @@ class SncSystem {
   std::vector<nn::Rng> coding_rngs_;
   std::vector<SncStageStats*> stage_stats_;
   uint64_t coding_streams_issued_ = 0;
-  double elapsed_windows_ = 0.0;
-  double windows_since_refresh_ = 0.0;
   nn::Rng rng_;
 };
 

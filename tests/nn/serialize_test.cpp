@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "../test_util.h"
 #include "nn/layers/batchnorm.h"
@@ -170,42 +171,42 @@ TEST(SerializeTest, TruncatedCheckpointThrows) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeTest, LegacyV1CheckpointStillLoads) {
+TEST(SerializeTest, V1CheckpointIsRejectedByBothReaders) {
+  // Version 1 (magic | version=1 | payload) carried no checksum. Both the
+  // file reader and the in-memory reader must refuse it, so no image can
+  // skip the CRC by claiming the old version.
   Rng rng(58);
   Network net = make_net(rng);
-  Tensor x({2, 1, 4, 4});
-  randomize(x, rng);
-  net.forward(x, true);
-  const Tensor before = net.forward(x, false);
+  // A v2 image minus its CRC field, tagged version 1: the v1 layout.
+  std::vector<uint8_t> v1 = save_state_bytes(net);
+  v1.erase(v1.begin() + 8, v1.begin() + 12);
+  v1[4] = 1;
 
-  // Hand-write the v1 format: magic | version=1 | payload, no checksum.
-  const NetworkState state = snapshot(net);
   const std::string path =
       (std::filesystem::temp_directory_path() / "qsnc_legacy_v1.bin")
           .string();
-  {
-    std::ofstream f(path, std::ios::binary);
-    auto put_u32 = [&f](uint32_t v) {
-      f.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    put_u32(0x51534e43);
-    put_u32(1);
-    put_u32(static_cast<uint32_t>(state.tensors.size()));
-    for (const Tensor& t : state.tensors) {
-      put_u32(static_cast<uint32_t>(t.rank()));
-      for (int64_t d : t.shape()) {
-        f.write(reinterpret_cast<const char*>(&d), sizeof(d));
-      }
-      f.write(reinterpret_cast<const char*>(t.data()),
-              static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  write_file(path, std::vector<char>(v1.begin(), v1.end()));
+  for (Param* p : net.params()) p->value.fill(0.5f);
+  const NetworkState untouched = snapshot(net);
+  const auto expect_rejected = [&](const std::function<void()>& load,
+                                   const char* reader) {
+    try {
+      load();
+      FAIL() << reader << " accepted a v1 checkpoint";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+                std::string::npos)
+          << reader << ": " << e.what();
     }
-  }
-
-  Rng rng2(58);
-  Network net2 = make_net(rng2);
-  for (Param* p : net2.params()) p->value.fill(0.0f);
-  load_state(net2, path);
-  EXPECT_TRUE(net2.forward(x, false).allclose(before));
+    // Rejected before any tensor was restored.
+    const NetworkState after = snapshot(net);
+    for (size_t i = 0; i < after.tensors.size(); ++i) {
+      EXPECT_TRUE(after.tensors[i].allclose(untouched.tensors[i])) << reader;
+    }
+  };
+  expect_rejected([&] { load_state(net, path); }, "load_state");
+  expect_rejected([&] { load_state_bytes(net, v1, "v1 image"); },
+                  "load_state_bytes");
   std::remove(path.c_str());
 }
 

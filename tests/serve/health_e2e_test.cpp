@@ -1,14 +1,16 @@
-// End-to-end replica health monitoring: canary checks, quarantine, the
-// quant degradation ladder, and reprogram-based recovery.
+// End-to-end replica health monitoring: the one-time canary check,
+// quarantine, the quant degradation ladder, and the window rotation over
+// a fault-diverse pool.
 //
 // The quarantine contract under test: a replica that deviates from the
-// ideal-device canary reference is removed from the free list *before*
-// any request of the batch is dispatched, so zero requests are ever
+// ideal-device canary reference leaves the serving rotation *before* any
+// request of the first window is dispatched, so zero requests are ever
 // served from a quarantined replica — every answer comes either from a
 // healthy replica or from the quant fallback (flagged degraded).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/bn_folding.h"
@@ -18,6 +20,7 @@
 #include "nn/rng.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
+#include "util/thread_pool.h"
 
 namespace qsnc::serve {
 namespace {
@@ -60,10 +63,8 @@ TEST(HealthE2ETest, QuarantineFallsBackToQuantWithDegradedFlag) {
   config.snc_replicas = 2;
   config.snc_stuck_on_rate = 0.15;
   config.snc_health.enabled = true;
-  config.snc_health.check_interval_batches = 1;
   config.snc_health.canary_images = 3;
   config.snc_health.min_healthy_fraction = 1.0;
-  config.snc_health.max_reprogram_attempts = 1;
   config.snc_health.per_replica_seeds = true;
   registry.add("m", config);
 
@@ -99,12 +100,10 @@ TEST(HealthE2ETest, QuarantineFallsBackToQuantWithDegradedFlag) {
   const ReplicaHealthSnapshot h = backend.health_snapshot();
   EXPECT_TRUE(h.enabled);
   EXPECT_EQ(h.replicas, 2);
-  EXPECT_GE(h.quarantine_events, 1);
+  EXPECT_GE(h.quarantined, 1);
   EXPECT_EQ(h.healthy + h.quarantined, h.replicas);
-  // Reprogramming re-draws the same deterministic faults, so it cannot
-  // rescue a passive replica: every attempt must have been spent.
-  EXPECT_EQ(h.reprogram_attempts, h.quarantine_events);
-  EXPECT_EQ(h.recoveries, 0);
+  // One check, at the first window: each replica ran its canaries once.
+  EXPECT_EQ(h.canary_runs, h.replicas);
   EXPECT_GE(h.degraded_batches, static_cast<int64_t>(kRequests));
 
   const ModelStatsSnapshot stats = core.stats().at(0);
@@ -113,74 +112,132 @@ TEST(HealthE2ETest, QuarantineFallsBackToQuantWithDegradedFlag) {
   EXPECT_NE(report.find("replica health"), std::string::npos);
 }
 
-TEST(HealthE2ETest, DriftedReplicaRecoversByReprogramming) {
-  // Ideal devices + write-verify: after severe retention drift the canary
-  // deviates, but a reprogram restores the replica — no quarantine, no
-  // degradation.
+TEST(HealthE2ETest, QuarantineHookFiresOncePerQuarantinedReplica) {
+  // The journal hook hears about every quarantined replica exactly once:
+  // the check runs at the first window and never again.
   nn::Rng rng(1);
   nn::Network net = models::make_lenet_mini(rng);
   snc::SncConfig cfg = deploy(net);
-  cfg.recovery.write_verify = true;
-  cfg.recovery.drift_rate_per_window = 0.01;
-  cfg.recovery.drift_sigma = 0.3;
+  cfg.device.stuck_on_rate = 0.15;
 
   ReplicaHealthConfig health;
   health.enabled = true;
-  health.check_interval_batches = 1;
-  health.canary_images = 2;
-  health.min_healthy_fraction = 0.5;
-  health.max_reprogram_attempts = 2;
-  // Identically seeded: the backend programs one system whatever the
-  // requested replica count.
-  SncBackend backend(net, {1, 28, 28}, cfg, /*replicas=*/2, health);
-  ASSERT_EQ(backend.replica_count(), 1u);
+  health.per_replica_seeds = true;
+  SncBackend backend(net, {1, 28, 28}, cfg, /*replicas=*/3, health);
+  std::vector<size_t> hooked;
+  backend.set_quarantine_hook(
+      [&hooked](size_t replica, const std::string&) {
+        hooked.push_back(replica);
+      });
 
-  nn::Tensor batch({2, 1, 28, 28});
-  for (int i = 0; i < 2; ++i) {
-    const nn::Tensor image = random_image(200 + static_cast<uint64_t>(i));
-    std::copy(image.data(), image.data() + image.numel(),
-              batch.data() + static_cast<int64_t>(i) * image.numel());
-  }
-  const std::vector<int64_t> fresh = backend.infer_batch(batch);
-  EXPECT_FALSE(backend.last_batch_degraded());
-
-  // Decay every conductance essentially to g_min.
-  backend.replica(0).advance_time(5000.0);
-
-  const std::vector<int64_t> recovered = backend.infer_batch(batch);
-  EXPECT_FALSE(backend.last_batch_degraded());
-  EXPECT_EQ(recovered, fresh);
-
+  nn::Tensor batch({1, 1, 28, 28});
+  const nn::Tensor image = random_image(400);
+  std::copy(image.data(), image.data() + image.numel(), batch.data());
+  for (int w = 0; w < 4; ++w) backend.infer_batch(batch);
   const ReplicaHealthSnapshot h = backend.health_snapshot();
-  EXPECT_EQ(h.quarantined, 0);
-  EXPECT_EQ(h.healthy, 1);
-  EXPECT_GE(h.recoveries, 1);
-  EXPECT_EQ(h.degraded_batches, 0);
+  EXPECT_GE(h.quarantined, 1);
+  EXPECT_EQ(static_cast<int64_t>(hooked.size()), h.quarantined);
+  EXPECT_EQ(h.canary_runs, 3);
 }
 
 TEST(HealthE2ETest, HealthyPoolServesUndegradedWithHealthOn) {
   // Health monitoring on ideal devices is a no-op: canaries pass, nothing
   // is quarantined, nothing degrades, and snc predictions flow as before.
+  // The check runs once, at the first window, however many follow.
   nn::Rng rng(1);
   nn::Network net = models::make_lenet_mini(rng);
   const snc::SncConfig cfg = deploy(net);
 
   ReplicaHealthConfig health;
   health.enabled = true;
-  health.check_interval_batches = 1;
   SncBackend backend(net, {1, 28, 28}, cfg, /*replicas=*/2, health);
 
-  nn::Tensor batch({1, 1, 28, 28});
-  const nn::Tensor image = random_image(300);
-  std::copy(image.data(), image.data() + image.numel(), batch.data());
-  backend.infer_batch(batch);
-  EXPECT_FALSE(backend.last_batch_degraded());
+  for (int w = 0; w < 5; ++w) {
+    nn::Tensor batch({1, 1, 28, 28});
+    const nn::Tensor image = random_image(300 + static_cast<uint64_t>(w));
+    std::copy(image.data(), image.data() + image.numel(), batch.data());
+    backend.infer_batch(batch);
+    EXPECT_FALSE(backend.last_batch_degraded());
+  }
   const ReplicaHealthSnapshot h = backend.health_snapshot();
   EXPECT_EQ(h.replicas, 1);
   EXPECT_EQ(h.quarantined, 0);
-  EXPECT_EQ(h.quarantine_events, 0);
   EXPECT_EQ(h.degraded_batches, 0);
   EXPECT_EQ(h.canary_runs, 1);  // one check of the one system
+}
+
+/// Restores the process thread-pool size on scope exit.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(util::num_threads()) {}
+  ~ThreadCountGuard() { util::set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+TEST(HealthE2ETest, FaultDiversePoolIsReproducibleAndServesEachWindowOnce) {
+  // Two identical fault-diverse backends (4 differently seeded replicas
+  // with programming variation) fed the same windows must answer
+  // identically at any thread count, and every window after the first
+  // (which also runs the canaries on every replica) must run whole on
+  // exactly one replica.
+  ThreadCountGuard guard;
+  constexpr int kWindows = 10;
+  constexpr int kWindowImages = 8;
+  std::vector<nn::Tensor> windows;
+  for (int w = 0; w < kWindows; ++w) {
+    nn::Tensor batch({kWindowImages, 1, 28, 28});
+    for (int i = 0; i < kWindowImages; ++i) {
+      const nn::Tensor image =
+          random_image(500 + static_cast<uint64_t>(w * kWindowImages + i));
+      std::copy(image.data(), image.data() + image.numel(),
+                batch.data() + static_cast<int64_t>(i) * image.numel());
+    }
+    windows.push_back(std::move(batch));
+  }
+  ModelConfig config;
+  config.architecture = "lenet-mini";
+  config.backend = BackendKind::kSnc;
+  config.bits = kBits;
+  config.snc_replicas = 4;
+  config.snc_variation_sigma = 0.05;
+  config.snc_health.enabled = true;
+  config.snc_health.per_replica_seeds = true;
+
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    const std::string ctx = "threads " + std::to_string(threads);
+    std::vector<std::vector<int64_t>> served[2];
+    std::vector<size_t> route[2];  // replica that served each window > 0
+    for (int copy = 0; copy < 2; ++copy) {
+      ModelRegistry registry;
+      registry.add("m", config);
+      auto& backend = dynamic_cast<SncBackend&>(registry.backend("m"));
+      ASSERT_EQ(backend.replica_count(), 4u) << ctx;
+      std::vector<int64_t> bytes(backend.replica_count(), 0);
+      for (int w = 0; w < kWindows; ++w) {
+        served[copy].push_back(
+            backend.infer_batch(windows[static_cast<size_t>(w)]));
+        ASSERT_FALSE(backend.last_batch_degraded()) << ctx;
+        int replicas_used = 0;
+        for (size_t r = 0; r < backend.replica_count(); ++r) {
+          const int64_t now = backend.replica(r).panel_bytes_streamed();
+          if (now != bytes[r]) {
+            ++replicas_used;
+            if (w > 0) route[copy].push_back(r);
+          }
+          bytes[r] = now;
+        }
+        if (w > 0) {
+          EXPECT_EQ(replicas_used, 1) << ctx << " window " << w;
+        }
+      }
+      EXPECT_GE(backend.health_snapshot().healthy, 2) << ctx;
+    }
+    EXPECT_EQ(served[0], served[1]) << ctx;
+    EXPECT_EQ(route[0], route[1]) << ctx;
+  }
 }
 
 }  // namespace

@@ -174,12 +174,11 @@ TEST(RegistryBackendTest, SncMatchesDirectSpikeInference) {
   EXPECT_EQ(served, direct);
 }
 
-// Batch-native serving (one replica runs the whole window through
-// SncSystem::infer_batch) vs the per-image replica fan-out that
-// per_replica_seeds deployments take must agree, and both must fold
-// activity stats per image — a window of 6 images counts as 6 images in
-// activity_totals, not 1. The devices are ideal, so per-replica seeds
-// cannot change a prediction.
+// The single-system deployment and a per_replica_seeds pool (which runs
+// each window whole on one healthy replica of several) must agree, and
+// both must fold activity stats per image — a window of 6 images counts
+// as 6 images in activity_totals, not 1. The devices are ideal, so
+// per-replica seeds cannot change a prediction.
 TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
   const auto images = test_images({1, 28, 28}, 6);
   std::vector<int64_t> preds[2];
@@ -200,7 +199,7 @@ TEST(RegistryBackendTest, SncBatchNativeMatchesFanOutAndFoldsPerImage) {
 
     auto* snc = dynamic_cast<SncBackend*>(&backend);
     ASSERT_NE(snc, nullptr);
-    // Only the fan-out deployment keeps a pool; identically seeded
+    // Only the per-replica-seed deployment keeps a pool; identically seeded
     // replicas would be bit-identical, so the other programs one system.
     EXPECT_EQ(snc->replica_count(), fan_out ? 2u : 1u);
     int64_t folded = 0;

@@ -165,6 +165,21 @@ TEST(VersionedRegistryTest, CorruptCheckpointBytesLeaveTheRegistryUntouched) {
         << e.what();
   }
 
+  // A well-formed version-1 image (no CRC field) must not slip past the
+  // checksum by claiming the old version.
+  std::vector<uint8_t> v1 = good;
+  v1.erase(v1.begin() + 8, v1.begin() + 12);  // drop the CRC field
+  v1[4] = 1;
+  try {
+    registry.add_from_bytes("lenet-mini@v2", lenet_config(21), v1);
+    FAIL() << "v1-tagged checkpoint registered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(registry.contains("lenet-mini@v2"));
+
   // The same name still registers fine from the intact image: nothing
   // was half-registered by the failures above.
   registry.add_from_bytes("lenet-mini@v2", lenet_config(21), good);

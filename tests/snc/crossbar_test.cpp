@@ -144,6 +144,7 @@ TEST(DefectTest, StuckOffForcesMinConductance) {
   cfg.stuck_off_rate = 1.0;  // every cell defective
   Crossbar xb(2, 2, cfg);
   nn::Rng rng(2);
+  xb.draw_defect_map(rng);
   xb.program_cell(0, 0, 8, 8, &rng);
   EXPECT_DOUBLE_EQ(xb.conductance(0, 0), g_min(cfg));
 }
@@ -153,13 +154,14 @@ TEST(DefectTest, StuckOnForcesMaxConductance) {
   cfg.stuck_on_rate = 1.0;
   Crossbar xb(2, 2, cfg);
   nn::Rng rng(3);
+  xb.draw_defect_map(rng);
   xb.program_cell(0, 0, 0, 8, &rng);
   EXPECT_DOUBLE_EQ(xb.conductance(0, 0), g_max(cfg));
 }
 
 TEST(DefectTest, NoRngMeansIdealProgramming) {
-  // Defects only strike when a generator is supplied (deterministic
-  // programming path stays ideal).
+  // Defects only strike through a drawn map: without one, programming is
+  // ideal whatever the configured rates.
   MemristorConfig cfg;
   cfg.stuck_off_rate = 1.0;
   Crossbar xb(2, 2, cfg);
@@ -172,6 +174,7 @@ TEST(DefectTest, RateIsApproximatelyRespected) {
   cfg.stuck_off_rate = 0.25;
   Crossbar xb(32, 32, cfg);
   nn::Rng rng(4);
+  xb.draw_defect_map(rng);
   int64_t stuck = 0;
   for (int64_t r = 0; r < 32; ++r) {
     for (int64_t c = 0; c < 32; ++c) {

@@ -1,5 +1,6 @@
 // Closed-loop fault tolerance: write-verify programming, differential
-// compensation, spare-column remapping, and retention drift + refresh.
+// compensation, spare-column remapping, and the static defect map every
+// deployment mode programs against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,7 +65,7 @@ TEST(WriteVerifyTest, IdealDevicesProgramFirstTry) {
   const int64_t kmax = 8;
   const auto levels = make_levels(8, 4, kmax);
   const FaultReport report =
-      program_verified(xbar, levels, kmax, WriteVerifyConfig{}, rng);
+      program_verified(xbar, levels, kmax, rng);
   EXPECT_EQ(report.cells, 32);
   EXPECT_EQ(report.write_retries, 0);
   EXPECT_EQ(report.faults_detected, 0);
@@ -90,7 +91,7 @@ TEST(WriteVerifyTest, CompensatesStuckOnCellThroughPartner) {
   std::vector<int64_t> levels(8, 0);
   levels[0 * 4 + 1] = 2;
   const FaultReport report =
-      program_verified(xbar, levels, kmax, WriteVerifyConfig{}, rng);
+      program_verified(xbar, levels, kmax, rng);
   EXPECT_EQ(report.faults_detected, 1);
   EXPECT_EQ(report.faults_compensated, 1);
   EXPECT_EQ(report.residual_faults, 0);
@@ -123,7 +124,7 @@ TEST(WriteVerifyTest, DoubleStuckPairRemapsOntoSpare) {
   auto levels = make_levels(4, 2, kmax);
   levels[1 * 4 + 2] = -3;
   const FaultReport report =
-      program_verified(xbar, levels, kmax, WriteVerifyConfig{}, rng);
+      program_verified(xbar, levels, kmax, rng);
   EXPECT_EQ(report.remapped_cols, 1);
   EXPECT_EQ(report.residual_faults, 0);
   EXPECT_EQ(report.spare_cols_left, 0);
@@ -144,75 +145,10 @@ TEST(WriteVerifyTest, ResidualFaultRecordedWhenSparesExhausted) {
   std::vector<int64_t> levels(8, 0);
   levels[1 * 4 + 2] = -3;
   const FaultReport report =
-      program_verified(xbar, levels, kmax, WriteVerifyConfig{}, rng);
+      program_verified(xbar, levels, kmax, rng);
   EXPECT_EQ(report.remapped_cols, 0);
   EXPECT_EQ(report.faults_detected, 1);
   EXPECT_EQ(report.residual_faults, 1);
-}
-
-TEST(DriftTest, ConductanceDecaysTowardGmin) {
-  MemristorConfig cfg;
-  Crossbar xbar(2, 2, cfg);
-  xbar.program_cell(0, 0, 8, 8);
-  const double g0 = xbar.conductance(0, 0);
-  xbar.apply_drift(/*dt=*/10.0, /*rate=*/0.01, /*sigma=*/0.0, /*seed=*/1);
-  const double g1 = xbar.conductance(0, 0);
-  EXPECT_LT(g1, g0);
-  EXPECT_GT(g1, g_min(cfg));
-  EXPECT_NEAR(g1, g_min(cfg) + (g0 - g_min(cfg)) * std::exp(-0.1), 1e-15);
-}
-
-TEST(DriftTest, DriftIsDeterministicInSeed) {
-  MemristorConfig cfg;
-  Crossbar a(4, 4, cfg);
-  Crossbar b(4, 4, cfg);
-  for (int64_t r = 0; r < 4; ++r) {
-    for (int64_t c = 0; c < 4; ++c) {
-      a.program_cell(r, c, (r + c) % 9, 8);
-      b.program_cell(r, c, (r + c) % 9, 8);
-    }
-  }
-  a.apply_drift(5.0, 0.01, 0.5, 42);
-  b.apply_drift(5.0, 0.01, 0.5, 42);
-  for (int64_t r = 0; r < 4; ++r) {
-    for (int64_t c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(a.conductance(r, c), b.conductance(r, c));
-    }
-  }
-}
-
-SncConfig drifting_config() {
-  SncConfig config;
-  config.recovery.write_verify = true;
-  config.recovery.drift_rate_per_window = 0.002;
-  config.recovery.drift_sigma = 0.3;
-  return config;
-}
-
-TEST(DriftTest, RefreshRestoresDriftedSystem) {
-  SncConfig config = drifting_config();
-  nn::Network net = make_deployable_lenet(5, config);
-  SncSystem system(net, {1, kImageHW, kImageHW}, config);
-
-  EXPECT_EQ(system.refresh(), 0);  // freshly programmed: nothing to do
-
-  system.advance_time(400.0);
-  EXPECT_DOUBLE_EQ(system.elapsed_windows(), 400.0);
-  // Enough decay to push at least one stage past the refresh tolerance.
-  const int64_t refreshed = system.refresh();
-  EXPECT_GT(refreshed, 0);
-  EXPECT_GT(system.fault_report().refreshes, 0);
-  // Reprogrammed: a second refresh right away finds nothing to do.
-  EXPECT_EQ(system.refresh(), 0);
-}
-
-TEST(DriftTest, AutoRefreshFiresOnSchedule) {
-  SncConfig config = drifting_config();
-  config.recovery.refresh_interval_windows = 100.0;
-  nn::Network net = make_deployable_lenet(5, config);
-  SncSystem system(net, {1, kImageHW, kImageHW}, config);
-  system.advance_time(400.0);  // crosses the interval: refresh runs inline
-  EXPECT_GT(system.fault_report().refreshes, 0);
 }
 
 TEST(FaultToleranceSystemTest, RecoveryIsDeterministicInSeed) {
@@ -263,7 +199,6 @@ void expect_same_inference(int64_t pred, const std::vector<double>& logits,
     EXPECT_EQ(a.faults_compensated, b.faults_compensated) << sctx;
     EXPECT_EQ(a.residual_faults, b.residual_faults) << sctx;
     EXPECT_EQ(a.remapped_cols, b.remapped_cols) << sctx;
-    EXPECT_EQ(a.refreshes, b.refreshes) << sctx;
   }
 }
 
@@ -344,19 +279,7 @@ TEST(FaultToleranceSystemTest, FaultMapsIdenticalAcrossEngines) {
 
 // The runner reads each crossbar through its packed panel, the oracle
 // through the physical arrays, so checking one system against itself
-// catches a panel left stale by drift, refresh or a spare remap.
-TEST(FaultToleranceSystemTest, RunnerMatchesOracleAfterDriftAndRefresh) {
-  SncConfig config = drifting_config();
-  nn::Network net = make_deployable_lenet(5, config);
-  SncSystem system(net, {1, kImageHW, kImageHW}, config);
-  const std::vector<nn::Tensor> images = random_images(41, 4);
-  expect_runner_matches_oracle(system, system, images, {1, 3}, "fresh");
-  system.advance_time(400.0);
-  expect_runner_matches_oracle(system, system, images, {1, 3}, "drifted");
-  ASSERT_GT(system.refresh(), 0);
-  expect_runner_matches_oracle(system, system, images, {1, 3}, "refreshed");
-}
-
+// catches a panel left stale by a defect pin or a spare remap.
 TEST(FaultToleranceSystemTest, RunnerMatchesOracleAfterSpareRemap) {
   SncConfig config;
   config.device.stuck_on_rate = 0.03;
@@ -370,8 +293,9 @@ TEST(FaultToleranceSystemTest, RunnerMatchesOracleAfterSpareRemap) {
 }
 
 TEST(FaultToleranceSystemTest, LegacyPathUnchangedWhenRecoveryDisabled) {
-  // SncConfig{} with default recovery must reproduce the pre-recovery
-  // simulator draw-for-draw: same rng stream, same programmed state.
+  // Passive injection (recovery off) programs against the same static
+  // defect map as recovery does: deterministic in the seed, stuck cells
+  // pinned whatever is written, and no recovery bookkeeping.
   SncConfig config;
   config.device.variation_sigma = 0.05;
   config.device.stuck_on_rate = 0.01;
@@ -379,11 +303,56 @@ TEST(FaultToleranceSystemTest, LegacyPathUnchangedWhenRecoveryDisabled) {
   nn::Network net_b = make_deployable_lenet(5, config);
   SncSystem sys(net_a, {1, kImageHW, kImageHW}, config);
   SncSystem sys2(net_b, {1, kImageHW, kImageHW}, config);
-  const nn::Tensor image = random_image(3);
-  EXPECT_EQ(sys.infer(image), sys2.infer(image));
+  const std::vector<nn::Tensor> images = random_images(3, 4);
+  for (const nn::Tensor& image : images) {
+    EXPECT_EQ(sys.infer(image), sys2.infer(image));
+    EXPECT_EQ(sys.last_logits(), sys2.last_logits());
+  }
+  // The runner and the oracle agree, so every pinned cell reached the
+  // packed panel.
+  expect_runner_matches_oracle(sys, sys, images, {1, 3}, "passive");
   const FaultReport report = sys.fault_report();
-  EXPECT_EQ(report.cells, 0);  // no recovery bookkeeping in legacy mode
+  EXPECT_EQ(report.cells, 0);  // no recovery bookkeeping when passive
   EXPECT_EQ(report.faults_detected, 0);
+
+  // The map, not the write, decides a stuck cell: with variation off, the
+  // first crossbar reads back exactly as the static map drawn first from
+  // the seed says — stuck-on cells at level kmax, every other pair on its
+  // fault-free level.
+  SncConfig pinned_config = config;
+  pinned_config.device.variation_sigma = 0.0;
+  SncConfig ideal_config = pinned_config;
+  ideal_config.device.stuck_on_rate = 0.0;
+  nn::Network net_c = make_deployable_lenet(5, pinned_config);
+  SncSystem pinned(net_c, {1, kImageHW, kImageHW}, pinned_config);
+  SncSystem ideal(net_c, {1, kImageHW, kImageHW}, ideal_config);
+  SncStats stats;
+  ideal.infer(images[0], &stats);
+  const int64_t rows = stats.stage[0].rows;
+  const int64_t cols = stats.stage[0].cols;
+  const MemristorConfig& device = pinned_config.device;
+  DifferentialCrossbar map_only(rows, cols, device);
+  nn::Rng rng(pinned_config.seed);
+  map_only.draw_defect_maps(rng);
+  const int64_t kmax = int64_t{1} << (pinned_config.weight_bits - 1);
+  const float step =
+      pinned_config.weight_scales[0] /
+      static_cast<float>(int64_t{1} << pinned_config.weight_bits);
+  int64_t stuck_pairs = 0;
+  for (int64_t c = 0; c < cols; ++c) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t k = std::llround(ideal.read_back_weight(0, r, c) / step);
+      int64_t plus = std::max<int64_t>(k, 0);
+      int64_t minus = std::max<int64_t>(-k, 0);
+      if (map_only.plus().conductance(r, c) == g_max(device)) plus = kmax;
+      if (map_only.minus().conductance(r, c) == g_max(device)) minus = kmax;
+      if (plus - minus != k) ++stuck_pairs;
+      EXPECT_EQ(std::llround(pinned.read_back_weight(0, r, c) / step),
+                plus - minus)
+          << "cell (" << r << ", " << c << ")";
+    }
+  }
+  EXPECT_GT(stuck_pairs, 0);
 }
 
 TEST(FaultToleranceSystemTest, AgreementDegradesMonotonicallyInStuckRate) {

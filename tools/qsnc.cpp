@@ -25,9 +25,8 @@
 //               [--snc-replicas R]
 //               [--snc-stuck-on R] [--snc-stuck-off R]
 //               [--snc-variation S] [--snc-write-verify] [--snc-spare-cols K]
-//               [--health] [--health-interval B] [--health-canaries N]
-//               [--health-min-fraction F] [--health-reprogram A]
-//               [--health-per-replica-seeds]
+//               [--health] [--health-canaries N]
+//               [--health-min-fraction F] [--health-per-replica-seeds]
 //               [--max-concurrency C] [--delay-target-us T]
 //               [--delay-window-us W] [--breaker-threshold K]
 //               [--breaker-open-ms T]
@@ -42,8 +41,8 @@
 //               [--chaos-profile none|torn|backend|queue|soak]
 //               [--chaos-seed S]
 //               (long-lived inference server; SIGINT drains and exits;
-//               --health enables canary checks + quarantine + quant
-//               fallback; --delay-target-us enables CoDel-style overload
+//               --health enables a one-time canary check at the first
+//               batch + quarantine + quant fallback; --delay-target-us enables CoDel-style overload
 //               shedding, --breaker-threshold the per-backend circuit
 //               breaker; --chaos-profile injects deterministic seeded
 //               faults for resilience testing, reported at shutdown;
@@ -51,7 +50,7 @@
 //               the snc backend programs one system and runs each batch
 //               on it, except with --health-per-replica-seeds, which
 //               programs --snc-replicas differently seeded replicas and
-//               fans the images out across them)
+//               runs batch w whole on healthy replica w mod H)
 //               [--shadow-fraction F] [--rollout-observe N]
 //               [--max-divergence R] [--rollout-canary-rounds K]
 //               [--rollout-canaries N] [--rollout-canary-interval-ms T]
@@ -597,14 +596,10 @@ serve::ModelConfig serve_model_config(const util::Flags& flags) {
   cfg.snc_spare_cols = flags.get_int("snc-spare-cols", 0);
   cfg.snc_seed = static_cast<uint64_t>(flags.get_int("snc-seed", 7));
   cfg.snc_health.enabled = flags.get_bool("health", false);
-  cfg.snc_health.check_interval_batches =
-      static_cast<int>(flags.get_int("health-interval", 16));
   cfg.snc_health.canary_images =
       static_cast<int>(flags.get_int("health-canaries", 2));
   cfg.snc_health.min_healthy_fraction =
       flags.get_double("health-min-fraction", 0.5);
-  cfg.snc_health.max_reprogram_attempts =
-      static_cast<int>(flags.get_int("health-reprogram", 1));
   cfg.snc_health.per_replica_seeds =
       flags.get_bool("health-per-replica-seeds", false);
   return cfg;
@@ -692,7 +687,7 @@ int cmd_serve(const util::Flags& flags) {
               "Ctrl-C drains and exits\n",
               model_name.c_str(),
               serve::backend_kind_name(cfg.backend), state_note.c_str(),
-              server.socket_path().c_str(), opts.max_batch,
+              server.endpoint().str().c_str(), opts.max_batch,
               static_cast<long long>(opts.batch_timeout_us),
               opts.queue_capacity);
   if (opts.admission.delay_target_us > 0 ||
