@@ -1,14 +1,17 @@
 // Kernel-level micro-benchmarks (google-benchmark): GEMM, im2col,
 // convolution forward, the integer conv kernel, crossbar reads, the SNC
-// batched row drive, quantizers, spike coding.
+// conv read and batched row drive, quantizers, spike coding.
 //
-// In addition to the google-benchmark suite, main() runs two sweeps and
+// In addition to the google-benchmark suite, main() runs three sweeps and
 // writes them to BENCH_kernels.json (override the path with
 // QSNC_BENCH_OUT):
 //  * a kernel-dispatch sweep over the model-zoo GEMM shapes comparing the
 //    scalar reference, AVX2, and integer (igemm) paths at one thread, with
 //    speedup-vs-matching-scalar per row, plus the quant backend's integer
 //    engine on dyadic lenet-mini at B=1 and B=8 (int_engine_lenet_b*);
+//  * an SNC read sweep: the conv read and the row drive at lenet-mini's
+//    shapes on every kernel tier the CPU runs (snc_conv_read_*,
+//    snc_row_drive_*);
 //  * a thread-scaling sweep over {1, 2, 4, hw_max} threads for the GEMM
 //    and conv hot paths, with speedup-vs-1-thread per row.
 // QSNC_REQUIRE_SIMD=1 makes the binary exit nonzero when the AVX2 kernels
@@ -189,60 +192,154 @@ void BM_RateEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_RateEncode)->Arg(4)->Arg(8);
 
+// ---- SNC read kernels, called per tier through nn/gemm_kernels.h ----
+
+// Tier index 0 scalar, 1 AVX2, 2 AVX-512.
+const char* const kSncTierNames[] = {"scalar", "avx2", "avx512"};
+
+bool snc_tier_available(int64_t tier) {
+  return tier == 0 ||
+         (tier == 1 && nn::simd::cpu_has_avx2() && nn::simd::cpu_has_fma()) ||
+         (tier == 2 && nn::simd::cpu_has_avx512());
+}
+
 // The SNC collapsed read's row drive at lenet-mini's crossbar shapes:
-// range(0) = panel width (12: conv1, 6 columns over 25 taps; 24: conv2,
-// 12 columns over 150 taps), range(1) = batch, range(2) = kernel tier
-// (0 scalar, 1 AVX2, 2 AVX-512), called directly through
-// nn/gemm_kernels.h; a tier the CPU lacks reports an error row. About 60%
-// of the taps are live, as in a lenet stage, and every live tap is one
-// event.
-void BM_AccumulateRowsBatch(benchmark::State& state) {
-  const int64_t width = state.range(0);
-  const int64_t batch = state.range(1);
-  const int64_t tier = state.range(2);
-  using Kernel = void (*)(const int32_t*, const int32_t*, int64_t,
-                          const double*, int64_t, const double*, int64_t,
-                          double*);
-  const Kernel kernels[] = {&nn::kernels::scalar_accumulate_rows_batch,
-                            &nn::kernels::avx2_accumulate_rows_batch,
-                            &nn::kernels::avx512_accumulate_rows_batch};
-  const bool available[] = {true, nn::simd::cpu_has_avx2(),
-                            nn::simd::cpu_has_avx512()};
-  const char* names[] = {"scalar", "avx2", "avx512"};
-  if (!available[tier]) {
-    state.SkipWithError("tier not supported on this CPU");
-    return;
-  }
-  const int64_t rows = width == 12 ? 25 : 150;
-  nn::Rng rng(11);
-  std::vector<double> panel(static_cast<size_t>(rows * width));
-  for (double& g : panel) g = rng.uniform(0.0f, 1.0f) * 1e-4;
-  std::vector<double> drives(static_cast<size_t>((rows + 1) * batch), 0.0);
-  std::vector<int32_t> event_rows;
-  std::vector<int32_t> event_slots;
-  for (int32_t r = 0; r < rows; ++r) {
-    if (rng.uniform(0.0f, 1.0f) < 0.4f) continue;
-    event_rows.push_back(r);
-    event_slots.push_back(r + 1);
-    for (int64_t b = 0; b < batch; ++b) {
-      drives[static_cast<size_t>((r + 1) * batch + b)] =
-          static_cast<double>(rng.uniform_int(0, 16));
+// panel width 12 (conv1, 6 columns over 25 taps) or 24 (conv2, 12 columns
+// over 150 taps). About 60% of the taps are live, as in a lenet stage, and
+// every live tap is one event.
+struct RowDriveCase {
+  int64_t width, batch;
+  std::vector<double> panel, drives, acc;
+  std::vector<int32_t> event_rows, event_slots;
+
+  RowDriveCase(int64_t w, int64_t b) : width(w), batch(b) {
+    const int64_t rows = width == 12 ? 25 : 150;
+    nn::Rng rng(11);
+    panel.resize(static_cast<size_t>(rows * width));
+    for (double& g : panel) g = rng.uniform(0.0f, 1.0f) * 1e-4;
+    drives.assign(static_cast<size_t>((rows + 1) * batch), 0.0);
+    for (int32_t r = 0; r < rows; ++r) {
+      if (rng.uniform(0.0f, 1.0f) < 0.4f) continue;
+      event_rows.push_back(r);
+      event_slots.push_back(r + 1);
+      for (int64_t i = 0; i < batch; ++i) {
+        drives[static_cast<size_t>((r + 1) * batch + i)] =
+            static_cast<double>(rng.uniform_int(0, 16));
+      }
     }
+    acc.resize(static_cast<size_t>(batch * width));
   }
-  const int64_t n = static_cast<int64_t>(event_rows.size());
-  std::vector<double> acc(static_cast<size_t>(batch * width));
-  for (auto _ : state) {
-    kernels[tier](event_rows.data(), event_slots.data(), n, drives.data(),
-                  batch, panel.data(), width, acc.data());
+  int64_t events() const { return static_cast<int64_t>(event_rows.size()); }
+  // Multiply-adds per call.
+  double macs() const {
+    return static_cast<double>(events() * batch * width);
+  }
+  void run(int64_t tier) {
+    using Kernel = void (*)(const int32_t*, const int32_t*, int64_t,
+                            const double*, int64_t, const double*, int64_t,
+                            double*);
+    const Kernel kernels[] = {&nn::kernels::scalar_accumulate_rows_batch,
+                              &nn::kernels::avx2_accumulate_rows_batch,
+                              &nn::kernels::avx512_accumulate_rows_batch};
+    kernels[tier](event_rows.data(), event_slots.data(), events(),
+                  drives.data(), batch, panel.data(), width, acc.data());
     benchmark::DoNotOptimize(acc.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * batch * width);
-  state.SetLabel(names[tier]);
+};
+
+// The SNC conv read (nn::conv_read, output positions in the lanes) at one
+// of lenet-mini's conv stages for one image: stage 1 = conv1 (6 columns
+// over a 5x5 window of a 28x28 plane padded by 2, 784 positions), 2 =
+// conv2 (12 columns over 6 x 5x5 windows of 14x14, 100 positions). The
+// plane is filled once, outside any timed loop; about 60% of the inputs
+// are zero, as in a lenet stage.
+struct ConvReadCase {
+  nn::ConvReadPlan plan;
+  int64_t cols;
+  std::vector<double> plane, panel;
+  std::vector<float> bias;
+  std::vector<int32_t> counts;
+  nn::ReadEpilogue ep;
+
+  explicit ConvReadCase(int64_t stage)
+      : plan(stage == 1 ? nn::make_conv_read_plan(1, 28, 28, 5, 1, 2)
+                        : nn::make_conv_read_plan(6, 14, 14, 5, 1, 0)),
+        cols(stage == 1 ? 6 : 12) {
+    nn::Rng rng(12);
+    std::vector<int32_t> input(
+        static_cast<size_t>(plan.in_c * plan.in_h * plan.in_w), 0);
+    for (int32_t& v : input) {
+      if (rng.uniform(0.0f, 1.0f) < 0.4f) {
+        v = static_cast<int32_t>(rng.uniform_int(1, 15));
+      }
+    }
+    plane.resize(static_cast<size_t>(plan.plane_doubles()));
+    nn::fill_conv_plane(plan, input.data(), plane.data());
+    panel.resize(static_cast<size_t>(plan.rows() * 2 * cols));
+    for (double& g : panel) g = rng.uniform(0.0f, 1.0f) * 1e-4;
+    bias.assign(static_cast<size_t>(cols), 0.5f);
+    ep.cols = cols;
+    ep.dg = 1.9e-5 / 8.0;
+    ep.step = 1.0 / 16.0;
+    ep.bias = bias.data();
+    ep.rectify = true;
+    ep.ceiling = 15;
+    counts.resize(static_cast<size_t>(cols * plan.positions));
+  }
+  // Crossbar cells read per call (every row at every position).
+  double macs() const {
+    return static_cast<double>(plan.positions * plan.rows() * 2 * cols);
+  }
+  void run(int64_t tier) {
+    using Read = void (*)(const nn::ConvReadPlan&, const double*,
+                          const double*, const nn::ReadEpilogue&, int64_t,
+                          int64_t, int32_t*, double*);
+    const Read reads[] = {&nn::kernels::scalar_conv_read,
+                          &nn::kernels::avx2_conv_read,
+                          &nn::kernels::avx512_conv_read};
+    reads[tier](plan, plane.data(), panel.data(), ep, 0,
+                static_cast<int64_t>(plan.groups.size()), counts.data(),
+                nullptr);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+};
+
+// range(0) = panel width (12 or 24), range(1) = batch, range(2) = tier; a
+// tier the CPU lacks reports an error row.
+void BM_AccumulateRowsBatch(benchmark::State& state) {
+  const int64_t tier = state.range(2);
+  if (!snc_tier_available(tier)) {
+    state.SkipWithError("tier not supported on this CPU");
+    return;
+  }
+  RowDriveCase c(state.range(0), state.range(1));
+  for (auto _ : state) c.run(tier);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(c.macs()));
+  state.SetLabel(kSncTierNames[tier]);
 }
 BENCHMARK(BM_AccumulateRowsBatch)
     ->ArgsProduct({{12, 24}, {1, 8}, {0, 1, 2}})
     ->ArgNames({"width", "batch", "tier"});
+
+// range(0) = lenet conv stage (1 or 2), range(1) = tier; B=1.
+void BM_ConvRead(benchmark::State& state) {
+  const int64_t tier = state.range(1);
+  if (!snc_tier_available(tier)) {
+    state.SkipWithError("tier not supported on this CPU");
+    return;
+  }
+  ConvReadCase c(state.range(0));
+  for (auto _ : state) c.run(tier);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(c.macs()));
+  state.SetLabel(kSncTierNames[tier]);
+}
+BENCHMARK(BM_ConvRead)
+    ->ArgsProduct({{1, 2}, {0, 1, 2}})
+    ->ArgNames({"conv", "tier"});
 
 // The quant serving backend's integer engine on dyadic lenet-mini: every
 // weight on its 8-bit dynamic-fixed-point grid, 4-bit signals, synthetic
@@ -475,6 +572,47 @@ void run_dispatch_sweep(std::vector<SweepRow>& rows) {
   util::set_num_threads(prev);
 }
 
+// SNC read sweep at one thread: the conv read at lenet's conv1/conv2 (B=1)
+// and the row drive at widths 12/24 and B 1/8, every tier this CPU runs,
+// called directly. gflops counts 2 flops per crossbar cell read (the conv
+// read's dense count, though it skips all-zero drive vectors); speedup is
+// vs the scalar row of the same shape.
+void run_snc_read_sweep(std::vector<SweepRow>& rows) {
+  const int reps = smoke_mode() ? 2 : 200;
+  // `calls` calls per timing, so a sub-microsecond kernel is not timed by
+  // the clock read.
+  auto add = [&](const std::string& tag, double macs, int calls,
+                 auto&& run) {
+    double scalar_seconds = 0.0;
+    for (int64_t tier = 0; tier < 3; ++tier) {
+      if (!snc_tier_available(tier)) continue;
+      run(tier);  // warm-up
+      const double seconds = time_best(
+                                 [&] {
+                                   for (int i = 0; i < calls; ++i) run(tier);
+                                 },
+                                 reps) /
+                             calls;
+      if (tier == 0) scalar_seconds = seconds;
+      rows.push_back({tag + "_" + kSncTierNames[tier], 1, seconds,
+                      2.0 * macs / seconds / 1e9, scalar_seconds / seconds});
+    }
+  };
+  for (const int64_t stage : {1, 2}) {
+    ConvReadCase c(stage);
+    add("snc_conv_read_lenet_conv" + std::to_string(stage), c.macs(), 1,
+        [&](int64_t tier) { c.run(tier); });
+  }
+  for (const int64_t width : {12, 24}) {
+    for (const int64_t batch : {1, 8}) {
+      RowDriveCase c(width, batch);
+      add("snc_row_drive_w" + std::to_string(width) + "_b" +
+              std::to_string(batch),
+          c.macs(), 100, [&](int64_t tier) { c.run(tier); });
+    }
+  }
+}
+
 void run_thread_sweep(std::vector<SweepRow>& rows) {
   const int prev = util::num_threads();
   const std::vector<int> counts = sweep_thread_counts();
@@ -567,6 +705,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::vector<SweepRow> rows;
   run_dispatch_sweep(rows);
+  run_snc_read_sweep(rows);
   run_thread_sweep(rows);
   emit_rows(rows);
   return 0;

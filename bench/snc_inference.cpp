@@ -15,14 +15,15 @@
 // A second sweep runs the same images through SncSystem::infer_batch at B
 // in {1, 2, 4, 8, 16}, verifying predictions stay bit-identical to the
 // per-image loop at every B and reporting images/sec plus panel bytes
-// streamed per image (the union row pass amortizes each stage's
-// conductance panel across the batch, so bytes/image falls as B grows).
-// Exits 1 on any mismatch.
+// streamed per image (dense stages stream each union row once per batch,
+// so bytes/image falls as B grows; a conv stage streams its panel once
+// per image and 8-position group). Exits 1 on any mismatch.
 //
 // A third pass times the ideal read per crossbar stage at B=1 and B=8
-// (SncSystem::last_call_timing(): drive build, tap filter + panel
-// accumulate, epilogue, the following pool stages, skip add, stage wall
-// time) beside each stage's input events and panel bytes, averaged over
+// (SncSystem::last_call_timing(): drive build, read, epilogue — fused
+// into the read on conv stages, so 0 there — the following pool stages,
+// skip add, stage wall time) beside each stage's input events and panel
+// bytes, averaged over
 // many calls (fewer under QSNC_BENCH_FAST=1), and reports the minor page
 // faults and wall time per steady-state infer_batch call without stats.
 //

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/gemm_kernels.h"
+#include "nn/im2col.h"
 #include "nn/simd.h"
 #include "util/aligned.h"
 #include "util/thread_pool.h"
@@ -299,7 +300,7 @@ void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
     for (int64_t e = 0; e < n_events; ++e) {
       const double v = drives[static_cast<int64_t>(srcs[e]) * batch + b];
       const double* row = panel + static_cast<int64_t>(rows[e]) * width;
-      for (int64_t c = 0; c < width; ++c) a[c] += v * row[c];
+      for (int64_t c = 0; c < width; ++c) a[c] = crossbar_mac(v, row[c], a[c]);
     }
   }
 }
@@ -324,6 +325,44 @@ void scalar_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
   }
 }
 
+void scalar_conv_read(const ConvReadPlan& plan, const double* plane,
+                      const double* panel, const ReadEpilogue& ep, int64_t g0,
+                      int64_t g1, int32_t* counts, double* y_out) {
+  // Column blocks of kPairs (plus, minus) pairs keep the sums on the stack.
+  constexpr int64_t kPairs = 32;
+  double acc[2 * kPairs];
+  const int64_t width = 2 * ep.cols;
+  const int64_t rows = plan.rows();
+  const int32_t* taps = plan.taps.data();
+  for (int64_t g = g0; g < g1; ++g) {
+    const ConvLaneGroup& grp = plan.groups[static_cast<size_t>(g)];
+    for (int64_t j = 0; j < grp.live; ++j) {
+      const int64_t pos = g * kConvLanes + j;
+      const double* field = plane + grp.origin[j];
+      for (int64_t c0 = 0; c0 < ep.cols; c0 += kPairs) {
+        const int64_t n = std::min(kPairs, ep.cols - c0);
+        std::fill(acc, acc + 2 * n, 0.0);
+        for (int64_t r = 0; r < rows; ++r) {
+          const double v = field[taps[r]];
+          if (v == 0.0) continue;
+          const double* row = panel + r * width + 2 * c0;
+          for (int64_t k = 0; k < 2 * n; ++k) {
+            acc[k] = crossbar_mac(v, row[k], acc[k]);
+          }
+        }
+        ReadEpilogue block = ep;
+        block.cols = n;
+        block.bias = ep.bias + c0;
+        scalar_read_epilogue(
+            acc, 1, 0, block, counts + c0 * plan.positions + pos,
+            plan.positions,
+            y_out != nullptr && pos == plan.positions - 1 ? y_out + c0
+                                                          : nullptr);
+      }
+    }
+  }
+}
+
 }  // namespace kernels
 
 void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
@@ -333,7 +372,7 @@ void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
   if (simd::use_avx512()) {
     kernels::avx512_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
                                           panel, width, acc);
-  } else if (simd::use_avx2()) {
+  } else if (simd::use_avx2_fma()) {
     kernels::avx2_accumulate_rows_batch(rows, srcs, n_events, drives, batch,
                                         panel, width, acc);
   } else {
@@ -348,12 +387,87 @@ void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
   if (simd::use_avx512()) {
     kernels::avx512_read_epilogue(acc, n, acc_stride, ep, counts,
                                   count_stride, y_out);
-  } else if (simd::use_avx2()) {
+  } else if (simd::use_avx2_fma()) {
     kernels::avx2_read_epilogue(acc, n, acc_stride, ep, counts, count_stride,
                                 y_out);
   } else {
     kernels::scalar_read_epilogue(acc, n, acc_stride, ep, counts,
                                   count_stride, y_out);
+  }
+}
+
+ConvReadPlan make_conv_read_plan(int64_t in_c, int64_t in_h, int64_t in_w,
+                                 int64_t kernel, int64_t stride, int64_t pad) {
+  ConvReadPlan plan;
+  plan.in_c = in_c;
+  plan.in_h = in_h;
+  plan.in_w = in_w;
+  plan.pad = pad;
+  plan.plane_h = in_h + 2 * pad;
+  plan.plane_w = in_w + 2 * pad;
+  const int64_t out_h = conv_out_extent(in_h, kernel, stride, pad);
+  const int64_t out_w = conv_out_extent(in_w, kernel, stride, pad);
+  plan.positions = out_h * out_w;
+  for (int64_t ic = 0; ic < in_c; ++ic) {
+    for (int64_t ky = 0; ky < kernel; ++ky) {
+      for (int64_t kx = 0; kx < kernel; ++kx) {
+        plan.taps.push_back(static_cast<int32_t>(
+            (ic * plan.plane_h + ky) * plan.plane_w + kx));
+      }
+    }
+  }
+  for (int64_t p0 = 0; p0 < plan.positions; p0 += kConvLanes) {
+    ConvLaneGroup grp;
+    grp.live = static_cast<int32_t>(std::min(kConvLanes, plan.positions - p0));
+    for (int64_t j = 0; j < kConvLanes; ++j) {
+      const int64_t pos = p0 + std::min<int64_t>(j, grp.live - 1);
+      grp.origin[j] = static_cast<int32_t>(
+          (pos / out_w) * stride * plan.plane_w + (pos % out_w) * stride);
+    }
+    // The longest contiguous prefix, then whether the rest is one more run.
+    int32_t split = 1;
+    while (split < grp.live && grp.origin[split] == grp.origin[0] + split) {
+      ++split;
+    }
+    bool two_runs = true;
+    for (int32_t j = split + 1; j < grp.live; ++j) {
+      two_runs = two_runs && grp.origin[j] == grp.origin[split] + (j - split);
+    }
+    grp.split = two_runs ? split : 0;
+    plan.groups.push_back(grp);
+  }
+  return plan;
+}
+
+void fill_conv_plane(const ConvReadPlan& plan, const int32_t* input,
+                     double* plane) {
+  const int64_t pad = plan.pad;
+  const int64_t pw = plan.plane_w;
+  for (int64_t c = 0; c < plan.in_c; ++c) {
+    double* ch = plane + c * plan.plane_h * pw;
+    std::fill(ch, ch + pad * pw, 0.0);
+    for (int64_t y = 0; y < plan.in_h; ++y) {
+      double* row = ch + (y + pad) * pw;
+      const int32_t* in = input + (c * plan.in_h + y) * plan.in_w;
+      std::fill(row, row + pad, 0.0);
+      for (int64_t x = 0; x < plan.in_w; ++x) {
+        row[pad + x] = static_cast<double>(in[x]);
+      }
+      std::fill(row + pad + plan.in_w, row + pw, 0.0);
+    }
+    std::fill(ch + (plan.in_h + pad) * pw, ch + plan.plane_h * pw, 0.0);
+  }
+}
+
+void conv_read(const ConvReadPlan& plan, const double* plane,
+               const double* panel, const ReadEpilogue& ep, int64_t g0,
+               int64_t g1, int32_t* counts, double* y_out) {
+  if (simd::use_avx512()) {
+    kernels::avx512_conv_read(plan, plane, panel, ep, g0, g1, counts, y_out);
+  } else if (simd::use_avx2_fma()) {
+    kernels::avx2_conv_read(plan, plane, panel, ep, g0, g1, counts, y_out);
+  } else {
+    kernels::scalar_conv_read(plan, plane, panel, ep, g0, g1, counts, y_out);
   }
 }
 

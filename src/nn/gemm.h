@@ -3,7 +3,9 @@
 // matrix multiply fast enough to train the mini model zoo on one CPU core.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace qsnc::nn {
 
@@ -23,20 +25,33 @@ void gemm_at_b_acc(const float* a, const float* b, float* c, int64_t m,
 void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n);
 
-/// Batched sparse row drive in double precision: the collapsed ideal read
-/// of the SNC crossbar runner. `drives` is image-minor ([slot x batch]);
+/// The SNC read's numeric model: a crossbar cell driven at v adds its
+/// current v * g to its bit line's sum with one rounding, as the analog
+/// column sum does — one fused multiply-add per cell. Every scalar read
+/// loop (the kernels' scalar tier and the infer_reference oracle's arrays)
+/// calls this; the SIMD tiers use the matching vfmadd instruction, so every
+/// read agrees bit for bit. A zero drive leaves a sum unchanged (a sum that
+/// starts at +0.0 never becomes -0.0, and fma(0, g, s) == s for finite g),
+/// so a read may skip zero drives or not without changing a bit. Always
+/// inlined: a weak out-of-line copy from an FMA-enabled TU could otherwise
+/// be the one the linker keeps for generic code.
+[[gnu::always_inline]] inline double crossbar_mac(double v, double g,
+                                                  double acc) {
+  return std::fma(v, g, acc);
+}
+
+/// Batched sparse row drive in double precision: the SNC read of dense
+/// stages and spike slots. `drives` is image-minor ([slot x batch]);
 /// event e drives panel row rows[e] with image b's value
 /// drives[srcs[e] * batch + b]. For every image b and column c < width:
-///   acc[b * width + c] = sum over e ascending of
-///       drives[srcs[e] * batch + b] * panel[rows[e] * width + c]
-/// starting from +0.0 (acc is overwritten). Each term is a separate
-/// multiply and add, so the SIMD tiers — register tiles of up to 8 images
-/// (AVX-512, 3 zmm column vectors) or 4 images (AVX2, 3 ymm) that share
-/// each panel-row load across the tile's images — are bit-identical to the
-/// scalar loop. A zero drive adds
-/// a signed zero, which leaves a sum that started at +0.0 unchanged, so
-/// with finite panel entries the result equals the sum over the nonzero
-/// drives alone.
+///   acc[b * width + c] = crossbar_mac over e ascending of
+///       (drives[srcs[e] * batch + b], panel[rows[e] * width + c])
+/// starting from +0.0 (acc is overwritten). The SIMD tiers — register
+/// tiles of up to 8 images (AVX-512, 3 zmm column vectors) or 4 images
+/// (AVX2, 3 ymm) that share each panel-row load across the tile's images —
+/// keep every column sum its own fused chain in event order, so they are
+/// bit-identical to the scalar loop. A zero drive leaves a sum unchanged,
+/// so the result equals the sum over the nonzero drives alone.
 void accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                            int64_t n_events, const double* drives,
                            int64_t batch, const double* panel, int64_t width,
@@ -66,5 +81,75 @@ struct ReadEpilogue {
 void read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
                    const ReadEpilogue& ep, int32_t* counts,
                    int64_t count_stride, double* y_out);
+
+/// Output positions per lane group of nn::conv_read: one zmm of doubles
+/// (the AVX2 tier reads a group as two ymm halves).
+inline constexpr int64_t kConvLanes = 8;
+
+/// kConvLanes consecutive output positions (in flat out_h * out_w order)
+/// of one conv read.
+struct ConvLaneGroup {
+  /// Padded-plane offset of each lane's receptive-field origin; lanes past
+  /// `live` repeat the last live lane's, so an unmasked gather stays in
+  /// the plane.
+  int32_t origin[kConvLanes] = {};
+  /// Positions in the group: kConvLanes except in a stage's last group.
+  int32_t live = 0;
+  /// Lanes [0, split) read one contiguous run of the plane from
+  /// origin[0], lanes [split, live) a second run from origin[split]
+  /// (split == live: one run). 0 when the lanes form neither (strided
+  /// stages, or groups that span more than two output rows): they gather.
+  int32_t split = 0;
+};
+
+/// Geometry of one conv stage's read, built once per stage: the padded
+/// input plane, each crossbar row's offset within a receptive field, and
+/// the position lane groups.
+struct ConvReadPlan {
+  int64_t in_c = 0, in_h = 0, in_w = 0, pad = 0;
+  int64_t plane_h = 0, plane_w = 0;  // in_h + 2 * pad, in_w + 2 * pad
+  int64_t positions = 0;             // out_h * out_w
+  /// taps[r]: padded-plane offset of crossbar row r = (ic, ky, kx) from a
+  /// receptive field's origin.
+  std::vector<int32_t> taps;
+  std::vector<ConvLaneGroup> groups;
+
+  int64_t rows() const { return static_cast<int64_t>(taps.size()); }
+  /// Doubles in one image's padded plane.
+  int64_t plane_doubles() const { return in_c * plane_h * plane_w; }
+};
+
+/// The plan of a kernel x kernel convolution over [in_c, in_h, in_w] at
+/// `stride` and `pad` (square, as nn::Conv2d).
+ConvReadPlan make_conv_read_plan(int64_t in_c, int64_t in_h, int64_t in_w,
+                                 int64_t kernel, int64_t stride, int64_t pad);
+
+/// Writes one image's zero-padded input plane (plan.plane_doubles()
+/// entries, every one written): input[(c * in_h + y) * in_w + x] lands at
+/// plane[(c * plane_h + y + pad) * plane_w + x + pad], zeros elsewhere.
+void fill_conv_plane(const ConvReadPlan& plan, const int32_t* input,
+                     double* plane);
+
+/// The collapsed ideal read of one conv stage for one image, lane groups
+/// [g0, g1), with output positions in the SIMD lanes. For every position
+/// p in those groups and every panel column k < 2 * ep.cols (the panel is
+/// [rows x 2 * ep.cols], interleaved plus/minus, as for
+/// accumulate_rows_batch):
+///   s = +0.0; for r ascending: s = crossbar_mac(v_r, panel[r][k], s)
+/// with v_r = plane[origin(p) + taps[r]], then nn::read_epilogue's
+/// arithmetic turns each (plus, minus) pair into
+/// counts[c * plan.positions + p]; y_out, when non-null, receives each
+/// column's y at position plan.positions - 1 if that position is in the
+/// range. A zero drive leaves a sum unchanged, so skipping one changes no
+/// bit: the scalar loop skips each zero drive, the SIMD tiers each row
+/// whose drives are zero in every lane, and the result equals the
+/// oracle's zero-skipping read. Per group, the SIMD tiers hold one
+/// accumulator per panel column (column blocks when the stage is wider
+/// than the register file), load each row's drives as one or two
+/// contiguous runs of the plane or gather them, and store each column's
+/// counts with one masked store.
+void conv_read(const ConvReadPlan& plan, const double* plane,
+               const double* panel, const ReadEpilogue& ep, int64_t g0,
+               int64_t g1, int32_t* counts, double* y_out);
 
 }  // namespace qsnc::nn

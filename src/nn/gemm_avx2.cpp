@@ -19,9 +19,7 @@
 #include "nn/gemm_kernels.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <utility>
 
 #include "util/aligned.h"
 
@@ -292,146 +290,6 @@ void avx2_gemm_a_bt_acc_rows(const float* a, const float* bt_panel, float* c,
   }
 }
 
-namespace {
-
-// Lanes [0, n) of a 4 x int64 mask set.
-__m256i first_lanes(int64_t n) {
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
-                            _mm256_setr_epi64x(0, 1, 2, 3));
-}
-
-// One register tile of avx2_accumulate_rows_batch: kImgs images by kVecs
-// ymm column vectors (the last one masked by `tail` when kTail) stay in
-// registers across every event and are stored once at the end. Each event
-// loads its panel-row vectors once and broadcasts each image's drive, so
-// one load serves kImgs multiply-adds. `drive` is the tile's first image
-// column of the drive buffer, `row0` the panel at the block's first
-// column, `out` the first image's accumulator row at that column, and
-// `rem` the live lanes of the masked vector.
-template <int kImgs, int kVecs, bool kTail>
-void event_tile(const int32_t* rows, const int32_t* srcs, int64_t n_events,
-                const double* drive, int64_t batch, const double* row0,
-                int64_t width, int64_t rem, double* out) {
-  const __m256i tail = first_lanes(rem);
-  __m256d acc[kImgs][kVecs];
-#pragma GCC unroll 16
-  for (int i = 0; i < kImgs; ++i) {
-#pragma GCC unroll 16
-    for (int k = 0; k < kVecs; ++k) acc[i][k] = _mm256_setzero_pd();
-  }
-  for (int64_t e = 0; e < n_events; ++e) {
-    const double* d = drive + static_cast<int64_t>(srcs[e]) * batch;
-    const double* row = row0 + static_cast<int64_t>(rows[e]) * width;
-    __m256d g[kVecs];
-#pragma GCC unroll 16
-    for (int k = 0; k < kVecs; ++k) {
-      g[k] = kTail && k == kVecs - 1 ? _mm256_maskload_pd(row + 4 * k, tail)
-                                     : _mm256_loadu_pd(row + 4 * k);
-    }
-#pragma GCC unroll 16
-    for (int i = 0; i < kImgs; ++i) {
-      const __m256d v = _mm256_broadcast_sd(d + i);
-#pragma GCC unroll 16
-      for (int k = 0; k < kVecs; ++k) {
-        acc[i][k] = _mm256_add_pd(acc[i][k], _mm256_mul_pd(v, g[k]));
-      }
-    }
-  }
-#pragma GCC unroll 16
-  for (int i = 0; i < kImgs; ++i) {
-#pragma GCC unroll 16
-    for (int k = 0; k < kVecs; ++k) {
-      double* o = out + i * width + 4 * k;
-      if (kTail && k == kVecs - 1) {
-        _mm256_maskstore_pd(o, tail, acc[i][k]);
-      } else {
-        _mm256_storeu_pd(o, acc[i][k]);
-      }
-    }
-  }
-}
-
-using EventTileFn = void (*)(const int32_t*, const int32_t*, int64_t,
-                             const double*, int64_t, const double*, int64_t,
-                             int64_t, double*);
-
-// kEventTiles[kImgs - 1][kTail][vecs - 1] for vecs in
-// [1, kEventTileVecs / kImgs]; unused entries are null.
-template <int kImgs, bool kTail, size_t... kI>
-constexpr std::array<EventTileFn, kEventTileVecs> event_tile_row(
-    std::index_sequence<kI...>) {
-  return {&event_tile<kImgs, static_cast<int>(kI) + 1, kTail>...};
-}
-template <int kImgs>
-constexpr std::array<std::array<EventTileFn, kEventTileVecs>, 2>
-event_tile_rows() {
-  constexpr size_t kVecs = kEventTileVecs / kImgs;
-  return {event_tile_row<kImgs, false>(std::make_index_sequence<kVecs>{}),
-          event_tile_row<kImgs, true>(std::make_index_sequence<kVecs>{})};
-}
-constexpr std::array<std::array<EventTileFn, kEventTileVecs>, 2>
-    kEventTiles[kEventTileImages] = {event_tile_rows<1>(),
-                                     event_tile_rows<2>(),
-                                     event_tile_rows<3>(),
-                                     event_tile_rows<4>()};
-
-}  // namespace
-
-void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
-                                int64_t n_events, const double* drives,
-                                int64_t batch, const double* panel,
-                                int64_t width, double* acc) {
-  for (int64_t b0 = 0; b0 < batch; b0 += kEventTileImages) {
-    const int64_t imgs = std::min(kEventTileImages, batch - b0);
-    const int64_t block = 4 * (kEventTileVecs / imgs);
-    for (int64_t c0 = 0; c0 < width; c0 += block) {
-      const int64_t bw = std::min(block, width - c0);
-      const int64_t rem = bw % 4;
-      kEventTiles[imgs - 1][rem != 0][(bw + 3) / 4 - 1](
-          rows, srcs, n_events, drives + b0, batch, panel + c0, width, rem,
-          acc + b0 * width + c0);
-    }
-  }
-}
-
-void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
-                        const ReadEpilogue& ep, int32_t* counts,
-                        int64_t count_stride, double* y_out) {
-  const __m256d dg = _mm256_set1_pd(ep.dg);
-  const __m256d step = _mm256_set1_pd(ep.step);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d lo = _mm256_set1_pd(count_lo(ep));
-  const __m256d hi = _mm256_set1_pd(count_hi(ep));
-  for (int64_t c0 = 0; c0 < ep.cols; c0 += 4) {
-    const int64_t live = std::min<int64_t>(4, ep.cols - c0);
-    const __m256i mask = first_lanes(live);
-    const __m256i acc_lo = first_lanes(2 * live);
-    const __m256i acc_hi = first_lanes(2 * live - 4);
-    const __m256d bias = _mm256_cvtps_pd(_mm_maskload_ps(
-        ep.bias + c0, _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(live)),
-                                      _mm_setr_epi32(0, 1, 2, 3))));
-    alignas(16) int32_t k[4];
-    __m256d y = _mm256_setzero_pd();
-    for (int64_t i = 0; i < n; ++i) {
-      const double* a = acc + i * acc_stride + 2 * c0;
-      // [p0 m0 p1 m1], [p2 m2 p3 m3] -> [p0-m0 p2-m2 p1-m1 p3-m3] -> in
-      // column order.
-      const __m256d d = _mm256_permute4x64_pd(
-          _mm256_hsub_pd(_mm256_maskload_pd(a, acc_lo),
-                         _mm256_maskload_pd(a + 4, acc_hi)),
-          _MM_SHUFFLE(3, 1, 2, 0));
-      y = _mm256_add_pd(_mm256_mul_pd(step, _mm256_div_pd(d, dg)), bias);
-      __m256d r = _mm256_round_pd(_mm256_add_pd(y, half),
-                                  _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-      r = _mm256_min_pd(_mm256_max_pd(r, lo), hi);
-      _mm_store_si128(reinterpret_cast<__m128i*>(k), _mm256_cvttpd_epi32(r));
-      int32_t* o = counts + c0 * count_stride + i;
-      for (int64_t j = 0; j < live; ++j) o[j * count_stride] = k[j];
-    }
-    if (y_out != nullptr && n > 0) _mm256_maskstore_pd(y_out + c0, mask, y);
-  }
-}
-
 #else  // !__AVX2__ — stubs; dispatch never selects these without AVX2.
 
 void avx2_gemm_acc_rows(const float*, const float*, float*, int64_t, int64_t,
@@ -440,11 +298,6 @@ void avx2_gemm_at_b_acc_rows(const float*, const float*, float*, int64_t,
                              int64_t, int64_t, int64_t, int64_t) {}
 void avx2_gemm_a_bt_acc_rows(const float*, const float*, float*, int64_t,
                              int64_t, int64_t, int64_t) {}
-void avx2_accumulate_rows_batch(const int32_t*, const int32_t*, int64_t,
-                                const double*, int64_t, const double*,
-                                int64_t, double*) {}
-void avx2_read_epilogue(const double*, int64_t, int64_t, const ReadEpilogue&,
-                        int32_t*, int64_t, double*) {}
 
 #endif  // __AVX2__
 

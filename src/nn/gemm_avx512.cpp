@@ -1,11 +1,11 @@
-// AVX-512 tier of the SNC collapsed read: the batched fp64 row drive and
-// its read epilogue. This TU is the only one compiled with -mavx512f
-// -mavx512vl -mavx512dq; like the AVX2 TUs it is built with -mno-fma
-// -ffp-contract=off, so every term stays a separate multiply and add and
-// the results are bit-identical to the scalar loops in gemm.cpp (see
-// gemm_kernels.h). Vectors span columns only, so each column sum is its own
-// add chain over the events in ascending order, exactly as in the scalar
-// loop.
+// AVX-512 tier of the SNC collapsed read: the conv lanes read, the batched
+// fp64 row drive and the read epilogue. This TU is the only one compiled
+// with -mavx512f -mavx512vl -mavx512dq. Every crossbar term is one explicit
+// vfmadd (the std::fma of nn::crossbar_mac), and -ffp-contract=off keeps
+// the compiler from fusing anything else, so the results are bit-identical
+// to the scalar loops in gemm.cpp (see gemm_kernels.h). The row drive's
+// vectors span columns and the conv read's span positions; either way each
+// column sum is its own fused chain in the scalar loop's order.
 #include "nn/gemm_kernels.h"
 
 #include <algorithm>
@@ -58,7 +58,7 @@ void event_tile(const int32_t* rows, const int32_t* srcs, int64_t n_events,
       const __m512d v = _mm512_set1_pd(d[i]);
 #pragma GCC unroll 8
       for (int k = 0; k < kVecs; ++k) {
-        acc[i][k] = _mm512_add_pd(acc[i][k], _mm512_mul_pd(v, g[k]));
+        acc[i][k] = _mm512_fmadd_pd(v, g[k], acc[i][k]);
       }
     }
   }
@@ -101,7 +101,7 @@ constexpr std::array<EventTileFn, kVecSlots>
 
 // The all-lanes mask. Full-width operations whose unmasked intrinsic
 // passes an undefined vector as the merge source (cvtps_pd, roundscale,
-// min, max, cvttpd_epi32) use the maskz form under kAll instead: same
+// min, max, cvttpd_epi32, i32gather) use the maskz form under kAll instead: same
 // instruction, and GCC 12 reports that undefined source as
 // maybe-uninitialized.
 constexpr __mmask8 kAll = 0xFF;
@@ -111,6 +111,168 @@ __mmask8 first_lanes(int64_t n) {
   return n >= 8 ? __mmask8{0xFF}
                 : static_cast<__mmask8>((1u << std::max<int64_t>(n, 0)) - 1);
 }
+
+// How a conv lane group loads its drives (ConvLaneGroup::split).
+enum LaneLoad { kOneRun, kTwoRuns, kGather };
+
+// Crossbar rows whose drive vectors are filtered at a time.
+constexpr int64_t kConvRowChunk = 64;
+
+// The rounding constants of a read epilogue, broadcast once per call.
+struct EpilogueVecs {
+  __m512d dg, step, half, lo, hi;
+  explicit EpilogueVecs(const ReadEpilogue& ep)
+      : dg(_mm512_set1_pd(ep.dg)),
+        step(_mm512_set1_pd(ep.step)),
+        half(_mm512_set1_pd(0.5)),
+        lo(_mm512_set1_pd(count_lo(ep))),
+        hi(_mm512_set1_pd(count_hi(ep))) {}
+};
+
+// How one lane group loads a row's 8 drives from the padded plane: lane j
+// of run 1 reads p1[j + tap], of run 2 p2[j + tap]; a gather reads
+// plane[origin[j] + tap].
+struct LaneDrives {
+  int load;
+  __mmask8 live, run1, run2;
+  const double* plane;
+  const double* p1;
+  const double* p2;
+  __m256i idx;
+  int64_t pos0;  // the group's first position
+  int32_t lanes;  // live positions
+
+  LaneDrives(const ConvLaneGroup& grp, const double* pl, int64_t g)
+      : load(grp.split == 0          ? kGather
+             : grp.split == grp.live ? kOneRun
+                                     : kTwoRuns),
+        live(first_lanes(grp.live)),
+        run1(load == kTwoRuns ? first_lanes(grp.split) : live),
+        run2(static_cast<__mmask8>(live & ~run1)),
+        plane(pl),
+        p1(pl + grp.origin[0]),
+        // Origins ascend, so origin[split] >= split keeps p2 in the plane.
+        p2(load == kTwoRuns ? pl + grp.origin[grp.split] - grp.split : p1),
+        idx(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(grp.origin))),
+        pos0(g * kConvLanes),
+        lanes(grp.live) {}
+
+  // Drives of the row at plane offset t (the load kind is fixed per group,
+  // so the branch predicts).
+  __m512d at(int32_t t) const {
+    if (load == kOneRun) return _mm512_maskz_loadu_pd(live, p1 + t);
+    if (load == kTwoRuns) {
+      return _mm512_mask_loadu_pd(_mm512_maskz_loadu_pd(run1, p1 + t), run2,
+                                  p2 + t);
+    }
+    return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), kAll, idx, plane + t,
+                                    8);
+  }
+};
+
+// kGroups lane groups of avx512_conv_read over kPairs (plus, minus) column
+// pairs from logical column c0: kGroups x 2 * kPairs zmm accumulators, one
+// per (group, panel column), each lane one position, stay in registers
+// across every row. Rows go in chunks: each row's drives load once per
+// group (one or two masked contiguous runs of the plane, or a gather) into
+// a stack buffer, and a row whose drives are zero in every lane of every
+// group is dropped (branch-free); skipping it changes no bit, since it
+// would leave every sum unchanged. Each kept row then broadcasts each
+// panel entry once and feeds it to every group's accumulator with one
+// vfmadd. The epilogue runs in registers and stores each column's 8
+// counts per group with one masked store.
+template <int kPairs, int kGroups>
+void conv_lane_block(const ConvReadPlan& plan, const LaneDrives* in,
+                     const double* panel, int64_t width,
+                     const ReadEpilogue& ep, const EpilogueVecs& k,
+                     int64_t c0, int32_t* counts, double* y_out) {
+  // Local copies (the caller always passes two): the drive stores below
+  // may alias the caller's structs, which would reload every field per
+  // row.
+  const LaneDrives groups[2] = {in[0], in[1]};
+  const int32_t* taps = plan.taps.data();
+  const int64_t rows = plan.rows();
+  __m512d acc[kGroups][2 * kPairs];
+#pragma GCC unroll 2
+  for (int q = 0; q < kGroups; ++q) {
+#pragma GCC unroll 32
+    for (int c = 0; c < 2 * kPairs; ++c) acc[q][c] = _mm512_setzero_pd();
+  }
+  alignas(64) double live_v[kConvRowChunk * 8 * kGroups];
+  int32_t live_r[kConvRowChunk];
+  for (int64_t r0 = 0; r0 < rows; r0 += kConvRowChunk) {
+    const int64_t r1 = std::min(rows, r0 + kConvRowChunk);
+    int64_t n = 0;
+    for (int64_t r = r0; r < r1; ++r) {
+      const int32_t t = taps[r];
+      __mmask8 any = 0;
+#pragma GCC unroll 2
+      for (int q = 0; q < kGroups; ++q) {
+        const __m512d v = groups[q].at(t);
+        _mm512_store_pd(live_v + (n * kGroups + q) * 8, v);
+        const __m512i bits = _mm512_castpd_si512(v);
+        any = static_cast<__mmask8>(any | _mm512_test_epi64_mask(bits, bits));
+      }
+      live_r[n] = static_cast<int32_t>(r);
+      n += any != 0;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      __m512d v[kGroups];
+#pragma GCC unroll 2
+      for (int q = 0; q < kGroups; ++q) {
+        v[q] = _mm512_load_pd(live_v + (i * kGroups + q) * 8);
+      }
+      const double* g = panel + live_r[i] * width + 2 * c0;
+#pragma GCC unroll 32
+      for (int c = 0; c < 2 * kPairs; ++c) {
+        const __m512d gc = _mm512_set1_pd(g[c]);
+#pragma GCC unroll 2
+        for (int q = 0; q < kGroups; ++q) {
+          acc[q][c] = _mm512_fmadd_pd(v[q], gc, acc[q][c]);
+        }
+      }
+    }
+  }
+#pragma GCC unroll 2
+  for (int q = 0; q < kGroups; ++q) {
+    const LaneDrives& grp = groups[q];
+    const bool last = grp.pos0 + grp.lanes == plan.positions;
+#pragma GCC unroll 16
+    for (int c = 0; c < kPairs; ++c) {
+      const __m512d d = _mm512_sub_pd(acc[q][2 * c], acc[q][2 * c + 1]);
+      const __m512d y = _mm512_add_pd(
+          _mm512_mul_pd(k.step, _mm512_div_pd(d, k.dg)),
+          _mm512_set1_pd(static_cast<double>(ep.bias[c0 + c])));
+      __m512d r = _mm512_maskz_roundscale_pd(
+          kAll, _mm512_add_pd(y, k.half),
+          _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+      r = _mm512_maskz_min_pd(kAll, _mm512_maskz_max_pd(kAll, r, k.lo), k.hi);
+      _mm256_mask_storeu_epi32(
+          counts + (c0 + c) * plan.positions + grp.pos0, grp.live,
+          _mm512_maskz_cvttpd_epi32(kAll, r));
+      if (y_out != nullptr && last) {
+        alignas(64) double lanes[8];
+        _mm512_store_pd(lanes, y);
+        y_out[c0 + c] = lanes[grp.lanes - 1];
+      }
+    }
+  }
+}
+
+using ConvLaneFn = void (*)(const ConvReadPlan&, const LaneDrives*,
+                            const double*, int64_t, const ReadEpilogue&,
+                            const EpilogueVecs&, int64_t, int32_t*, double*);
+
+// kConvLaneBlocks[groups - 1][pairs - 1]: one group with up to
+// kConvPairs512 pairs, or two groups with up to kConvPairs512 / 2.
+template <int kGroups, size_t... kI>
+constexpr std::array<ConvLaneFn, kConvPairs512> conv_lane_row(
+    std::index_sequence<kI...>) {
+  return {&conv_lane_block<static_cast<int>(kI) + 1, kGroups>...};
+}
+constexpr std::array<ConvLaneFn, kConvPairs512> kConvLaneBlocks[2] = {
+    conv_lane_row<1>(std::make_index_sequence<kConvPairs512>{}),
+    conv_lane_row<2>(std::make_index_sequence<kConvPairs512 / 2>{})};
 
 }  // namespace
 
@@ -174,6 +336,31 @@ void avx512_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
   }
 }
 
+void avx512_conv_read(const ConvReadPlan& plan, const double* plane,
+                      const double* panel, const ReadEpilogue& ep, int64_t g0,
+                      int64_t g1, int32_t* counts, double* y_out) {
+  const EpilogueVecs k(ep);
+  const int64_t width = 2 * ep.cols;
+  // A stage whose columns fit half the register file reads two lane
+  // groups at a time (the last one alone when the count is odd), so each
+  // broadcast panel entry feeds two vfmadds; wider stages read one group
+  // at a time in column blocks.
+  const int64_t step = ep.cols <= kConvPairs512 / 2 ? 2 : 1;
+  const int64_t block = conv_block_pairs(ep.cols, kConvPairs512);
+  for (int64_t g = g0; g < g1; g += step) {
+    const int64_t n = std::min(step, g1 - g);
+    const LaneDrives groups[2] = {
+        LaneDrives(plan.groups[static_cast<size_t>(g)], plane, g),
+        LaneDrives(plan.groups[static_cast<size_t>(g + n - 1)], plane,
+                   g + n - 1)};
+    for (int64_t c0 = 0; c0 < ep.cols; c0 += block) {
+      const int64_t pairs = std::min(block, ep.cols - c0);
+      kConvLaneBlocks[n - 1][pairs - 1](plan, groups, panel, width, ep, k,
+                                        c0, counts, y_out);
+    }
+  }
+}
+
 #else  // no AVX-512 — stubs; dispatch never selects these.
 
 void avx512_accumulate_rows_batch(const int32_t*, const int32_t*, int64_t,
@@ -181,6 +368,9 @@ void avx512_accumulate_rows_batch(const int32_t*, const int32_t*, int64_t,
                                   int64_t, double*) {}
 void avx512_read_epilogue(const double*, int64_t, int64_t,
                           const ReadEpilogue&, int32_t*, int64_t, double*) {}
+void avx512_conv_read(const ConvReadPlan&, const double*, const double*,
+                      const ReadEpilogue&, int64_t, int64_t, int32_t*,
+                      double*) {}
 
 #endif
 

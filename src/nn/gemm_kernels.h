@@ -1,7 +1,8 @@
 // Internal interface between the GEMM entry points (gemm.cpp / igemm.cpp)
 // and the SIMD micro-kernel translation units (gemm_avx2.cpp /
-// igemm_avx2.cpp, compiled with -mavx2, and gemm_avx512.cpp, compiled with
-// -mavx512f -mavx512vl -mavx512dq), the only files built for a wider ISA.
+// igemm_avx2.cpp, compiled with -mavx2 -mno-fma; snc_read_avx2.cpp,
+// compiled with -mavx2 -mfma; gemm_avx512.cpp, compiled with -mavx512f
+// -mavx512vl -mavx512dq -mfma), the only files built for a wider ISA.
 //
 // Bit-exactness contract (fp32): every kernel here must reproduce the
 // scalar reference loops in gemm.cpp bit-for-bit —
@@ -66,14 +67,18 @@ void avx2_gemm_at_b_acc_rows(const float* a, const float* b_panel, float* c,
 void avx2_gemm_a_bt_acc_rows(const float* a, const float* bt_panel, float* c,
                              int64_t k, int64_t n, int64_t i0, int64_t i1);
 
-// ---- SNC collapsed read: batched fp64 row drive and read epilogue ----
+// ---- SNC collapsed read: conv lanes read, batched fp64 row drive, read
+// epilogue ----
 //
-// nn::accumulate_rows_batch and nn::read_epilogue dispatch to one of three
-// tiers below; all of them are bit-identical to the scalar loops, and tests
-// call each compiled tier directly.
+// nn::conv_read, nn::accumulate_rows_batch and nn::read_epilogue dispatch
+// to one of three tiers below. Every term of every read is one fused
+// multiply-add (nn::crossbar_mac: std::fma in the scalar loops, vfmadd in
+// the SIMD tiers) in the same per-sum order, so all tiers are
+// bit-identical to the scalar loops; tests call each compiled tier
+// directly.
 
 /// The scalar reference of nn::accumulate_rows_batch: per image, ascending
-/// events from +0.0, one multiply and one add per term.
+/// events from +0.0, one crossbar_mac per term.
 void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                   int64_t n_events, const double* drives,
                                   int64_t batch, const double* panel,
@@ -96,12 +101,45 @@ void scalar_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
                           const ReadEpilogue& ep, int32_t* counts,
                           int64_t count_stride, double* y_out);
 
-/// AVX2 tier (CPUs without AVX-512). Images go in tiles of up to 4; a tile
-/// of k images holds k x (kEventTileVecs / k) ymm accumulators — 4 x 3,
-/// 3 x 4, 2 x 6 or 1 x 12 — in registers across all events, so each
-/// panel-row vector is loaded once per tile and every column sum is its
-/// own add chain. A column block whose width is not a multiple of 4 ends in
-/// a masked vector.
+/// The scalar reference of nn::conv_read: per position and column, rows
+/// ascending from +0.0, one crossbar_mac per nonzero drive, then
+/// scalar_read_epilogue's arithmetic.
+void scalar_conv_read(const ConvReadPlan& plan, const double* plane,
+                      const double* panel, const ReadEpilogue& ep, int64_t g0,
+                      int64_t g1, int32_t* counts, double* y_out);
+
+/// AVX2 nn::conv_read (CPUs with FMA3 and without AVX-512): each lane
+/// group is read as two halves of 4 positions, one ymm accumulator per
+/// panel column, in column blocks of up to kConvPairs2 (plus, minus) pairs.
+inline constexpr int64_t kConvPairs2 = 6;
+void avx2_conv_read(const ConvReadPlan& plan, const double* plane,
+                    const double* panel, const ReadEpilogue& ep, int64_t g0,
+                    int64_t g1, int32_t* counts, double* y_out);
+
+/// AVX-512 nn::conv_read: 8 positions per zmm, one accumulator per (lane
+/// group, panel column). Stages of up to kConvPairs512 / 2 (plus, minus)
+/// pairs read two lane groups at a time, each panel entry broadcast once
+/// per row for both; wider ones read one group at a time in column blocks
+/// of up to kConvPairs512 pairs.
+inline constexpr int64_t kConvPairs512 = 14;
+void avx512_conv_read(const ConvReadPlan& plan, const double* plane,
+                      const double* panel, const ReadEpilogue& ep, int64_t g0,
+                      int64_t g1, int32_t* counts, double* y_out);
+
+/// Column blocks of a conv read over `pairs` (plus, minus) column pairs,
+/// at most `max_pairs` each: as few blocks as fit, as even as possible.
+/// Returns the pairs per block; the last block takes the remainder.
+inline int64_t conv_block_pairs(int64_t pairs, int64_t max_pairs) {
+  const int64_t blocks = (pairs + max_pairs - 1) / max_pairs;
+  return (pairs + blocks - 1) / blocks;
+}
+
+/// AVX2 row drive (CPUs with FMA3 and without AVX-512). Images go in
+/// tiles of up to 4; a tile of k images holds k x (kEventTileVecs / k) ymm
+/// accumulators — 4 x 3, 3 x 4, 2 x 6 or 1 x 12 — in registers across all
+/// events, so each panel-row vector is loaded once per tile and every
+/// column sum is its own fused chain. A column block whose width is not a
+/// multiple of 4 ends in a masked vector.
 inline constexpr int64_t kEventTileVecs = 12;
 inline constexpr int64_t kEventTileImages = 4;
 void avx2_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
@@ -115,12 +153,12 @@ void avx2_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
                         const ReadEpilogue& ep, int32_t* counts,
                         int64_t count_stride, double* y_out);
 
-/// AVX-512 tier. Images go in tiles of up to 8; a full tile holds 8 images
-/// x up to 3 zmm column vectors (24 of the 32 registers), so one panel-row
-/// load serves 8 images. Smaller tiles (a batch's last 1..7 images, and
-/// B=1) trade images for wider column blocks, up to 1 image x 8 vectors
-/// (64 columns). The last vector of every column block is loaded and
-/// stored under a __mmask8.
+/// AVX-512 row drive. Images go in tiles of up to 8; a full tile holds 8
+/// images x up to 3 zmm column vectors (24 of the 32 registers), so one
+/// panel-row load serves 8 images. Smaller tiles (a batch's last 1..7
+/// images, and B=1) trade images for wider column blocks, up to 1 image x
+/// 8 vectors (64 columns). The last vector of every column block is
+/// loaded and stored under a __mmask8.
 inline constexpr int64_t kEventTileImages512 = 8;
 void avx512_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                   int64_t n_events, const double* drives,

@@ -21,6 +21,14 @@ bool detect_avx2() {
 #endif
 }
 
+bool detect_fma() {
+#if defined(QSNC_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
 bool detect_avx512() {
 #if defined(QSNC_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") &&
@@ -40,6 +48,11 @@ bool cpu_has_avx2() {
   return has;
 }
 
+bool cpu_has_fma() {
+  static const bool has = detect_fma();
+  return has;
+}
+
 bool cpu_has_avx512() {
   static const bool has = detect_avx512();
   return has;
@@ -55,10 +68,12 @@ bool use_avx2() {
          !g_force_scalar.load(std::memory_order_relaxed);
 }
 
+bool use_avx2_fma() { return cpu_has_fma() && use_avx2(); }
+
 bool use_avx512() { return cpu_has_avx512() && use_avx2(); }
 
 const char* dispatch_tier() {
-  return use_avx512() ? "avx512" : use_avx2() ? "avx2" : "scalar";
+  return use_avx512() ? "avx512" : use_avx2_fma() ? "avx2" : "scalar";
 }
 
 bool set_force_scalar(bool force) {

@@ -187,10 +187,10 @@ std::vector<int64_t> SncBackend::infer_batch(const nn::Tensor& batch) {
   last_degraded_ = false;
   check_batch_shape(batch, input_chw_);
   // The whole micro-batch window runs on one replica through
-  // SncSystem::infer_batch, so each stage's conductance panel is streamed
-  // once per window instead of once per image. The activity report needs
-  // per-image stats, so a served window also pays the per-stage timer (a
-  // few clock reads per position tile). The stats vector is the calling
+  // SncSystem::infer_batch (dense stages stream each panel row once per
+  // window; conv stages read 8 positions per panel-row pass). The activity
+  // report needs per-image stats, so a served window also pays the
+  // per-stage timer (a few clock reads per chunk of work). The stats vector is the calling
   // thread's and is reused, so a steady-state window allocates only its
   // predictions.
   snc::SncSystem& system = *replicas_[healthy_[windows_++ % healthy_.size()]];

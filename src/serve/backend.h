@@ -151,9 +151,9 @@ struct ReplicaHealthSnapshot {
 /// backend programs one system; fault-diversity deployments (health
 /// enabled with per_replica_seeds) program a pool of differently seeded
 /// replicas. Either way window w (counting infer_batch calls) runs whole
-/// on healthy replica w mod H through SncSystem::infer_batch, so each
-/// stage's panels stream once per window and the predictions depend only
-/// on the sequence of windows — not on thread count or timing.
+/// on healthy replica w mod H through SncSystem::infer_batch, so the
+/// predictions depend only on the sequence of windows — not on thread
+/// count or timing.
 class SncBackend final : public Backend {
  public:
   /// Programs the system(s) from `net`. `replicas` sizes only a

@@ -25,6 +25,7 @@ void LatencyHistogram::record(uint64_t micros) {
   std::lock_guard<std::mutex> lock(mu_);
   ++buckets_[bucket_of(micros)];
   ++count_;
+  min_us_ = std::min(min_us_, micros);
   max_us_ = std::max(max_us_, micros);
   sum_us_ += static_cast<double>(micros);
 }
@@ -50,10 +51,12 @@ uint64_t LatencyHistogram::percentile_us(double p) const {
     const uint64_t before = seen;
     seen += buckets_[b];
     if (static_cast<double>(seen) >= target) {
-      // Linear interpolation inside [lo, hi) by rank; clamp to max_us_ so
-      // the top bucket does not report far beyond any observed sample.
-      const uint64_t lo = b == 0 ? 0 : (uint64_t{1} << b);
-      const uint64_t hi = uint64_t{1} << (b + 1);
+      // Linear interpolation by rank inside the bucket's range narrowed to
+      // the observed samples, [max(lo, min), min(hi, max + 1)): a spread
+      // inside one power-of-two band still reads p50 < p99 <= max.
+      const uint64_t lo =
+          std::max(b == 0 ? uint64_t{0} : (uint64_t{1} << b), min_us_);
+      const uint64_t hi = std::min(uint64_t{1} << (b + 1), max_us_ + 1);
       const double frac =
           (target - static_cast<double>(before)) /
           static_cast<double>(buckets_[b]);

@@ -29,7 +29,8 @@ class LatencyHistogram {
   double mean_us() const;
 
   /// Approximate percentile in microseconds, p in [0, 100]. Returns 0 when
-  /// empty. Error is bounded by the log2 bucket width.
+  /// empty. Interpolates by rank inside the log2 bucket, narrowed to the
+  /// observed minimum and maximum; error is bounded by the bucket width.
   uint64_t percentile_us(double p) const;
 
  private:
@@ -39,6 +40,7 @@ class LatencyHistogram {
   mutable std::mutex mu_;
   uint64_t buckets_[kBuckets];
   uint64_t count_ = 0;
+  uint64_t min_us_ = UINT64_MAX;
   uint64_t max_us_ = 0;
   double sum_us_ = 0.0;
 };

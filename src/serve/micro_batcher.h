@@ -8,10 +8,11 @@
 //
 //   submit() --> [per-priority bounded queues] --> batcher --> infer_batch
 //
-// Coalescing rule: once a queue is non-empty the batcher opens a batch
-// window; it closes when either `max_batch` requests are collected or
-// `batch_timeout_us` has elapsed since the window opened, whichever comes
-// first. Batch formation drains highest-priority-first (FIFO within a
+// Coalescing rule: a batch window opens when the oldest queued request
+// arrives; it closes when either `max_batch` requests are collected or
+// `batch_timeout_us` has elapsed since that arrival, whichever comes
+// first. A request that waited out its window behind a running batch is
+// batched as soon as the batcher is free. Batch formation drains highest-priority-first (FIFO within a
 // class), so interactive traffic rides ahead of batch traffic under load.
 //
 // Backpressure ladder (every rung is a structured response, never a drop):
@@ -141,6 +142,9 @@ class MicroBatcher {
   void execute(std::vector<Pending>& batch);
   uint64_t retry_hint_us(size_t depth) const;
   size_t total_queued() const;  // callers hold mu_
+  /// Arrival of the oldest queued request (time_point::max() when every
+  /// queue is empty); callers hold mu_.
+  Clock::time_point oldest_enqueued() const;
   /// Queue depth serveable within one delay target at the observed batch
   /// cadence (>= one max_batch so shedding never starves the server).
   int64_t allowed_depth() const;

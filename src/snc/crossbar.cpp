@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/gemm.h"
+
 namespace qsnc::snc {
 
 namespace {
@@ -113,7 +115,8 @@ void Crossbar::read_columns_into(const double* volts,
     if (v == 0.0) continue;
     const double* row = panel + r * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
-      currents[static_cast<size_t>(c)] += v * row[c];
+      currents[static_cast<size_t>(c)] =
+          nn::crossbar_mac(v, row[c], currents[static_cast<size_t>(c)]);
     }
   }
 }
@@ -126,7 +129,8 @@ void Crossbar::read_columns_spiking_into(const uint8_t* spikes, double v_read,
     if (spikes[static_cast<size_t>(r)] == 0) continue;
     const double* row = panel + r * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
-      currents[static_cast<size_t>(c)] += v_read * row[c];
+      currents[static_cast<size_t>(c)] = nn::crossbar_mac(
+          v_read, row[c], currents[static_cast<size_t>(c)]);
     }
   }
 }
@@ -274,8 +278,10 @@ std::vector<double> DifferentialCrossbar::read_columns_spiking(
     if (spikes[static_cast<size_t>(r)] == 0) continue;
     const double* row = panel_.data() + r * 2 * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
-      ip[static_cast<size_t>(c)] += v_read * row[2 * c];
-      im[static_cast<size_t>(c)] += v_read * row[2 * c + 1];
+      ip[static_cast<size_t>(c)] =
+          nn::crossbar_mac(v_read, row[2 * c], ip[static_cast<size_t>(c)]);
+      im[static_cast<size_t>(c)] = nn::crossbar_mac(
+          v_read, row[2 * c + 1], im[static_cast<size_t>(c)]);
     }
   }
   for (size_t c = 0; c < ip.size(); ++c) ip[c] -= im[c];

@@ -1,7 +1,8 @@
 // Memristor crossbar array: the analog vector-matrix multiply primitive.
 //
 // A crossbar of R rows x C columns computes, in one read cycle, the column
-// currents  I_c = sum_r V_r * G[r][c]  for the word-line voltages V_r. A
+// currents  I_c = sum_r V_r * G[r][c]  for the word-line voltages V_r
+// (simulated as one fused multiply-add per cell, rows ascending). A
 // *signed* weight matrix uses two physical arrays (positive and negative
 // cells); the differential column current is what the IFC integrates.
 //
@@ -70,8 +71,9 @@ class Crossbar {
 
   /// Column currents accumulated into `currents` (size cols(), caller
   /// allocated; overwritten). Rows with zero voltage draw no current and
-  /// are skipped, in ascending row order — the accumulation order every
-  /// other read path reproduces.
+  /// are skipped; the rest add V * G in ascending row order, one fused
+  /// multiply-add each (nn::crossbar_mac) — the arithmetic every other
+  /// read path reproduces.
   void read_columns_into(const double* volts, double* currents) const;
 
   /// Spiking-read variant: rows with spike[r] != 0 are driven at `v_read`,

@@ -49,8 +49,12 @@ struct SncSystem::Stage {
   // Runner im2col tap table (conv stages): taps[pos * rows + r] is
   // the flat input index of receptive-field tap r at output position pos,
   // or -1 where the tap falls in the zero padding. Precomputed once at
-  // construction so the gather is a table walk with no bounds arithmetic.
+  // construction so the slot modes' gather is a table walk with no bounds
+  // arithmetic.
   std::vector<int32_t> taps;
+  // The collapsed read's plan (conv stages): padded plane, row offsets and
+  // position lane groups of nn::conv_read.
+  nn::ConvReadPlan lanes;
   // Fan-out of each input signal (crossbar stages): the number of
   // (position, row) taps that read it — taps entries equal to the index
   // for conv stages, 1 for dense stages. A nonzero input produces exactly
@@ -238,6 +242,8 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
     const int64_t rows = conv.in_channels() * conv.kernel() * conv.kernel();
     program_matrix(conv.weight().value, rows, conv.out_channels(), *stage);
     build_tap_table(*stage);
+    stage->lanes = nn::make_conv_read_plan(c, h, w, conv.kernel(),
+                                           conv.stride(), conv.pad());
     stage->bias.assign(static_cast<size_t>(conv.out_channels()), 0.0f);
     if (conv.uses_bias()) {
       for (int64_t j = 0; j < conv.out_channels(); ++j) {
@@ -373,10 +379,6 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
 }
 
 namespace {
-// Accumulator doubles (16 KB) per position tile of the collapsed ideal
-// read: the tile stays in L1 between the kernel and the epilogue.
-constexpr int64_t kReadTileDoubles = 2048;
-
 using Clock = std::chrono::steady_clock;
 
 int64_t nanos(Clock::duration d) {
@@ -410,20 +412,21 @@ nn::Rng SncSystem::next_coding_rng() {
                            kCodingStreamBase + coding_streams_issued_++));
 }
 
-// The crossbar-stage runner. Once per stage the B input signals are copied
-// into one image-minor drive buffer (slot s = input index + 1, slot 0 an
-// all-zero slot that padding taps read) beside a union-nonzero mask over
-// the slots, and each image's input_events is summed from the per-input
-// fan-out table. Per position the collapsed ideal read keeps only the
-// taps whose slot is live in some image and hands the (panel row, slot)
-// list to one image-tiled kernel, which writes the position's B rows of
-// column sums into a small tile of positions; one vectorized epilogue per
-// tile then turns the sums into counts. Slot modes keep their own gather,
-// because stochastic coding draws a full window from every image's stream
-// for every row. Per image the arithmetic is the dense oracle's sequence:
-// a tap that is zero for image b adds a signed zero product, which leaves
-// b's column sums unchanged, the live taps keep their ascending-row order,
-// and the epilogue is core::round_half_up operation for operation — so
+// The crossbar-stage runner. Each image's input_events is summed from the
+// per-input fan-out table. The collapsed ideal read then takes one of two
+// shapes. A conv stage copies each image's inputs once into a zero-padded
+// plane and runs nn::conv_read over (image, lane group) items: 8 output
+// positions per vector, every crossbar row read, the epilogue fused in
+// registers. A dense stage copies the B inputs into one image-minor drive
+// buffer beside a union-nonzero mask and runs one image-tiled
+// nn::accumulate_rows_batch over the rows live in some image, then
+// nn::read_epilogue per image. Slot modes (online integration, stochastic
+// coding) keep their own gather, because stochastic coding draws a full
+// window from every image's stream for every row; their unrectified stages
+// take their counts from the collapsed read above. Per image the
+// arithmetic is the dense oracle's sequence: one fused multiply-add per
+// term in ascending row order, where a zero drive leaves a sum unchanged,
+// and an epilogue that is core::round_half_up operation for operation — so
 // logits, predictions, and per-image stats are bit-identical at every
 // batch size.
 void SncSystem::run_crossbar_stage(
@@ -443,39 +446,21 @@ void SncSystem::run_crossbar_stage(
   const int64_t positions = is_conv ? stage.out_h * stage.out_w : 1;
   const bool slot_mode = config_.mode != IntegrationMode::kIdealIntegration ||
                          config_.stochastic_coding;
+  // Slot modes integrate rectified stages spike by spike; every other
+  // stage's counts come from the collapsed ideal read.
+  const bool collapsed = !slot_mode || !stage.rectify;
   const int64_t width = 2 * cols;
   const double* panel = stage.xbar->packed_panel();
   const int64_t row_bytes = width * static_cast<int64_t>(sizeof(double));
 
   // Host timing, only when stats are requested: a few clock reads per
-  // position tile, summed over the chunks of every thread.
+  // chunk, summed over the chunks of every thread.
   SncStageTiming* const timing = stage_timing_;
   std::atomic<int64_t> read_ns{0};
-  std::atomic<int64_t> epilogue_ns{0};
   std::atomic<int64_t> stage_panel{0};
   const auto drive_t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
 
-  // Drive buffer, union mask, and per-image event counts, shared read-only
-  // by every position chunk. Slot s of the drive buffer holds input s - 1
-  // of every image side by side; slot 0 stays the all-zero padding slot.
-  // Every entry is written, input-major, so the stores are sequential.
   const int64_t n_in = static_cast<int64_t>(stage.fanout.size());
-  drives_.resize(static_cast<size_t>((n_in + 1) * B));
-  live_.resize(static_cast<size_t>(n_in + 1));
-  std::fill(drives_.begin(), drives_.begin() + B, 0.0);
-  live_[0] = 0;
-  double* const drives = drives_.data();
-  for (int64_t i = 0; i < n_in; ++i) {
-    double* d = drives + (i + 1) * B;
-    int32_t any = 0;
-    for (int64_t b = 0; b < B; ++b) {
-      const int32_t v = inputs[static_cast<size_t>(b)][static_cast<size_t>(i)];
-      d[b] = static_cast<double>(v);
-      any |= v;
-    }
-    live_[static_cast<size_t>(i + 1)] = any != 0;
-  }
-  const uint8_t* const live = live_.data();
   const int32_t* const fanout = stage.fanout.data();
   for (int64_t b = 0; b < B; ++b) {
     if (stats[static_cast<size_t>(b)] == nullptr) continue;
@@ -489,12 +474,36 @@ void SncSystem::run_crossbar_stage(
     }
     stats[static_cast<size_t>(b)]->input_events = events;
   }
+  // Drives of the collapsed read: one padded plane per image (conv), or
+  // the image-minor buffer drives[i * B + b] = input i of image b and the
+  // union mask over inputs (dense). Every entry is written.
+  const nn::ConvReadPlan& plan = stage.lanes;
+  const int64_t plane_doubles = plan.plane_doubles();
+  if (collapsed && is_conv) {
+    planes_.resize(static_cast<size_t>(B * plane_doubles));
+    for (int64_t b = 0; b < B; ++b) {
+      nn::fill_conv_plane(plan, inputs[static_cast<size_t>(b)].data(),
+                          planes_.data() + b * plane_doubles);
+    }
+  } else if (collapsed) {
+    drives_.resize(static_cast<size_t>(n_in * B));
+    live_.resize(static_cast<size_t>(n_in));
+    for (int64_t i = 0; i < n_in; ++i) {
+      double* d = drives_.data() + i * B;
+      int32_t any = 0;
+      for (int64_t b = 0; b < B; ++b) {
+        const int32_t v =
+            inputs[static_cast<size_t>(b)][static_cast<size_t>(i)];
+        d[b] = static_cast<double>(v);
+        any |= v;
+      }
+      live_[static_cast<size_t>(i)] = any != 0;
+    }
+  }
   if (timing != nullptr) timing->drive_us = micros_since(drive_t0);
 
-  // Epilogue of the collapsed ideal read over n consecutive positions from
-  // pos0 whose column sums sit position-major in acc (B image rows of
-  // `width` per position): y = step * level_sum + bias rounded (and
-  // clamped on rectified stages) into every image's output.
+  // The collapsed read's epilogue: y = step * level_sum + bias rounded
+  // (and clamped on rectified stages) into every image's output.
   nn::ReadEpilogue epilogue;
   epilogue.cols = cols;
   epilogue.dg = dg;
@@ -502,82 +511,78 @@ void SncSystem::run_crossbar_stage(
   epilogue.bias = stage.bias.data();
   epilogue.rectify = stage.rectify;
   epilogue.ceiling = T;
-  auto finish_read = [&](int64_t pos0, int64_t n, const double* acc) {
-    for (int64_t b = 0; b < B; ++b) {
-      nn::read_epilogue(acc + b * width, n, B * width, epilogue,
-                        outputs[static_cast<size_t>(b)].data() + pos0,
-                        positions,
-                        stage.final_readout
-                            ? readout_[static_cast<size_t>(b)].data()
-                            : nullptr);
+  auto readout = [&](int64_t b) {
+    return stage.final_readout ? readout_[static_cast<size_t>(b)].data()
+                               : nullptr;
+  };
+
+  // Conv read over (image, lane group) items, image-major. Every item
+  // writes its own positions' counts (and the last group its image's
+  // readout), so chunks never share an output.
+  const int64_t n_groups = static_cast<int64_t>(plan.groups.size());
+  auto read_lanes = [&](int64_t i0, int64_t i1) {
+    const auto t0 = timing != nullptr ? Clock::now() : Clock::time_point{};
+    for (int64_t i = i0; i < i1;) {
+      const int64_t b = i / n_groups;
+      const int64_t g0 = i % n_groups;
+      const int64_t g1 = std::min(n_groups, g0 + (i1 - i));
+      nn::conv_read(plan, planes_.data() + b * plane_doubles, panel,
+                    epilogue, g0, g1,
+                    outputs[static_cast<size_t>(b)].data(), readout(b));
+      i += g1 - g0;
+    }
+    if (timing != nullptr) {
+      read_ns.fetch_add(nanos(Clock::now() - t0), std::memory_order_relaxed);
     }
   };
+
+  // Dense read: the rows live in some image, one image-tiled kernel call,
+  // one epilogue per image.
+  auto read_dense = [&] {
+    const auto ta = timing != nullptr ? Clock::now() : Clock::time_point{};
+    events_.resize(static_cast<size_t>(rows));
+    acc_.resize(static_cast<size_t>(B * width));
+    int64_t n = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+      events_[static_cast<size_t>(n)] = static_cast<int32_t>(r);
+      n += live_[static_cast<size_t>(r)];
+    }
+    // Dense row r reads input r: the event list is its own source list.
+    nn::accumulate_rows_batch(events_.data(), events_.data(), n,
+                              drives_.data(), B, panel, width, acc_.data());
+    const auto tb = timing != nullptr ? Clock::now() : Clock::time_point{};
+    for (int64_t b = 0; b < B; ++b) {
+      nn::read_epilogue(acc_.data() + b * width, 1, width, epilogue,
+                        outputs[static_cast<size_t>(b)].data(), 1,
+                        readout(b));
+    }
+    panel_bytes_.fetch_add(n * row_bytes, std::memory_order_relaxed);
+    if (timing != nullptr) {
+      stage_panel.fetch_add(n * row_bytes, std::memory_order_relaxed);
+      timing->read_us += static_cast<double>(nanos(tb - ta)) * 1e-3;
+      timing->epilogue_us = micros_since(tb);
+    }
+  };
+
+  if (collapsed && is_conv) {
+    // One panel-row stream per (image, lane group, row).
+    const int64_t bytes = B * n_groups * rows * row_bytes;
+    panel_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    if (timing != nullptr) {
+      stage_panel.fetch_add(bytes, std::memory_order_relaxed);
+    }
+    // Passed by reference: a std::function holding the lambda itself would
+    // not fit the small-object buffer and would allocate on every stage.
+    const int64_t items = B * n_groups;
+    util::parallel_for(0, items, std::max<int64_t>(1, items / 32),
+                       std::cref(read_lanes));
+  } else if (collapsed) {
+    read_dense();
+  }
 
   // Per-image occupied-slot totals; only the slot modes count them.
   std::vector<std::atomic<int64_t>> occupied_count(
       static_cast<size_t>(slot_mode ? B : 0));
-
-  auto run_ideal = [&](int64_t p0, int64_t p1) {
-    // Per-thread scratch, grown on first use; the position loop never
-    // allocates. The accumulator tile holds a few positions — enough to
-    // amortize the epilogue, small enough to stay in L1 — never the whole
-    // stage.
-    const int64_t tile = std::clamp<int64_t>(kReadTileDoubles / (B * width),
-                                             1, p1 - p0);
-    thread_local std::vector<int32_t> tl_event_rows;
-    thread_local std::vector<int32_t> tl_event_slots;
-    thread_local std::vector<double> tl_acc;
-    if (tl_event_rows.size() < static_cast<size_t>(rows)) {
-      tl_event_rows.resize(static_cast<size_t>(rows));
-      tl_event_slots.resize(static_cast<size_t>(rows));
-    }
-    if (tl_acc.size() < static_cast<size_t>(tile * B * width)) {
-      tl_acc.resize(static_cast<size_t>(tile * B * width));
-    }
-    int32_t* const event_rows = tl_event_rows.data();
-    int32_t* const event_slots = tl_event_slots.data();
-    double* const acc = tl_acc.data();
-    int64_t chunk_panel = 0;
-    int64_t chunk_read_ns = 0;
-    int64_t chunk_epilogue_ns = 0;
-    for (int64_t t0 = p0; t0 < p1; t0 += tile) {
-      const int64_t t1 = std::min(t0 + tile, p1);
-      const auto ta =
-          timing != nullptr ? Clock::now() : Clock::time_point{};
-      for (int64_t pos = t0; pos < t1; ++pos) {
-        // Branch-free tap filter: every tap is written, only live ones
-        // advance the list.
-        const int32_t* taps =
-            is_conv ? stage.taps.data() + pos * rows : nullptr;
-        int64_t n = 0;
-        for (int64_t r = 0; r < rows; ++r) {
-          const int32_t slot =
-              (is_conv ? taps[r] : static_cast<int32_t>(r)) + 1;
-          event_rows[n] = static_cast<int32_t>(r);
-          event_slots[n] = slot;
-          n += live[slot];
-        }
-        chunk_panel += n * row_bytes;
-        nn::accumulate_rows_batch(event_rows, event_slots, n, drives, B,
-                                  panel, width, acc + (pos - t0) * B * width);
-      }
-      if (timing != nullptr) {
-        const auto tb = Clock::now();
-        finish_read(t0, t1 - t0, acc);
-        const auto tc = Clock::now();
-        chunk_read_ns += nanos(tb - ta);
-        chunk_epilogue_ns += nanos(tc - tb);
-      } else {
-        finish_read(t0, t1 - t0, acc);
-      }
-    }
-    panel_bytes_.fetch_add(chunk_panel, std::memory_order_relaxed);
-    if (timing != nullptr) {
-      stage_panel.fetch_add(chunk_panel, std::memory_order_relaxed);
-      read_ns.fetch_add(chunk_read_ns, std::memory_order_relaxed);
-      epilogue_ns.fetch_add(chunk_epilogue_ns, std::memory_order_relaxed);
-    }
-  };
 
   auto run_slots = [&](int64_t p0, int64_t p1) {
     const auto chunk_t0 =
@@ -586,10 +591,8 @@ void SncSystem::run_crossbar_stage(
     // slot loops below never allocate. fires[(b * T + t) * rows + i] is
     // the i-th panel row (ascending) whose spike train fires in slot t of
     // image b, nfire[b * T + t] how many there are.
-    std::vector<int32_t> event_rows(static_cast<size_t>(rows));
-    std::vector<int32_t> event_slots(static_cast<size_t>(rows));
     std::vector<int64_t> vrow(static_cast<size_t>(B));
-    std::vector<double> acc(static_cast<size_t>(B * width));
+    std::vector<double> acc(static_cast<size_t>(width));
     std::vector<int32_t> fires(static_cast<size_t>(B * T * rows));
     std::vector<int32_t> nfire(static_cast<size_t>(B * T));
     std::vector<uint8_t> train(static_cast<size_t>(T));
@@ -615,7 +618,6 @@ void SncSystem::run_crossbar_stage(
       const int32_t* taps =
           is_conv ? stage.taps.data() + pos * rows : nullptr;
       std::fill(nfire.begin(), nfire.end(), 0);
-      int64_t nu = 0;  // union rows with at least one nonzero drive
       for (int64_t r = 0; r < rows; ++r) {
         const int32_t tap = is_conv ? taps[r] : static_cast<int32_t>(r);
         bool any = false;
@@ -647,9 +649,6 @@ void SncSystem::run_crossbar_stage(
           }
         }
         if (!any) continue;
-        event_rows[static_cast<size_t>(nu)] = static_cast<int32_t>(r);
-        event_slots[static_cast<size_t>(nu)] = tap + 1;
-        ++nu;
         // A union row firing in slot t streams its panel row once for the
         // whole batch.
         for (int64_t t = 0; t < T; ++t) {
@@ -699,12 +698,6 @@ void SncSystem::run_crossbar_stage(
               counters[static_cast<size_t>(col)].value();
         }
       }
-      if (!stage.rectify) {
-        chunk_panel += nu * row_bytes;
-        nn::accumulate_rows_batch(event_rows.data(), event_slots.data(), nu,
-                                  drives, B, panel, width, acc.data());
-        finish_read(pos, 1, acc.data());
-      }
     }
     for (int64_t b = 0; b < B; ++b) {
       occupied_count[static_cast<size_t>(b)].fetch_add(
@@ -718,25 +711,15 @@ void SncSystem::run_crossbar_stage(
     }
   };
 
-  // Positions parallelize on deterministic non-readout stages; chunk
-  // boundaries are shape-only, so the parallel schedule never affects
-  // results. Stochastic coding (per-image streams drawn in position
-  // order) and the final readout (positions overwrite readout_) stay
+  // Slot positions parallelize on deterministic stages; chunk boundaries
+  // are shape-only, so the parallel schedule never affects results.
+  // Stochastic coding (per-image streams drawn in position order) stays
   // serial.
-  auto run_positions = [&](int64_t p0, int64_t p1) {
-    if (slot_mode) {
-      run_slots(p0, p1);
-    } else {
-      run_ideal(p0, p1);
-    }
-  };
-  if (!config_.stochastic_coding && !stage.final_readout) {
-    // Passed by reference: a std::function holding the lambda itself would
-    // not fit the small-object buffer and would allocate on every stage.
+  if (slot_mode && !config_.stochastic_coding) {
     util::parallel_for(0, positions, std::max<int64_t>(1, positions / 32),
-                       std::cref(run_positions));
-  } else {
-    run_positions(0, positions);
+                       std::cref(run_slots));
+  } else if (slot_mode) {
+    run_slots(0, positions);
   }
 
   for (int64_t b = 0; b < B && slot_mode; ++b) {
@@ -747,11 +730,8 @@ void SncSystem::run_crossbar_stage(
   }
   if (timing != nullptr) {
     timing->panel_bytes = stage_panel.load(std::memory_order_relaxed);
-    timing->read_us =
+    timing->read_us +=
         static_cast<double>(read_ns.load(std::memory_order_relaxed)) * 1e-3;
-    timing->epilogue_us =
-        static_cast<double>(epilogue_ns.load(std::memory_order_relaxed)) *
-        1e-3;
   }
 }
 

@@ -121,17 +121,22 @@ struct SncStageStats {
 /// Where one crossbar stage's host time went in the last call that
 /// requested stats: SncSystem::last_call_timing(). These are properties of
 /// the call, not of each image (a B-image call reports one entry per stage
-/// for all B images), measured with a few steady_clock reads per position
-/// tile. read_us and epilogue_us are summed over the pool threads that ran
-/// the stage's position chunks, so with more than one thread they can
-/// exceed stage_us, the stage's wall time.
+/// for all B images), measured with a few steady_clock reads per chunk of
+/// work. read_us is summed over the pool threads that ran the stage's
+/// chunks, so with more than one thread it can exceed stage_us, the
+/// stage's wall time.
 struct SncStageTiming {
   /// Conductance-panel bytes the stage streamed (deterministic; the
   /// per-stage share of SncSystem::panel_bytes_streamed()).
   int64_t panel_bytes = 0;
-  double drive_us = 0.0;     // drive buffer, union mask and event counts
-  double read_us = 0.0;      // tap filter + panel accumulate (thread sum)
-  double epilogue_us = 0.0;  // rounding sums into counts (thread sum)
+  /// Event counts plus the read's drives: the padded input planes (conv)
+  /// or the drive buffer and union mask (dense).
+  double drive_us = 0.0;
+  /// The read (thread sum); on conv stages it includes the epilogue,
+  /// which runs fused in registers.
+  double read_us = 0.0;
+  /// Rounding sums into counts on dense stages; 0 on conv stages.
+  double epilogue_us = 0.0;
   double stage_us = 0.0;     // the whole crossbar stage, wall time
   double pool_us = 0.0;      // digital pool stages that follow it
   double skip_us = 0.0;      // residual skip latch and skip add
@@ -176,19 +181,20 @@ class SncSystem {
   int64_t infer(const nn::Tensor& image, SncStats* stats = nullptr);
 
   /// Inference of a [B, C, H, W] image stack through the crossbar-stage
-  /// runner, with host work that follows input events. Per crossbar stage
-  /// the B input signals are copied once into an image-minor drive buffer
-  /// beside a union-nonzero mask, and each image's input_events is summed
-  /// from a per-input tap fan-out table baked at programming time. Per
-  /// position the collapsed ideal read keeps only the taps live in some
-  /// image and runs one image-tiled kernel (nn::accumulate_rows_batch)
-  /// that shares each panel-row load across a tile of up to 8 images
-  /// (AVX-512; 4 on AVX2); a small tile of positions then goes through one
-  /// vectorized epilogue (nn::read_epilogue) that rounds the column sums
-  /// into counts. Slot modes (online integration, stochastic coding)
-  /// gather the union rows once, encode every image's spike trains into
-  /// per-slot firing-row lists, and run the same kernel once per (image,
-  /// occupied slot); their
+  /// runner. Per crossbar stage each image's input_events is summed from a
+  /// per-input tap fan-out table baked at programming time. A conv stage's
+  /// collapsed ideal read copies each image's inputs once into a
+  /// zero-padded plane and runs nn::conv_read with output positions in the
+  /// SIMD lanes: 8 positions per vector, one fused multiply-add per
+  /// crossbar cell, the rounding epilogue fused in registers and one
+  /// contiguous store per column. A dense stage copies the B inputs into an
+  /// image-minor drive buffer beside a union-nonzero mask and runs one
+  /// image-tiled kernel (nn::accumulate_rows_batch, a tile of up to 8
+  /// images on AVX-512, 4 on AVX2) over the rows live in some image, then
+  /// one vectorized epilogue (nn::read_epilogue) per image. Slot modes
+  /// (online integration, stochastic coding) gather the union rows once,
+  /// encode every image's spike trains into per-slot firing-row lists, and
+  /// run accumulate_rows_batch once per (image, occupied slot); their
   /// unrectified stages take the collapsed read above. Per-image spike
   /// trains, IFC state, slot occupancy, stochastic-coding RNG streams, and
   /// stats do not depend on the grouping: logits, predictions, and
@@ -223,11 +229,13 @@ class SncSystem {
   }
 
   /// Cumulative conductance-panel bytes streamed by the runner's crossbar
-  /// reads since construction: each row pass counts 2*cols doubles (the
-  /// metric describes signal-driven panel traffic, like SncStageStats). A
-  /// batch streams each union event row once, so bytes-per-image shrinking
-  /// with batch size is exactly the amortization the batch sweep bench
-  /// reports; infer_reference() streams none.
+  /// reads since construction; each row pass counts 2*cols doubles. A conv
+  /// stage's read streams one panel row per (image, 8-position lane group,
+  /// crossbar row), rows whose 8 drives are all zero included (the SIMD
+  /// tiers skip their multiply-adds), so it is a function of the shape
+  /// alone. A dense stage streams each row live in some image of the batch
+  /// once, and a slot read each (union row, firing slot) once.
+  /// infer_reference() streams none.
   int64_t panel_bytes_streamed() const {
     return panel_bytes_.load(std::memory_order_relaxed);
   }
@@ -277,11 +285,12 @@ class SncSystem {
       const Stage& stage, const Signals& inputs, Signals& outputs,
       const std::vector<SncStageStats*>& stats,
       std::vector<nn::Rng>& coding_rngs);
-  /// The crossbar-stage runner behind infer() and infer_batch(): stage-wide
-  /// drive buffer and union mask, fan-out event counts, one image-tiled
-  /// kernel call per position and one epilogue per position tile (ideal
-  /// read), or one kernel call per (image, occupied slot) over a union
-  /// gather (slot modes).
+  /// The crossbar-stage runner behind infer() and infer_batch(): fan-out
+  /// event counts, then the collapsed ideal read (nn::conv_read over
+  /// (image, lane group) items on conv stages, one image-tiled
+  /// nn::accumulate_rows_batch call and epilogue on dense stages), or one
+  /// kernel call per (image, occupied slot) over a union gather (slot
+  /// modes).
   void run_crossbar_stage(const Stage& stage, const Signals& inputs,
                           Signals& outputs,
                           const std::vector<SncStageStats*>& stats,
@@ -325,13 +334,17 @@ class SncSystem {
   // Call workspace, reused across calls so a steady-state ideal-read call
   // at a fixed batch size allocates only its result: per-image signals
   // ping-pong between signals_ and next_ stage by stage, skips_ latches
-  // residual inputs, drives_ / live_ are the crossbar stage's image-minor
-  // drive buffer and union mask.
+  // residual inputs, planes_ holds a conv stage's padded input planes (one
+  // per image), and drives_ / live_ / events_ / acc_ are a dense stage's
+  // image-minor drive buffer, union mask, event list and column sums.
   Signals signals_;
   Signals next_;
   Signals skips_;
+  std::vector<double> planes_;
   std::vector<double> drives_;
   std::vector<uint8_t> live_;
+  std::vector<int32_t> events_;
+  std::vector<double> acc_;
   std::vector<nn::Rng> coding_rngs_;
   std::vector<SncStageStats*> stage_stats_;
   uint64_t coding_streams_issued_ = 0;

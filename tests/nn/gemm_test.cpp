@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/fixed_point.h"
+#include "nn/im2col.h"
 #include "nn/gemm_kernels.h"
 #include "nn/rng.h"
 #include "nn/simd.h"
@@ -252,7 +254,7 @@ TEST(GemmSimdDispatchTest, ForceScalarOverrideWinsAndRestores) {
 // ---------------------------------------------------------------------------
 
 // Naive batched row drive: per image, ascending events from +0.0, one
-// multiply and one add per term.
+// std::fma per term (the read's numeric model, nn::crossbar_mac).
 std::vector<double> naive_accumulate(const std::vector<int32_t>& rows,
                                      const std::vector<int32_t>& srcs,
                                      const std::vector<double>& drives,
@@ -264,8 +266,8 @@ std::vector<double> naive_accumulate(const std::vector<int32_t>& rows,
     for (size_t e = 0; e < rows.size(); ++e) {
       const double v = drives[static_cast<size_t>(srcs[e] * batch + b)];
       for (int64_t c = 0; c < width; ++c) {
-        acc[static_cast<size_t>(b * width + c)] +=
-            v * panel[static_cast<size_t>(rows[e] * width + c)];
+        double& a = acc[static_cast<size_t>(b * width + c)];
+        a = std::fma(v, panel[static_cast<size_t>(rows[e] * width + c)], a);
       }
     }
   }
@@ -309,7 +311,7 @@ std::vector<ReadTier> tiers_below_avx512() {
       {"dispatch", &accumulate_rows_batch, &read_epilogue},
       {"scalar", &kernels::scalar_accumulate_rows_batch,
        &kernels::scalar_read_epilogue}};
-  if (simd::cpu_has_avx2()) {
+  if (simd::cpu_has_avx2() && simd::cpu_has_fma()) {
     tiers.push_back({"avx2", &kernels::avx2_accumulate_rows_batch,
                      &kernels::avx2_read_epilogue});
   }
@@ -552,6 +554,231 @@ TEST(ReadEpilogueTest, Avx512MatchesCore) {
   check_ties(tiers);
   check_conductance_sums(tiers);
   check_no_rows(tiers);
+}
+
+// ---------------------------------------------------------------------------
+// The conv lanes read: output positions in the SIMD lanes, every tier
+// against a naive std::fma loop over an explicit im2col gather.
+// ---------------------------------------------------------------------------
+
+using ConvReadFn = void (*)(const ConvReadPlan&, const double*,
+                            const double*, const ReadEpilogue&, int64_t,
+                            int64_t, int32_t*, double*);
+
+struct ConvTier {
+  std::string name;
+  ConvReadFn read;
+};
+
+// The dispatch plus every compiled tier this CPU runs.
+std::vector<ConvTier> conv_tiers() {
+  std::vector<ConvTier> tiers = {{"dispatch", &conv_read},
+                                 {"scalar", &kernels::scalar_conv_read}};
+  if (simd::cpu_has_avx2() && simd::cpu_has_fma()) {
+    tiers.push_back({"avx2", &kernels::avx2_conv_read});
+  }
+  if (simd::cpu_has_avx512()) {
+    tiers.push_back({"avx512", &kernels::avx512_conv_read});
+  }
+  return tiers;
+}
+
+struct ConvGeom {
+  int64_t in_c, in_h, in_w, kernel, stride, pad;
+};
+
+// Shapes whose lane groups take every load: one run (out_w a multiple of
+// 8), two runs (rows of 12 or 28 positions), gathers (rows shorter than a
+// group, stride 2), and a last group with dead lanes.
+const ConvGeom kConvGeoms[] = {
+    {1, 28, 28, 5, 1, 2},  // lenet conv1: 784 positions, two-run groups
+    {2, 12, 12, 5, 1, 2},  // 144 positions, pad 2
+    {3, 7, 9, 3, 1, 0},    // 5 x 7 = 35 positions, pad 0
+    {2, 6, 5, 3, 1, 0},    // 4 x 3 = 12 positions: groups gather
+    {2, 11, 13, 3, 2, 1},  // stride 2, 6 x 7 = 42 positions
+    {1, 4, 16, 3, 1, 1},   // one-run groups, 64 positions
+    {2, 10, 10, 5, 2, 2},  // stride 2, pad 2, 5 x 5 = 25 positions
+};
+
+// The naive read of one image: per position and panel column, rows
+// ascending from +0.0, one std::fma per row (zero drives included), then
+// the read epilogue's arithmetic (core::round_half_up, clamp).
+void naive_conv_read(const ConvGeom& g, const std::vector<int32_t>& input,
+                     const std::vector<double>& panel, const ReadEpilogue& ep,
+                     std::vector<int32_t>& counts, std::vector<double>& y) {
+  const int64_t out_h = conv_out_extent(g.in_h, g.kernel, g.stride, g.pad);
+  const int64_t out_w = conv_out_extent(g.in_w, g.kernel, g.stride, g.pad);
+  const int64_t positions = out_h * out_w;
+  const int64_t width = 2 * ep.cols;
+  counts.assign(static_cast<size_t>(ep.cols * positions), 0);
+  y.assign(static_cast<size_t>(ep.cols), 0.0);
+  std::vector<double> sums(static_cast<size_t>(width));
+  for (int64_t pos = 0; pos < positions; ++pos) {
+    std::fill(sums.begin(), sums.end(), 0.0);
+    int64_t r = 0;
+    for (int64_t ic = 0; ic < g.in_c; ++ic) {
+      for (int64_t ky = 0; ky < g.kernel; ++ky) {
+        for (int64_t kx = 0; kx < g.kernel; ++kx, ++r) {
+          const int64_t iy = pos / out_w * g.stride - g.pad + ky;
+          const int64_t ix = pos % out_w * g.stride - g.pad + kx;
+          const double v =
+              iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w
+                  ? input[static_cast<size_t>((ic * g.in_h + iy) * g.in_w +
+                                              ix)]
+                  : 0.0;
+          for (int64_t c = 0; c < width; ++c) {
+            double& s = sums[static_cast<size_t>(c)];
+            s = std::fma(v, panel[static_cast<size_t>(r * width + c)], s);
+          }
+        }
+      }
+    }
+    for (int64_t c = 0; c < ep.cols; ++c) {
+      const double yc =
+          ep.step * ((sums[static_cast<size_t>(2 * c)] -
+                      sums[static_cast<size_t>(2 * c + 1)]) /
+                     ep.dg) +
+          static_cast<double>(ep.bias[c]);
+      counts[static_cast<size_t>(c * positions + pos)] =
+          static_cast<int32_t>(std::clamp<int64_t>(
+              core::round_half_up(yc), ep.rectify ? 0 : INT32_MIN,
+              ep.rectify ? ep.ceiling : INT32_MAX));
+      if (pos == positions - 1) y[static_cast<size_t>(c)] = yc;
+    }
+  }
+}
+
+// Runs every tier over one case, the groups split into two calls, and
+// compares counts and the last position's y bit for bit with the naive
+// read.
+void check_conv_case(const ConvGeom& g, const std::vector<int32_t>& input,
+                     const std::vector<double>& panel, const ReadEpilogue& ep,
+                     const std::string& what) {
+  const ConvReadPlan plan = make_conv_read_plan(g.in_c, g.in_h, g.in_w,
+                                                g.kernel, g.stride, g.pad);
+  std::vector<int32_t> want_counts;
+  std::vector<double> want_y;
+  naive_conv_read(g, input, panel, ep, want_counts, want_y);
+  ASSERT_EQ(static_cast<int64_t>(want_counts.size()),
+            ep.cols * plan.positions);
+  std::vector<double> plane(static_cast<size_t>(plan.plane_doubles()), -3.0);
+  fill_conv_plane(plan, input.data(), plane.data());
+  const int64_t n_groups = static_cast<int64_t>(plan.groups.size());
+  for (const ConvTier& tier : conv_tiers()) {
+    const std::string ctx = what + " " + tier.name;
+    std::vector<int32_t> counts(want_counts.size(), -7);
+    std::vector<double> y(static_cast<size_t>(ep.cols), -5.0);
+    const int64_t mid = n_groups / 2;
+    tier.read(plan, plane.data(), panel.data(), ep, 0, mid, counts.data(),
+              y.data());
+    tier.read(plan, plane.data(), panel.data(), ep, mid, n_groups,
+              counts.data(), y.data());
+    ASSERT_EQ(counts, want_counts) << ctx;
+    expect_double_bits_equal(y, want_y, ctx + " y");
+  }
+}
+
+// Spike-count-like inputs (about 60% zeros) or an all-zero plane, panels
+// of both signs, every column count from 1 to 25 (panel widths 2 to 50:
+// one and several column blocks on every tier), rectified and raw. An
+// all-zero plane with a -0.0 bias reads y = +0.0 only if every sum stayed
+// +0.0.
+TEST(ConvReadTest, EveryTierMatchesNaiveFmaLoopBitExact) {
+  for (const ConvGeom& g : kConvGeoms) {
+    const int64_t rows = g.in_c * g.kernel * g.kernel;
+    for (int64_t cols = 1; cols <= 25; ++cols) {
+      for (const bool zero_plane : {false, true}) {
+        Rng rng(static_cast<uint64_t>(cols * 977 + rows));
+        std::vector<int32_t> input(
+            static_cast<size_t>(g.in_c * g.in_h * g.in_w), 0);
+        if (!zero_plane) {
+          for (int32_t& v : input) {
+            v = std::max(0, static_cast<int32_t>(rng.uniform(-10.0f, 16.0f)));
+          }
+        }
+        std::vector<double> panel(static_cast<size_t>(rows * 2 * cols));
+        for (double& p : panel) p = rng.uniform(-1.0f, 1.0f) * 1e-4;
+        std::vector<float> bias(static_cast<size_t>(cols), -0.0f);
+        if (!zero_plane) {
+          for (float& b : bias) b = rng.uniform(-2.0f, 2.0f);
+        }
+        ReadEpilogue ep;
+        ep.cols = cols;
+        ep.dg = 1.7e-5 / 8.0;
+        ep.step = 0.0037;
+        ep.bias = bias.data();
+        ep.ceiling = 15;
+        for (const bool rectify : {false, true}) {
+          ep.rectify = rectify;
+          check_conv_case(g, input, panel, ep,
+                          "geom " + std::to_string(g.in_h) + "x" +
+                              std::to_string(g.in_w) + " s" +
+                              std::to_string(g.stride) + " p" +
+                              std::to_string(g.pad) + " cols " +
+                              std::to_string(cols) +
+                              (zero_plane ? " zero" : "") +
+                              (rectify ? " rectified" : " raw"));
+        }
+      }
+    }
+  }
+}
+
+// Integer panels keep every sum exact, so with unit step and dg and no
+// bias each count is its position's exact column sum: a drive read from
+// the wrong lane, row or run changes a count at that position.
+TEST(ConvReadTest, IntegerPanelsGiveEveryPositionsExactSums) {
+  for (const ConvGeom& g : kConvGeoms) {
+    const int64_t rows = g.in_c * g.kernel * g.kernel;
+    for (const int64_t cols : {1, 6, 12, 16, 25}) {
+      Rng rng(static_cast<uint64_t>(cols * 31 + g.in_w));
+      std::vector<int32_t> input(
+          static_cast<size_t>(g.in_c * g.in_h * g.in_w));
+      for (int32_t& v : input) {
+        v = static_cast<int32_t>(rng.uniform(0.0f, 16.0f));
+      }
+      std::vector<double> panel(static_cast<size_t>(rows * 2 * cols));
+      for (double& p : panel) {
+        p = static_cast<double>(static_cast<int>(rng.uniform(0.0f, 4.0f)));
+      }
+      const std::vector<float> bias(static_cast<size_t>(cols), 0.0f);
+      ReadEpilogue ep;
+      ep.cols = cols;
+      ep.bias = bias.data();
+      check_conv_case(g, input, panel, ep,
+                      "integer geom " + std::to_string(g.in_h) + "x" +
+                          std::to_string(g.in_w) + " cols " +
+                          std::to_string(cols));
+    }
+  }
+}
+
+// The plan's lane groups: origins ascend, dead lanes repeat the last live
+// origin, and the split classifies each group's load.
+TEST(ConvReadTest, PlanClassifiesEveryGroupsLoad) {
+  // 28-wide rows: groups inside a row are one run, groups across a row
+  // boundary two runs; 784 positions fill every group.
+  const ConvReadPlan lenet = make_conv_read_plan(1, 28, 28, 5, 1, 2);
+  ASSERT_EQ(lenet.positions, 784);
+  ASSERT_EQ(lenet.groups.size(), 98u);
+  EXPECT_EQ(lenet.plane_w, 32);
+  EXPECT_EQ(lenet.groups[0].split, 8);  // positions 0..7 of row 0
+  EXPECT_EQ(lenet.groups[3].split, 4);  // positions 24..31: 4 + 4
+  EXPECT_EQ(lenet.groups[3].origin[4], 32);
+  // 3-wide rows: a group spans three rows and gathers.
+  const ConvReadPlan narrow = make_conv_read_plan(2, 6, 5, 3, 1, 0);
+  EXPECT_EQ(narrow.groups.front().split, 0);
+  // 7-wide rows: two runs (7 + 1); the last group of 35 positions has 3
+  // live lanes.
+  const ConvReadPlan odd = make_conv_read_plan(3, 7, 9, 3, 1, 0);
+  ASSERT_EQ(odd.positions, 35);
+  EXPECT_EQ(odd.groups.front().split, 7);
+  const ConvLaneGroup& last = odd.groups.back();
+  EXPECT_EQ(last.live, 3);
+  for (int j = 3; j < 8; ++j) EXPECT_EQ(last.origin[j], last.origin[2]);
+  // Stride 2: lanes two apart never form a run.
+  const ConvReadPlan strided = make_conv_read_plan(2, 11, 13, 3, 2, 1);
+  EXPECT_EQ(strided.groups.front().split, 0);
 }
 
 }  // namespace

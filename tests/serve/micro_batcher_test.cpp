@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -140,6 +141,33 @@ TEST(MicroBatcherTest, TimeoutFlushesPartialBatch) {
     EXPECT_EQ(r.status, Status::kOk);
     EXPECT_LE(r.batch_size, 3u);
   }
+}
+
+// The batch window opens when a request arrives, not when the batcher
+// wakes: a request whose window elapsed while the previous batch ran is
+// batched as soon as that batch returns, without a second full window.
+// Margins are 100 ms or more on a 300 ms window.
+TEST(MicroBatcherTest, WindowElapsedDuringABatchDoesNotWaitAgain) {
+  FakeBackend backend(/*gated=*/true);
+  BatchOptions opts;
+  opts.max_batch = 8;
+  opts.batch_timeout_us = 300000;
+  MicroBatcher batcher(backend, opts);
+
+  std::future<Response> first = batcher.submit(image_with_value(0.0f));
+  backend.wait_until_blocked();  // its window closed; the batch is running
+  std::future<Response> second = batcher.submit(image_with_value(1.0f));
+  // The second request's whole window passes while the first batch runs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const auto released = std::chrono::steady_clock::now();
+  backend.release();
+  EXPECT_EQ(first.get().prediction, 0);
+  const Response r = second.get();
+  const auto waited = std::chrono::steady_clock::now() - released;
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.prediction, 1);
+  EXPECT_EQ(r.batch_size, 1u);
+  EXPECT_LT(waited, std::chrono::milliseconds(200));
 }
 
 TEST(MicroBatcherTest, BackpressureRejectsWithRetryHintAndNeverBlocks) {
@@ -306,6 +334,22 @@ TEST(MicroBatcherTest, DegradedFlagPropagatesToResponses) {
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.prediction, 9);
   EXPECT_EQ(batcher.stats().degraded, 1u);
+}
+
+// Samples spread inside one power-of-two band (2048..3047 us, all in
+// [2048, 4096)) keep their spread: the median's bucket is also the top
+// occupied one, and interpolation stays inside [min, max].
+TEST(LatencyHistogramTest, SpreadInsideOneBandKeepsPercentilesApart) {
+  LatencyHistogram h;
+  for (uint64_t us = 2048; us < 3048; ++us) h.record(us);
+  const uint64_t p50 = h.percentile_us(50.0);
+  const uint64_t p99 = h.percentile_us(99.0);
+  EXPECT_LT(p50, p99);
+  EXPECT_LE(p99, h.max_us());
+  EXPECT_EQ(h.max_us(), 3047u);
+  EXPECT_GE(h.percentile_us(0.0), 2048u);
+  EXPECT_NEAR(static_cast<double>(p50), 2548.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(p99), 3038.0, 2.0);
 }
 
 }  // namespace

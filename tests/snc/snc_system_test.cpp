@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "core/fixed_point.h"
 #include "core/bn_folding.h"
 #include "core/neuron_convergence.h"
@@ -10,10 +13,12 @@
 #include "data/synthetic_cifar.h"
 #include "data/synthetic_mnist.h"
 #include "models/model_zoo.h"
+#include "nn/layers/conv2d.h"
 #include "nn/layers/dense.h"
 #include "nn/layers/flatten.h"
 #include "nn/layers/pool.h"
 #include "nn/layers/relu.h"
+#include "nn/simd.h"
 #include "support/allocation_counter.h"
 #include "util/thread_pool.h"
 
@@ -68,6 +73,147 @@ TEST(SncSystemTest, HandComputedIntegerInference) {
   EXPECT_EQ(stats.layers, 2);
   // Input spikes 13, hidden 7+6=13, logit counters round to 4+10=14.
   EXPECT_EQ(stats.total_spikes, 13 + 13 + 14);
+}
+
+// The crossbar read is one fused multiply-add per cell: each logit of an
+// ideal-device deployment equals step * ((I+ - I-) / dg) + bias with every
+// column current summed as std::fma(v, G, I) over ascending rows, from
+// conductances the test derives itself (level_conductance). The inputs are
+// chosen so that a separate multiply and add gives different bits for at
+// least one logit, so this pins the fused model: infer(), infer_batch(),
+// infer_reference() and the forced-scalar dispatch all read the fused
+// value, bit for bit. Covers a conv final readout (the conv read's last
+// position) and a dense one.
+TEST(SncSystemTest, ReadIsOneFusedMultiplyAddPerCell) {
+  SncConfig cfg;
+  cfg.signal_bits = 4;
+  cfg.weight_bits = 4;
+  cfg.weight_scales = {1.0f};
+  cfg.input_scale = 15.0f;
+  const int64_t T = window_slots(cfg.signal_bits);
+  const int64_t kmax = 8;
+  const double step = 1.0 / 16.0;
+  const double dg = (g_max(cfg.device) - g_min(cfg.device)) / kmax;
+  nn::Rng rng(23);
+  nn::Tensor image({3, 5, 6});
+  for (int64_t i = 0; i < image.numel(); ++i) {
+    image[i] = rng.uniform(0.0f, 1.0f);
+  }
+  std::vector<int64_t> v(static_cast<size_t>(image.numel()));
+  for (int64_t i = 0; i < image.numel(); ++i) {
+    v[static_cast<size_t>(i)] = encode_pixel(image[i], cfg.input_scale, T);
+  }
+  auto random_levels = [&](nn::Tensor& w) {
+    for (int64_t i = 0; i < w.numel(); ++i) {
+      w[i] = static_cast<float>(
+                 static_cast<int64_t>(rng.uniform(-8.0f, 8.99f))) *
+             static_cast<float>(step);
+    }
+  };
+  // One column's logit from the receptive field `field` (drives) and its
+  // weight row, summed fused or as a separate multiply and add.
+  auto logit = [&](const std::vector<int64_t>& field, const float* w,
+                   float bias, bool fused) {
+    double plus = 0.0;
+    double minus = 0.0;
+    for (size_t r = 0; r < field.size(); ++r) {
+      if (field[r] == 0) continue;
+      const double x = static_cast<double>(field[r]);
+      const int64_t k = std::llround(w[r] / step);
+      const double gp = level_conductance(std::max<int64_t>(k, 0), kmax,
+                                          cfg.device);
+      const double gm = level_conductance(std::max<int64_t>(-k, 0), kmax,
+                                          cfg.device);
+      if (fused) {
+        plus = std::fma(x, gp, plus);
+        minus = std::fma(x, gm, minus);
+      } else {
+        const double tp = x * gp;
+        const double tm = x * gm;
+        plus = plus + tp;
+        minus = minus + tm;
+      }
+    }
+    return step * ((plus - minus) / dg) + static_cast<double>(bias);
+  };
+  auto bits = [](double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  auto check = [&](nn::Network& net, const std::vector<double>& want,
+                   const std::vector<double>& unfused,
+                   const std::string& what) {
+    bool differs = false;
+    for (size_t c = 0; c < want.size(); ++c) {
+      differs = differs || bits(want[c]) != bits(unfused[c]);
+    }
+    ASSERT_TRUE(differs) << what << ": inputs do not tell fma from mul+add";
+    nn::Tensor batch({3, 3, 5, 6});
+    for (int64_t b = 0; b < 3; ++b) {
+      std::copy(image.data(), image.data() + image.numel(),
+                batch.data() + b * image.numel());
+    }
+    for (const bool scalar : {false, true}) {
+      const bool prev = nn::simd::set_force_scalar(scalar);
+      SncSystem sys(net, {3, 5, 6}, cfg);
+      const std::string ctx = what + (scalar ? " forced scalar" : "");
+      sys.infer(image);
+      const std::vector<double> runner = sys.last_logits();
+      sys.infer_batch(batch);
+      const std::vector<double> batched = sys.last_batch_logits()[1];
+      sys.infer_reference(image);
+      const std::vector<double> oracle = sys.last_logits();
+      nn::simd::set_force_scalar(prev);
+      ASSERT_EQ(runner.size(), want.size()) << ctx;
+      for (size_t c = 0; c < want.size(); ++c) {
+        EXPECT_EQ(bits(runner[c]), bits(want[c])) << ctx << " infer " << c;
+        EXPECT_EQ(bits(batched[c]), bits(want[c])) << ctx << " batch " << c;
+        EXPECT_EQ(bits(oracle[c]), bits(want[c])) << ctx << " oracle " << c;
+      }
+    }
+  };
+
+  {
+    // Conv readout (pad 0): the logits are the last position's charges,
+    // whose receptive field is the image's bottom-right 3 x 3 x 3.
+    nn::Network net;
+    auto& conv = net.emplace<nn::Conv2d>(3, 4, 3, 1, 0, rng);
+    random_levels(conv.weight().value);
+    conv.bias().value = nn::Tensor({4}, {0.3f, -0.7f, 0.0f, 1.1f});
+    std::vector<int64_t> field;
+    for (int64_t ic = 0; ic < 3; ++ic) {
+      for (int64_t ky = 0; ky < 3; ++ky) {
+        for (int64_t kx = 0; kx < 3; ++kx) {
+          field.push_back(
+              v[static_cast<size_t>((ic * 5 + 2 + ky) * 6 + 3 + kx)]);
+        }
+      }
+    }
+    std::vector<double> want, unfused;
+    for (int64_t c = 0; c < 4; ++c) {
+      const float* w = conv.weight().value.data() + c * 27;
+      const float b = conv.bias().value[c];
+      want.push_back(logit(field, w, b, true));
+      unfused.push_back(logit(field, w, b, false));
+    }
+    check(net, want, unfused, "conv readout");
+  }
+  {
+    nn::Network net;
+    net.emplace<nn::Flatten>();
+    auto& fc = net.emplace<nn::Dense>(90, 4, rng);
+    random_levels(fc.weight().value);
+    fc.bias().value = nn::Tensor({4}, {0.25f, -1.5f, 0.0f, 2.0f});
+    std::vector<double> want, unfused;
+    for (int64_t c = 0; c < 4; ++c) {
+      const float* w = fc.weight().value.data() + c * 90;
+      const float b = fc.bias().value[c];
+      want.push_back(logit(v, w, b, true));
+      unfused.push_back(logit(v, w, b, false));
+    }
+    check(net, want, unfused, "dense readout");
+  }
 }
 
 // The digital max-pool stage over an odd 5x5 plane: the 2x2/stride-2

@@ -384,9 +384,9 @@ int cmd_deploy(const util::Flags& flags) {
   const int64_t chw = nn::shape_numel(model.input);
   int64_t correct = 0;
   snc::SncStats totals;
-  // B images share one pass over each stage's panel. Per-image stats fold
-  // exactly as a per-image loop would (infer_batch is bit-identical to B
-  // sequential infer calls).
+  // B images go through each stage in one infer_batch call. Per-image
+  // stats fold exactly as a per-image loop would (infer_batch is
+  // bit-identical to B sequential infer calls).
   for (int64_t start = 0; start < images; start += batch_size) {
     const int64_t b = std::min(batch_size, images - start);
     nn::Tensor batch({b, model.input[0], model.input[1], model.input[2]});
