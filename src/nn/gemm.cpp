@@ -290,6 +290,7 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
 
 namespace kernels {
 
+QSNC_FMA_CLONES
 void scalar_accumulate_rows_batch(const int32_t* rows, const int32_t* srcs,
                                   int64_t n_events, const double* drives,
                                   int64_t batch, const double* panel,
@@ -325,6 +326,7 @@ void scalar_read_epilogue(const double* acc, int64_t n, int64_t acc_stride,
   }
 }
 
+QSNC_FMA_CLONES
 void scalar_conv_read(const ConvReadPlan& plan, const double* plane,
                       const double* panel, const ReadEpilogue& ep, int64_t g0,
                       int64_t g1, int32_t* counts, double* y_out) {

@@ -40,6 +40,20 @@ void gemm_a_bt_acc(const float* a, const float* b, float* c, int64_t m,
   return std::fma(v, g, acc);
 }
 
+/// Marks a scalar read loop in a generic x86-64 TU for a second copy built
+/// with FMA, picked at load time on CPUs that have it (GCC function
+/// multiversioning): there crossbar_mac is one vfmadd, elsewhere a libm
+/// call (software on CPUs without FMA3). Both copies compute the same bits;
+/// the TUs are built with -ffp-contract=off so the FMA copy fuses nothing
+/// else. Not under ThreadSanitizer: the instrumented load-time resolver
+/// would run before the sanitizer's runtime and crash.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+#define QSNC_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define QSNC_FMA_CLONES
+#endif
+
 /// Batched sparse row drive in double precision: the SNC read of dense
 /// stages and spike slots. `drives` is image-minor ([slot x batch]);
 /// event e drives panel row rows[e] with image b's value
@@ -115,6 +129,11 @@ struct ConvReadPlan {
   std::vector<ConvLaneGroup> groups;
 
   int64_t rows() const { return static_cast<int64_t>(taps.size()); }
+  /// Padded-plane offset of output position p's receptive-field origin:
+  /// crossbar row r of position p reads plane[origin(p) + taps[r]].
+  int32_t origin(int64_t p) const {
+    return groups[static_cast<size_t>(p / kConvLanes)].origin[p % kConvLanes];
+  }
   /// Doubles in one image's padded plane.
   int64_t plane_doubles() const { return in_c * plane_h * plane_w; }
 };

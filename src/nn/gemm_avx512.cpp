@@ -344,7 +344,10 @@ void avx512_conv_read(const ConvReadPlan& plan, const double* plane,
   // A stage whose columns fit half the register file reads two lane
   // groups at a time (the last one alone when the count is odd), so each
   // broadcast panel entry feeds two vfmadds; wider stages read one group
-  // at a time in column blocks.
+  // at a time in column blocks. Each shape wins where it is used (the
+  // conv_read_grouping_ab rows of BENCH_kernels.json): pairing on lenet's
+  // 6-column conv1, one group on its 16-column conv2, where pairs would
+  // need blocks of half the width and so twice the drive loads.
   const int64_t step = ep.cols <= kConvPairs512 / 2 ? 2 : 1;
   const int64_t block = conv_block_pairs(ep.cols, kConvPairs512);
   for (int64_t g = g0; g < g1; g += step) {

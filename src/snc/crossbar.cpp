@@ -106,6 +106,7 @@ double Crossbar::effective_conductance(int64_t r, int64_t c) const {
   return g / (1.0 + g * config_.wire_resistance_ohm * segments);
 }
 
+QSNC_FMA_CLONES
 void Crossbar::read_columns_into(const double* volts,
                                  double* currents) const {
   std::fill(currents, currents + cols_, 0.0);
@@ -121,6 +122,7 @@ void Crossbar::read_columns_into(const double* volts,
   }
 }
 
+QSNC_FMA_CLONES
 void Crossbar::read_columns_spiking_into(const uint8_t* spikes, double v_read,
                                          double* currents) const {
   std::fill(currents, currents + cols_, 0.0);
@@ -264,6 +266,7 @@ void DifferentialCrossbar::set_defect(int64_t r, int64_t c, bool minus_array,
   sync_panel_column(c);
 }
 
+QSNC_FMA_CLONES
 std::vector<double> DifferentialCrossbar::read_columns_spiking(
     const std::vector<uint8_t>& spikes, double v_read) const {
   if (static_cast<int64_t>(spikes.size()) != rows_) {

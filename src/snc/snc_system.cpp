@@ -46,20 +46,16 @@ struct SncSystem::Stage {
   // Programming pass counters (only populated when recovery is enabled).
   FaultReport fault;
 
-  // Runner im2col tap table (conv stages): taps[pos * rows + r] is
-  // the flat input index of receptive-field tap r at output position pos,
-  // or -1 where the tap falls in the zero padding. Precomputed once at
-  // construction so the slot modes' gather is a table walk with no bounds
-  // arithmetic.
-  std::vector<int32_t> taps;
-  // The collapsed read's plan (conv stages): padded plane, row offsets and
-  // position lane groups of nn::conv_read.
+  // The read geometry of a conv stage: padded plane, row offsets and
+  // position lane groups of nn::conv_read; the slot modes' gather reads
+  // the same plane.
   nn::ConvReadPlan lanes;
   // Fan-out of each input signal (crossbar stages): the number of
-  // (position, row) taps that read it — taps entries equal to the index
-  // for conv stages, 1 for dense stages. A nonzero input produces exactly
-  // fanout[i] row-drive events, so a stage's input_events is a sum over
-  // its nonzero inputs rather than a count over every gathered tap.
+  // (position, row) taps that read it — the taps landing on its cell of
+  // the padded plane for conv stages, 1 for dense stages. A nonzero input
+  // produces exactly fanout[i] row-drive events, so a stage's input_events
+  // is a sum over its nonzero inputs rather than a count over every
+  // gathered tap.
   std::vector<int32_t> fanout;
 
   // Residual plumbing (pad-identity shortcuts). A save_skip stage latches
@@ -192,35 +188,28 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
     }
   };
 
-  // Bakes the im2col tap index table and the per-input fan-out for a conv
-  // stage's current geometry.
-  auto build_tap_table = [](Stage& stage) {
-    const int64_t rows = stage.in_c * stage.kernel * stage.kernel;
-    const int64_t positions = stage.out_h * stage.out_w;
-    stage.taps.assign(static_cast<size_t>(positions * rows), -1);
-    for (int64_t pos = 0; pos < positions; ++pos) {
-      const int64_t oy = pos / stage.out_w;
-      const int64_t ox = pos % stage.out_w;
-      int32_t* row = stage.taps.data() + pos * rows;
-      int64_t r = 0;
-      for (int64_t ic = 0; ic < stage.in_c; ++ic) {
-        for (int64_t ky = 0; ky < stage.kernel; ++ky) {
-          for (int64_t kx = 0; kx < stage.kernel; ++kx, ++r) {
-            const int64_t iy = oy * stage.stride - stage.pad + ky;
-            const int64_t ix = ox * stage.stride - stage.pad + kx;
-            if (iy >= 0 && iy < stage.in_h && ix >= 0 && ix < stage.in_w) {
-              row[r] = static_cast<int32_t>((ic * stage.in_h + iy) *
-                                                stage.in_w +
-                                            ix);
-            }
-          }
-        }
+  // Bakes a conv stage's per-input fan-out from its read plan: every
+  // (position, row) tap hits one cell of the padded plane, and an input's
+  // fan-out is the hit count of its cell (padding cells are never inputs).
+  auto build_fanout = [](Stage& stage) {
+    const nn::ConvReadPlan& plan = stage.lanes;
+    std::vector<int32_t> hits(static_cast<size_t>(plan.plane_doubles()), 0);
+    for (int64_t pos = 0; pos < plan.positions; ++pos) {
+      const int32_t origin = plan.origin(pos);
+      for (const int32_t tap : plan.taps) {
+        ++hits[static_cast<size_t>(origin + tap)];
       }
     }
-    stage.fanout.assign(
-        static_cast<size_t>(stage.in_c * stage.in_h * stage.in_w), 0);
-    for (const int32_t tap : stage.taps) {
-      if (tap >= 0) ++stage.fanout[static_cast<size_t>(tap)];
+    stage.fanout.resize(
+        static_cast<size_t>(plan.in_c * plan.in_h * plan.in_w));
+    int32_t* fanout = stage.fanout.data();
+    for (int64_t c = 0; c < plan.in_c; ++c) {
+      for (int64_t y = 0; y < plan.in_h; ++y) {
+        const int32_t* row =
+            hits.data() + (c * plan.plane_h + y + plan.pad) * plan.plane_w +
+            plan.pad;
+        fanout = std::copy(row, row + plan.in_w, fanout);
+      }
     }
   };
 
@@ -241,9 +230,9 @@ SncSystem::SncSystem(nn::Network& net, const nn::Shape& input_chw,
         nn::conv_out_extent(w, conv.kernel(), conv.stride(), conv.pad());
     const int64_t rows = conv.in_channels() * conv.kernel() * conv.kernel();
     program_matrix(conv.weight().value, rows, conv.out_channels(), *stage);
-    build_tap_table(*stage);
     stage->lanes = nn::make_conv_read_plan(c, h, w, conv.kernel(),
                                            conv.stride(), conv.pad());
+    build_fanout(*stage);
     stage->bias.assign(static_cast<size_t>(conv.out_channels()), 0.0f);
     if (conv.uses_bias()) {
       for (int64_t j = 0; j < conv.out_channels(); ++j) {
@@ -474,12 +463,13 @@ void SncSystem::run_crossbar_stage(
     }
     stats[static_cast<size_t>(b)]->input_events = events;
   }
-  // Drives of the collapsed read: one padded plane per image (conv), or
-  // the image-minor buffer drives[i * B + b] = input i of image b and the
-  // union mask over inputs (dense). Every entry is written.
+  // Drives: one padded plane per image (conv stages, read by the collapsed
+  // read and the slot gather alike), or, for the collapsed read of a dense
+  // stage, the image-minor buffer drives[i * B + b] = input i of image b
+  // and the union mask over inputs. Every entry is written.
   const nn::ConvReadPlan& plan = stage.lanes;
   const int64_t plane_doubles = plan.plane_doubles();
-  if (collapsed && is_conv) {
+  if (is_conv) {
     planes_.resize(static_cast<size_t>(B * plane_doubles));
     for (int64_t b = 0; b < B; ++b) {
       nn::fill_conv_plane(plan, inputs[static_cast<size_t>(b)].data(),
@@ -609,23 +599,23 @@ void SncSystem::run_crossbar_stage(
     int64_t chunk_panel = 0;
 
     for (int64_t pos = p0; pos < p1; ++pos) {
-      // Union gather with spike-train encoding: the tap table is walked
-      // once per row for the whole batch, and each image's train is
-      // scattered branch-free into its per-slot firing lists. Stochastic
-      // coding consumes a full window of draws from every image's stream
-      // for every row (zero or not), exactly like the dense oracle, so
+      // Union gather with spike-train encoding: each row's input is read
+      // once for the whole batch (a conv row from the padded planes, where
+      // padding taps read zero), and each image's train is scattered
+      // branch-free into its per-slot firing lists. Stochastic coding
+      // consumes a full window of draws from every image's stream for
+      // every row (zero or not), exactly like the dense oracle, so
       // stream-per-image alignment holds regardless of batch composition.
-      const int32_t* taps =
-          is_conv ? stage.taps.data() + pos * rows : nullptr;
+      const double* plane_at =
+          is_conv ? planes_.data() + plan.origin(pos) : nullptr;
       std::fill(nfire.begin(), nfire.end(), 0);
       for (int64_t r = 0; r < rows; ++r) {
-        const int32_t tap = is_conv ? taps[r] : static_cast<int32_t>(r);
+        const int32_t tap = is_conv ? plan.taps[static_cast<size_t>(r)] : 0;
         bool any = false;
         for (int64_t b = 0; b < B; ++b) {
           const int64_t v =
-              tap >= 0 ? inputs[static_cast<size_t>(b)]
-                               [static_cast<size_t>(tap)]
-                       : 0;
+              is_conv ? static_cast<int64_t>(plane_at[b * plane_doubles + tap])
+                      : inputs[static_cast<size_t>(b)][static_cast<size_t>(r)];
           vrow[static_cast<size_t>(b)] = v;
           any = any || v != 0;
         }
@@ -737,14 +727,14 @@ void SncSystem::run_crossbar_stage(
 
 // The dense oracle, kept deliberately naive and independent of the
 // runner's data structures: it gathers each receptive field with explicit
-// im2col arithmetic (no tap table), drives every row at every position
+// im2col arithmetic (no read plan), drives every row at every position
 // through the plus and minus arrays' own allocating reads, and maps
 // logical columns to physical ones with physical_column() — never through
-// the packed panel. Each array read accumulates v * g over ascending rows
-// with zero rows skipped, the same double sequence the runner's kernels
-// produce from the panel copy of those conductances, so the two agree
-// bit for bit exactly when the panel is in sync with the arrays. Runs
-// serially and streams no panel bytes.
+// the packed panel. Each array read accumulates fma(v, g, sum) over
+// ascending rows with zero rows skipped, the same double sequence the
+// runner's kernels produce from the panel copy of those conductances, so
+// the two agree bit for bit exactly when the panel is in sync with the
+// arrays. Runs serially and streams no panel bytes.
 void SncSystem::run_reference_stage(
     const Stage& stage, const Signals& inputs, Signals& outputs,
     const std::vector<SncStageStats*>& stats,
