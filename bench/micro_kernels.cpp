@@ -9,14 +9,15 @@
 //    scalar reference, AVX2, and integer (igemm) paths at one thread, with
 //    speedup-vs-matching-scalar per row, plus the quant backend's integer
 //    engine on dyadic lenet-mini at B=1 and B=8 (int_engine_lenet_b*);
-//  * an SNC read sweep: the conv read and the row drive at lenet-mini's
-//    shapes on every kernel tier the CPU runs (snc_conv_read_*,
-//    snc_row_drive_*);
+//  * a read sweep: the SNC conv read, the integer conv read and the SNC
+//    row drive at lenet-mini's shapes on every kernel tier the CPU runs
+//    (snc_conv_read_*, igemm_conv_*, snc_row_drive_*);
 //  * a thread-scaling sweep over {1, 2, 4, hw_max} threads for the GEMM
 //    and conv hot paths, with speedup-vs-1-thread per row.
 // QSNC_REQUIRE_SIMD=1 makes the binary exit nonzero when the AVX2 kernels
-// are not active (CI uses this to catch a silent scalar fallback on an
-// AVX2 runner).
+// are not active, or when /proc/cpuinfo reports AVX-512 F, VL, DQ and BW
+// but the dispatch tier is not avx512 (CI uses this to catch a silent
+// fallback to a narrower tier).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +26,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -195,12 +200,23 @@ BENCHMARK(BM_RateEncode)->Arg(4)->Arg(8);
 // ---- SNC read kernels, called per tier through nn/gemm_kernels.h ----
 
 // Tier index 0 scalar, 1 AVX2, 2 AVX-512.
-const char* const kSncTierNames[] = {"scalar", "avx2", "avx512"};
+const char* const kTierNames[] = {"scalar", "avx2", "avx512"};
 
 bool snc_tier_available(int64_t tier) {
   return tier == 0 ||
          (tier == 1 && nn::simd::cpu_has_avx2() && nn::simd::cpu_has_fma()) ||
          (tier == 2 && nn::simd::cpu_has_avx512());
+}
+
+// The integer conv read's AVX2 tier needs no FMA3.
+bool int_tier_available(int64_t tier) {
+  return tier == 0 || (tier == 1 && nn::simd::cpu_has_avx2()) ||
+         (tier == 2 && nn::simd::cpu_has_avx512());
+}
+
+// The tier nn::igemm_conv dispatches to under the current overrides.
+int64_t int_dispatch_tier() {
+  return nn::simd::use_avx512() ? 2 : nn::simd::use_avx2() ? 1 : 0;
 }
 
 // The SNC collapsed read's row drive at lenet-mini's crossbar shapes:
@@ -318,7 +334,7 @@ void BM_AccumulateRowsBatch(benchmark::State& state) {
   for (auto _ : state) c.run(tier);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(c.macs()));
-  state.SetLabel(kSncTierNames[tier]);
+  state.SetLabel(kTierNames[tier]);
 }
 BENCHMARK(BM_AccumulateRowsBatch)
     ->ArgsProduct({{12, 24}, {1, 8}, {0, 1, 2}})
@@ -335,7 +351,7 @@ void BM_ConvRead(benchmark::State& state) {
   for (auto _ : state) c.run(tier);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(c.macs()));
-  state.SetLabel(kSncTierNames[tier]);
+  state.SetLabel(kTierNames[tier]);
 }
 BENCHMARK(BM_ConvRead)
     ->ArgsProduct({{1, 2}, {0, 1, 2}})
@@ -379,12 +395,18 @@ nn::Tensor encoded_digits(int64_t batch) {
   return x;
 }
 
-// range(0) = batch, range(1) = 1 for the AVX2 kernels, 0 forced scalar;
-// one thread.
+// range(0) = batch, range(1) = tier; one thread. The engine runs the tier
+// its dispatch picks: tier 0 forces the scalar path, and a SIMD tier
+// other than the CPU's dispatch tier reports an error row.
 void BM_IntQuantEngine(benchmark::State& state) {
   const int64_t batch = state.range(0);
-  const bool avx2 = state.range(1) != 0;
-  const bool prev_force = nn::simd::set_force_scalar(!avx2);
+  const int64_t tier = state.range(1);
+  const bool prev_force = nn::simd::set_force_scalar(tier == 0);
+  if (int_dispatch_tier() != tier) {
+    nn::simd::set_force_scalar(prev_force);
+    state.SkipWithError("tier not dispatched on this CPU");
+    return;
+  }
   const int prev_threads = util::num_threads();
   util::set_num_threads(1);
   const std::unique_ptr<core::IntQuantEngine> engine = dyadic_lenet_engine();
@@ -394,52 +416,77 @@ void BM_IntQuantEngine(benchmark::State& state) {
     benchmark::DoNotOptimize(logits.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
-  state.SetLabel(avx2 && nn::simd::use_avx2() ? "avx2" : "scalar");
+  state.SetLabel(kTierNames[int_dispatch_tier()]);
   util::set_num_threads(prev_threads);
   nn::simd::set_force_scalar(prev_force);
 }
 BENCHMARK(BM_IntQuantEngine)
-    ->ArgsProduct({{1, 8}, {0, 1}})
-    ->ArgNames({"batch", "avx2"});
+    ->ArgsProduct({{1, 8}, {0, 1, 2}})
+    ->ArgNames({"batch", "tier"});
 
-// One lenet-mini convolution through nn::igemm_conv, the integer engine's
-// conv kernel: range(0) = 1 for conv1 (1x28x28, 6 maps of 5x5, pad 2),
-// 2 for conv2 (6x14x14, 12 maps of 5x5); range(1) = 1 for the AVX2
-// kernels, 0 forced scalar; one thread. Weights are 8-bit, the image
-// 4-bit signals with half of them zero.
-void BM_IGemmConv(benchmark::State& state) {
-  const bool conv1 = state.range(0) == 1;
-  const bool avx2 = state.range(1) != 0;
-  const int64_t channels = conv1 ? 1 : 6, extent = conv1 ? 28 : 14;
-  const int64_t pad = conv1 ? 2 : 0, maps = conv1 ? 6 : 12, kernel = 5;
-  const int64_t out = nn::conv_out_extent(extent, kernel, 1, pad);
-  const bool prev_force = nn::simd::set_force_scalar(!avx2);
-  const int prev_threads = util::num_threads();
-  util::set_num_threads(1);
-  nn::Rng rng(11);
-  std::vector<int16_t> w(static_cast<size_t>(maps * channels * kernel *
-                                             kernel));
-  for (int16_t& x : w) x = static_cast<int16_t>(rng.uniform_int(-127, 127));
-  std::vector<int16_t> image(static_cast<size_t>(channels * extent * extent));
-  for (int16_t& x : image) {
-    x = static_cast<int16_t>(rng.uniform_int(0, 1) * rng.uniform_int(0, 15));
+// One lenet-mini convolution through the integer conv read (the integer
+// engine's conv kernel), one tier called directly: stage 1 = conv1
+// (1x28x28, 6 maps of 5x5, pad 2), 2 = conv2 (6x14x14, 12 maps of 5x5).
+// Weights are 8-bit, the image 4-bit signals with half of them zero; the
+// padded plane is filled once, outside any timed loop.
+struct IGemmConvCase {
+  nn::ConvReadPlan plan;
+  nn::IConvWeights w;
+  util::aligned_vector<int16_t> plane;
+  std::vector<int32_t> c;
+
+  explicit IGemmConvCase(int64_t stage)
+      : plan(stage == 1 ? nn::make_conv_read_plan(1, 28, 28, 5, 1, 2)
+                        : nn::make_conv_read_plan(6, 14, 14, 5, 1, 0)) {
+    const int64_t maps = stage == 1 ? 6 : 12;
+    nn::Rng rng(11);
+    std::vector<int16_t> wq(static_cast<size_t>(maps * plan.rows()));
+    for (int16_t& x : wq) {
+      x = static_cast<int16_t>(rng.uniform_int(-127, 127));
+    }
+    w = nn::IConvWeights(wq.data(), maps, plan.rows());
+    std::vector<int16_t> image(
+        static_cast<size_t>(plan.in_c * plan.in_h * plan.in_w));
+    for (int16_t& x : image) {
+      x = static_cast<int16_t>(rng.uniform_int(0, 1) * rng.uniform_int(0, 15));
+    }
+    plane.resize(static_cast<size_t>(nn::iconv_plane_int16s(plan)));
+    nn::fill_iconv_plane(plan, image.data(), plane.data());
+    c.resize(static_cast<size_t>(maps * plan.positions));
   }
-  std::vector<int32_t> c(static_cast<size_t>(maps * out * out));
-  for (auto _ : state) {
-    nn::igemm_conv(w.data(), image.data(), channels, extent, extent, kernel,
-                   1, pad, maps, c.data());
+  // Multiply-accumulates per call.
+  double macs() const {
+    return static_cast<double>(w.m() * plan.rows() * plan.positions);
+  }
+  void run(int64_t tier) {
+    using Read = void (*)(const nn::ConvReadPlan&, const int32_t*, int64_t,
+                          const int16_t*, int32_t*);
+    const Read reads[] = {&nn::kernels::scalar_igemm_conv,
+                          &nn::kernels::avx2_igemm_conv,
+                          &nn::kernels::avx512_igemm_conv};
+    reads[tier](plan, w.pairs(), w.m(), plane.data(), c.data());
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * maps * channels * kernel *
-                          kernel * out * out);
-  state.SetLabel(avx2 && nn::simd::use_avx2() ? "avx2" : "scalar");
-  util::set_num_threads(prev_threads);
-  nn::simd::set_force_scalar(prev_force);
+};
+
+// range(0) = lenet conv stage (1 or 2), range(1) = tier; a tier the CPU
+// lacks reports an error row.
+void BM_IGemmConv(benchmark::State& state) {
+  const int64_t tier = state.range(1);
+  if (!int_tier_available(tier)) {
+    state.SkipWithError("tier not supported on this CPU");
+    return;
+  }
+  IGemmConvCase c(state.range(0));
+  for (auto _ : state) c.run(tier);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(c.macs()));
+  state.SetLabel(kTierNames[tier]);
 }
 BENCHMARK(BM_IGemmConv)
-    ->ArgsProduct({{1, 2}, {0, 1}})
-    ->ArgNames({"conv", "avx2"});
+    ->ArgsProduct({{1, 2}, {0, 1, 2}})
+    ->ArgNames({"conv", "tier"});
 
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep -> BENCH_kernels.json
@@ -572,20 +619,21 @@ void run_dispatch_sweep(std::vector<SweepRow>& rows) {
   util::set_num_threads(prev);
 }
 
-// SNC read sweep at one thread: the conv read at lenet's conv1/conv2 (B=1)
-// and the row drive at widths 12/24 and B 1/8, every tier this CPU runs,
-// called directly. gflops counts 2 flops per crossbar cell read (the conv
-// read's dense count, though it skips all-zero drive vectors); speedup is
-// vs the scalar row of the same shape.
-void run_snc_read_sweep(std::vector<SweepRow>& rows) {
+// Read sweep at one thread: the SNC conv read and the integer conv read at
+// lenet's conv1/conv2 (B=1), and the SNC row drive at widths 12/24 and B
+// 1/8, every tier this CPU runs, called directly. gflops counts 2 flops per
+// crossbar cell read or multiply-accumulate (the conv reads' dense count,
+// though both skip all-zero drive vectors); speedup is vs the scalar row of
+// the same shape.
+void run_read_sweep(std::vector<SweepRow>& rows) {
   const int reps = smoke_mode() ? 2 : 200;
   // `calls` calls per timing, so a sub-microsecond kernel is not timed by
   // the clock read.
   auto add = [&](const std::string& tag, double macs, int calls,
-                 auto&& run) {
+                 auto&& available, auto&& run) {
     double scalar_seconds = 0.0;
     for (int64_t tier = 0; tier < 3; ++tier) {
-      if (!snc_tier_available(tier)) continue;
+      if (!available(tier)) continue;
       run(tier);  // warm-up
       const double seconds = time_best(
                                  [&] {
@@ -594,21 +642,27 @@ void run_snc_read_sweep(std::vector<SweepRow>& rows) {
                                  reps) /
                              calls;
       if (tier == 0) scalar_seconds = seconds;
-      rows.push_back({tag + "_" + kSncTierNames[tier], 1, seconds,
+      rows.push_back({tag + "_" + kTierNames[tier], 1, seconds,
                       2.0 * macs / seconds / 1e9, scalar_seconds / seconds});
     }
   };
   for (const int64_t stage : {1, 2}) {
     ConvReadCase c(stage);
     add("snc_conv_read_lenet_conv" + std::to_string(stage), c.macs(), 1,
-        [&](int64_t tier) { c.run(tier); });
+        snc_tier_available, [&](int64_t tier) { c.run(tier); });
+  }
+  for (const int64_t stage : {1, 2}) {
+    IGemmConvCase c(stage);
+    add("igemm_conv_lenet_conv" + std::to_string(stage), c.macs(), 10,
+        int_tier_available, [&](int64_t tier) { c.run(tier); });
   }
   for (const int64_t width : {12, 24}) {
     for (const int64_t batch : {1, 8}) {
       RowDriveCase c(width, batch);
       add("snc_row_drive_w" + std::to_string(width) + "_b" +
               std::to_string(batch),
-          c.macs(), 100, [&](int64_t tier) { c.run(tier); });
+          c.macs(), 100, snc_tier_available,
+          [&](int64_t tier) { c.run(tier); });
     }
   }
 }
@@ -686,18 +740,43 @@ void emit_rows(const std::vector<SweepRow>& rows) {
   std::printf("wrote %s\n", path.c_str());
 }
 
+// True when the first "flags" line of /proc/cpuinfo lists every AVX-512
+// subset the avx512 tier needs (false where the file is unreadable).
+bool cpuinfo_reports_avx512() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    std::set<std::string> flags;
+    for (std::string w; words >> w;) flags.insert(w);
+    return flags.count("avx512f") && flags.count("avx512vl") &&
+           flags.count("avx512dq") && flags.count("avx512bw");
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* require_simd = std::getenv("QSNC_REQUIRE_SIMD");
-  if (require_simd != nullptr && require_simd[0] == '1' &&
-      !nn::simd::use_avx2()) {
-    std::fprintf(stderr,
-                 "QSNC_REQUIRE_SIMD=1 but the AVX2 kernels are inactive "
-                 "(cpu_has_avx2=%d, env_forced_scalar=%d)\n",
-                 nn::simd::cpu_has_avx2() ? 1 : 0,
-                 nn::simd::env_forced_scalar() ? 1 : 0);
-    return 1;
+  if (require_simd != nullptr && require_simd[0] == '1') {
+    if (!nn::simd::use_avx2()) {
+      std::fprintf(stderr,
+                   "QSNC_REQUIRE_SIMD=1 but the AVX2 kernels are inactive "
+                   "(cpu_has_avx2=%d, env_forced_scalar=%d)\n",
+                   nn::simd::cpu_has_avx2() ? 1 : 0,
+                   nn::simd::env_forced_scalar() ? 1 : 0);
+      return 1;
+    }
+    if (cpuinfo_reports_avx512() &&
+        std::strcmp(nn::simd::dispatch_tier(), "avx512") != 0) {
+      std::fprintf(stderr,
+                   "QSNC_REQUIRE_SIMD=1 and /proc/cpuinfo reports AVX-512 "
+                   "F/VL/DQ/BW, but the dispatch tier is %s\n",
+                   nn::simd::dispatch_tier());
+      return 1;
+    }
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -705,7 +784,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::vector<SweepRow> rows;
   run_dispatch_sweep(rows);
-  run_snc_read_sweep(rows);
+  run_read_sweep(rows);
   run_thread_sweep(rows);
   emit_rows(rows);
   return 0;

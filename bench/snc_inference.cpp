@@ -30,7 +30,7 @@
 // Writes BENCH_snc.json (override with QSNC_BENCH_OUT) under a machine
 // header (bench_json.h).
 // Flags: --images N (ideal-mode images per model, default 8)
-//        --online-images N (online-mode images per model, default 2)
+//        --online-images N (online-mode images per model, default 16)
 //        --models csv (default lenet,alexnet,resnet)
 //        --batch-sizes csv (default 1,2,4,8,16; empty disables the sweep)
 //        --batch-images N (ideal-mode sweep images per B, default 16)
@@ -370,7 +370,7 @@ ModeResult run_mode(const ModelCase& model, nn::Network& net,
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const int64_t ideal_images = flags.get_int("images", 8);
-  const int64_t online_images = flags.get_int("online-images", 2);
+  const int64_t online_images = flags.get_int("online-images", 16);
   const std::vector<int64_t> batch_sizes =
       parse_int_list(flags.get("batch-sizes", "1,2,4,8,16"));
   const int64_t batch_images = flags.get_int("batch-images", 16);

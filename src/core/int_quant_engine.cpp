@@ -25,8 +25,10 @@ namespace qsnc::core {
 
 namespace {
 
-// Per-thread int32 accumulators of the conv hot loop (never allocates
-// inside the batch loop after warm-up).
+// Per-thread scratch of the conv hot loop, the image's padded int16 plane
+// and its int32 accumulators (never allocates inside the batch loop after
+// warm-up).
+thread_local util::aligned_vector<int16_t> tl_plane;
 thread_local util::aligned_vector<int32_t> tl_iacc;
 
 // Recovers the integer representation w = w_int * 2^-fl of a weight tensor,
@@ -140,13 +142,16 @@ std::unique_ptr<IntQuantEngine> IntQuantEngine::build(
       op.out_numel = op.out_c * op.out_h * op.out_w;
       const int64_t patch = op.in_c * op.kernel * op.kernel;
       const nn::Tensor& w = conv->weight().value;  // OIHW == [out_c x patch]
-      op.wq.resize(static_cast<size_t>(w.numel()));
+      util::aligned_vector<int16_t> wq(static_cast<size_t>(w.numel()));
       int32_t max_int = 0;
-      if (!quantize_weights_exact(w.data(), w.numel(), op.wq.data(), &op.step,
+      if (!quantize_weights_exact(w.data(), w.numel(), wq.data(), &op.step,
                                   &max_int) ||
           !dot_product_exact(signal_peak, max_int, patch)) {
         return nullptr;
       }
+      op.plan = nn::make_conv_read_plan(op.in_c, op.in_h, op.in_w, op.kernel,
+                                        op.stride, op.pad);
+      op.wconv = nn::IConvWeights(wq.data(), op.out_c, patch);
       op.bias.assign(static_cast<size_t>(op.out_c), 0.0f);
       if (conv->uses_bias()) {
         const nn::Tensor& b = conv->bias().value;
@@ -281,12 +286,14 @@ nn::Tensor IntQuantEngine::forward(const nn::Tensor& encoded) const {
         const int64_t in_numel = op.in_c * op.in_h * op.in_w;
         const int64_t out_hw = op.out_h * op.out_w;
         util::parallel_for(0, n, 1, [&](int64_t n0, int64_t n1) {
+          util::aligned_vector<int16_t>& plane = tl_plane;
           util::aligned_vector<int32_t>& acc = tl_iacc;
+          plane.resize(static_cast<size_t>(nn::iconv_plane_int16s(op.plan)));
           acc.resize(static_cast<size_t>(op.out_numel));
           for (int64_t img = n0; img < n1; ++img) {
-            nn::igemm_conv(op.wq.data(), signals.data() + img * in_numel,
-                           op.in_c, op.in_h, op.in_w, op.kernel, op.stride,
-                           op.pad, op.out_c, acc.data());
+            nn::fill_iconv_plane(op.plan, signals.data() + img * in_numel,
+                                 plane.data());
+            nn::igemm_conv(op.plan, op.wconv, plane.data(), acc.data());
             for (int64_t oc = 0; oc < op.out_c; ++oc) {
               const int64_t at = img * op.out_numel + oc * out_hw;
               const int32_t* row = acc.data() + oc * out_hw;

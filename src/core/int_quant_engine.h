@@ -19,10 +19,11 @@
 // the hot loop.
 //
 // Signals stay int16 from the encoded input to the last crossbar layer:
-// each conv gathers its int16 image straight into the igemm panel
-// (nn::igemm_conv), a crossbar layer followed by ReLU rounds its float
-// epilogue to the next layer's int16 signals in the same pass
-// (relu_quantize_signal), and max-pool and dense read int16. Float
+// each conv copies its int16 image into a zero-padded plane and reads it
+// with output positions in the SIMD lanes (nn::igemm_conv), a crossbar
+// layer followed by ReLU rounds its float epilogue to the next layer's
+// int16 signals in the same pass (relu_quantize_signal), and max-pool and
+// dense read int16. Float
 // activations exist only between a crossbar layer and a later ReLU (e.g.
 // conv -> max-pool -> ReLU) and for the float logits.
 //
@@ -84,9 +85,10 @@ class IntQuantEngine {
     // for max-pool when its input is signals. An op reads signals iff the
     // op before it wrote them (the encoded input counts as signals).
     bool int_out = false;
-    // Integer weights: conv keeps the row-major [out_c x patch] matrix,
+    // Integer weights: conv reads its weight pairs over its read plan,
     // dense a prepacked W^T [in x out] panel.
-    util::aligned_vector<int16_t> wq;
+    nn::ConvReadPlan plan;
+    nn::IConvWeights wconv;
     nn::IGemmPackedB wq_packed;
     std::vector<float> bias;  // all +0.0 when the layer has no bias
     float step = 1.0f;        // 2^-fl of this layer's weight grid

@@ -1,6 +1,7 @@
 // AVX-512 tier of the SNC collapsed read: the conv lanes read, the batched
-// fp64 row drive and the read epilogue. This TU is the only one compiled
-// with -mavx512f -mavx512vl -mavx512dq. Every crossbar term is one explicit
+// fp64 row drive and the read epilogue. This TU is compiled with -mavx512f
+// -mavx512vl -mavx512dq -mfma (the integer conv read's AVX-512 tier is in
+// igemm_avx512.cpp). Every crossbar term is one explicit
 // vfmadd (the std::fma of nn::crossbar_mac), and -ffp-contract=off keeps
 // the compiler from fusing anything else, so the results are bit-identical
 // to the scalar loops in gemm.cpp (see gemm_kernels.h). The row drive's

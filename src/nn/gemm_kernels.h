@@ -2,7 +2,9 @@
 // and the SIMD micro-kernel translation units (gemm_avx2.cpp /
 // igemm_avx2.cpp, compiled with -mavx2 -mno-fma; snc_read_avx2.cpp,
 // compiled with -mavx2 -mfma; gemm_avx512.cpp, compiled with -mavx512f
-// -mavx512vl -mavx512dq -mfma), the only files built for a wider ISA.
+// -mavx512vl -mavx512dq -mfma; igemm_avx512.cpp, compiled with -mavx512f
+// -mavx512bw -mavx512vl -mavx512dq -mno-fma), the only files built for a
+// wider ISA.
 //
 // Bit-exactness contract (fp32): every kernel here must reproduce the
 // scalar reference loops in gemm.cpp bit-for-bit —
@@ -193,18 +195,25 @@ void pack_ib_panel(const int16_t* b, int64_t k, int64_t n, int16_t* panel);
 void avx2_igemm_acc_rows(const int16_t* a, const int16_t* b_panel, int32_t* c,
                          int64_t k, int64_t n, int64_t i0, int64_t i1);
 
-/// int16 slack avx2_pack_gather_panel may read on either side of `src`.
-inline constexpr int64_t kGatherSlack = kINR;
+// The integer conv read (nn::igemm_conv), output positions in the int32
+// lanes, called by pointer: `pairs` is IConvWeights::pairs() of m output
+// channels and `plane` fill_iconv_plane's; C is overwritten.
 
-/// Writes the pack_ib_panel layout of the implicit [k x n] operand
-///   B[kk][j] = src[row_off[kk] + col_off[j]]
-/// (an im2col matrix when src is a zero-padded image) without building B.
-/// Column runs with consecutive offsets load as whole vectors, so a
-/// stride-1 conv costs a few vector ops per 16 columns; other tiles fall
-/// back to one load per element. `panel` must be 32-byte aligned and src
-/// readable kGatherSlack int16 beyond every offset it is given.
-void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
-                            int64_t k, const int32_t* col_off, int64_t n,
-                            int16_t* panel);
+/// Scalar tier: per position, each nonzero drive of the receptive field
+/// times each channel's weight.
+void scalar_igemm_conv(const ConvReadPlan& plan, const int32_t* pairs,
+                       int64_t m, const int16_t* plane, int32_t* c);
+
+/// AVX2 tier: one lane group per ymm, up to kIConvCols2 channel
+/// accumulators per pass.
+inline constexpr int64_t kIConvCols2 = 12;
+void avx2_igemm_conv(const ConvReadPlan& plan, const int32_t* pairs,
+                     int64_t m, const int16_t* plane, int32_t* c);
+
+/// AVX-512BW tier: two lane groups per zmm, up to kIConvCols512 channel
+/// accumulators per pass.
+inline constexpr int64_t kIConvCols512 = 16;
+void avx512_igemm_conv(const ConvReadPlan& plan, const int32_t* pairs,
+                       int64_t m, const int16_t* plane, int32_t* c);
 
 }  // namespace qsnc::nn::kernels

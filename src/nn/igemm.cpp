@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "nn/gemm_kernels.h"
-#include "nn/im2col.h"
 #include "nn/simd.h"
 #include "util/thread_pool.h"
 
@@ -19,12 +17,6 @@ constexpr int64_t kParallelMinMacs = int64_t{1} << 17;
 
 // Per-thread AVX2 B panel for the unpacked entry points.
 thread_local util::aligned_vector<int16_t> tl_ipanel;
-
-// Per-thread igemm_conv scratch: the zero-padded image, its gather offsets
-// and (scalar path only) the int16 im2col matrix.
-thread_local util::aligned_vector<int16_t> tl_padded;
-thread_local std::vector<int32_t> tl_offsets;
-thread_local util::aligned_vector<int16_t> tl_icols;
 
 const int16_t* pack_ib(const int16_t* b, int64_t k, int64_t n) {
   tl_ipanel.resize(static_cast<size_t>(kernels::ib_panel_int16s(k, n)));
@@ -50,10 +42,11 @@ void igemm_acc_rows_scalar(const int16_t* a, const int16_t* b, int32_t* c,
   }
 }
 
-// Reads b_panel when use_simd, else b_raw.
-void igemm_acc_on(bool use_simd, const int16_t* a, const int16_t* b_raw,
-                  const int16_t* b_panel, int32_t* c, int64_t m, int64_t k,
-                  int64_t n) {
+// Reads b_panel on the AVX2 path, else b_raw.
+void igemm_acc_dispatch(const int16_t* a, const int16_t* b_raw,
+                        const int16_t* b_panel, int32_t* c, int64_t m,
+                        int64_t k, int64_t n) {
+  const bool use_simd = simd::use_avx2();
   auto rows = [&](int64_t i0, int64_t i1) {
     if (use_simd) {
       kernels::avx2_igemm_acc_rows(a, b_panel, c, k, n, i0, i1);
@@ -66,12 +59,6 @@ void igemm_acc_on(bool use_simd, const int16_t* a, const int16_t* b_raw,
     return;
   }
   util::parallel_for(0, m, 16, rows);
-}
-
-void igemm_acc_dispatch(const int16_t* a, const int16_t* b_raw,
-                        const int16_t* b_panel, int32_t* c, int64_t m,
-                        int64_t k, int64_t n) {
-  igemm_acc_on(simd::use_avx2(), a, b_raw, b_panel, c, m, k, n);
 }
 
 // Zeroes C[m x n]. An empty C may be a null pointer, which memset must not
@@ -95,59 +82,88 @@ void igemm(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
   igemm_acc(a, b, c, m, k, n);
 }
 
-void igemm_conv(const int16_t* w, const int16_t* image, int64_t channels,
-                int64_t height, int64_t width, int64_t kernel, int64_t stride,
-                int64_t pad, int64_t m, int32_t* c) {
-  const int64_t hp = height + 2 * pad;
-  const int64_t wp = width + 2 * pad;
-  const int64_t out_h = conv_out_extent(height, kernel, stride, pad);
-  const int64_t out_w = conv_out_extent(width, kernel, stride, pad);
-  const int64_t k = channels * kernel * kernel;
-  const int64_t n = out_h * out_w;
-
-  // Zero-padded copy, so every tap is an in-bounds read: cols[kk][j] =
-  // src[row_off[kk] + col_off[j]] with kk = (ci, ky, kx), j = (oy, ox).
-  constexpr int64_t slack = kernels::kGatherSlack;
-  tl_padded.assign(static_cast<size_t>(channels * hp * wp + 2 * slack), 0);
-  int16_t* src = tl_padded.data() + slack;
-  for (int64_t ci = 0; ci < channels; ++ci) {
-    for (int64_t y = 0; y < height; ++y) {
-      std::memcpy(src + (ci * hp + y + pad) * wp + pad,
-                  image + (ci * height + y) * width,
-                  static_cast<size_t>(width) * sizeof(int16_t));
+IConvWeights::IConvWeights(const int16_t* w, int64_t m, int64_t k)
+    : m_(m), pairs_(static_cast<size_t>((k + 1) / 2 * m)) {
+  for (int64_t p = 0; 2 * p < k; ++p) {
+    for (int64_t oc = 0; oc < m; ++oc) {
+      const int16_t lo = w[oc * k + 2 * p];
+      const int16_t hi = 2 * p + 1 < k ? w[oc * k + 2 * p + 1] : int16_t{0};
+      pairs_[static_cast<size_t>(p * m + oc)] = static_cast<int32_t>(
+          static_cast<uint32_t>(static_cast<uint16_t>(lo)) |
+          static_cast<uint32_t>(static_cast<uint16_t>(hi)) << 16);
     }
   }
-  tl_offsets.clear();
-  for (int64_t ci = 0; ci < channels; ++ci) {
-    for (int64_t ky = 0; ky < kernel; ++ky) {
-      for (int64_t kx = 0; kx < kernel; ++kx) {
-        tl_offsets.push_back(static_cast<int32_t>((ci * hp + ky) * wp + kx));
+}
+
+int64_t iconv_plane_int16s(const ConvReadPlan& plan) {
+  return plan.in_c * plan.plane_h * plan.plane_w + kConvLanes;
+}
+
+void fill_iconv_plane(const ConvReadPlan& plan, const int16_t* image,
+                      int16_t* plane) {
+  std::fill(plane, plane + iconv_plane_int16s(plan), int16_t{0});
+  for (int64_t ci = 0; ci < plan.in_c; ++ci) {
+    for (int64_t y = 0; y < plan.in_h; ++y) {
+      std::memcpy(plane + (ci * plan.plane_h + y + plan.pad) * plan.plane_w +
+                      plan.pad,
+                  image + (ci * plan.in_h + y) * plan.in_w,
+                  static_cast<size_t>(plan.in_w) * sizeof(int16_t));
+    }
+  }
+}
+
+namespace kernels {
+
+void scalar_igemm_conv(const ConvReadPlan& plan, const int32_t* pairs,
+                       int64_t m, const int16_t* plane, int32_t* c) {
+  // Output positions go in chunks of kGroupChunk lane groups. Per row, the
+  // chunk's drives are read once (origin + tap) into one im2col row
+  // segment; a segment of zeros is dropped, and every channel with a
+  // nonzero weight adds weight x drive along it (the position loop
+  // vectorizes).
+  constexpr int64_t kGroupChunk = 64;
+  int16_t drive[kGroupChunk * kConvLanes];
+  const int64_t groups = static_cast<int64_t>(plan.groups.size());
+  zero_output(c, m, plan.positions);
+  for (int64_t g0 = 0; g0 < groups; g0 += kGroupChunk) {
+    const int64_t g1 = std::min(groups, g0 + kGroupChunk);
+    const int64_t p0 = g0 * kConvLanes;
+    const int64_t n = std::min(plan.positions, g1 * kConvLanes) - p0;
+    for (int64_t r = 0; r < plan.rows(); ++r) {
+      const int32_t t = plan.taps[static_cast<size_t>(r)];
+      int16_t any = 0;
+      for (int64_t g = g0; g < g1; ++g) {
+        const ConvLaneGroup& grp = plan.groups[static_cast<size_t>(g)];
+        int16_t* d = drive + (g - g0) * kConvLanes;
+        for (int64_t j = 0; j < kConvLanes; ++j) {
+          d[j] = plane[grp.origin[j] + t];
+          any = static_cast<int16_t>(any | d[j]);
+        }
+      }
+      if (any == 0) continue;  // quantized signals are sparse
+      for (int64_t oc = 0; oc < m; ++oc) {
+        // W[oc][r] is half r % 2 of pair r / 2.
+        const int16_t w =
+            static_cast<int16_t>(pairs[(r / 2) * m + oc] >> (16 * (r % 2)));
+        if (w == 0) continue;
+        int32_t* out = c + oc * plan.positions + p0;
+        for (int64_t i = 0; i < n; ++i) out[i] += w * drive[i];
       }
     }
   }
-  for (int64_t oy = 0; oy < out_h; ++oy) {
-    for (int64_t ox = 0; ox < out_w; ++ox) {
-      tl_offsets.push_back(static_cast<int32_t>((oy * wp + ox) * stride));
-    }
-  }
-  const int32_t* row_off = tl_offsets.data();
-  const int32_t* col_off = row_off + k;
+}
 
-  zero_output(c, m, n);
-  if (simd::use_avx2()) {
-    tl_ipanel.resize(static_cast<size_t>(kernels::ib_panel_int16s(k, n)));
-    kernels::avx2_pack_gather_panel(src, row_off, k, col_off, n,
-                                    tl_ipanel.data());
-    igemm_acc_on(true, w, nullptr, tl_ipanel.data(), c, m, k, n);
-    return;
+}  // namespace kernels
+
+void igemm_conv(const ConvReadPlan& plan, const IConvWeights& w,
+                const int16_t* plane, int32_t* c) {
+  if (simd::use_avx512()) {
+    kernels::avx512_igemm_conv(plan, w.pairs(), w.m(), plane, c);
+  } else if (simd::use_avx2()) {
+    kernels::avx2_igemm_conv(plan, w.pairs(), w.m(), plane, c);
+  } else {
+    kernels::scalar_igemm_conv(plan, w.pairs(), w.m(), plane, c);
   }
-  tl_icols.resize(static_cast<size_t>(k * n));
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const int16_t* s = src + row_off[kk];
-    int16_t* dst = tl_icols.data() + kk * n;
-    for (int64_t j = 0; j < n; ++j) dst[j] = s[col_off[j]];
-  }
-  igemm_acc_on(false, w, tl_icols.data(), nullptr, c, m, k, n);
 }
 
 IGemmPackedB::IGemmPackedB(const int16_t* b, int64_t k, int64_t n)

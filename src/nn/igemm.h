@@ -3,9 +3,10 @@
 // The paper's deployment arithmetic is M-bit unsigned spike-count signals
 // against N-bit fixed-point weights; both fit int16 with room to spare, so
 // the product sums are computed exactly in int32 accumulators and
-// requantized once at the end by the caller (core/int_quant_engine.*). Integer accumulation is associative, so — unlike the
-// fp32 kernels — every schedule (scalar, AVX2 vpmaddwd, any thread count)
-// is bit-identical by construction; tests still pin it.
+// requantized once at the end by the caller (core/int_quant_engine.*).
+// Integer accumulation is associative, so — unlike the fp32 kernels —
+// every schedule (scalar, AVX2 or AVX-512 vpmaddwd, any thread count) is
+// bit-identical by construction; tests still pin it.
 //
 // Overflow contract (checked by callers via the dynamic-fixed-point rules
 // in core/dynamic_fixed_point.h): max|A| * max|B| * k < 2^31.
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 
+#include "nn/gemm.h"
 #include "util/aligned.h"
 
 namespace qsnc::nn {
@@ -25,17 +27,52 @@ void igemm(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
 void igemm_acc(const int16_t* a, const int16_t* b, int32_t* c, int64_t m,
                int64_t k, int64_t n);
 
-/// One image's convolution as an integer GEMM:
-///   C[m x out_h*out_w] (int32) = W[m x patch] (int16) * cols
-/// where cols is nn::im2col's [channels*kernel*kernel x out_h*out_w]
-/// matrix of `image` [channels x height x width] (padding taps read 0)
-/// and W is the row-major OIHW weight matrix. The AVX2 path gathers the
-/// image straight into the pack_ib_panel layout of cols, with no
-/// intermediate matrix; the scalar path builds the int16 cols and runs the
-/// scalar loop. Overflow contract as igemm with k = patch.
-void igemm_conv(const int16_t* w, const int16_t* image, int64_t channels,
-                int64_t height, int64_t width, int64_t kernel, int64_t stride,
-                int64_t pad, int64_t m, int32_t* c);
+/// A conv layer's int16 weights W[m x k] (row-major OIHW, so k = in_c *
+/// kernel * kernel is the receptive field's crossbar rows), packed once
+/// for igemm_conv: the weight pair p of output channel oc, (W[oc][2p],
+/// W[oc][2p+1]) — an odd k's last weight paired with 0 — is one int32,
+/// low half first, at pairs()[p * m + oc]. vpmaddwd multiplies a
+/// broadcast pair by a vector of the positions' (row 2p, row 2p+1) drive
+/// pairs, and one row pair's m broadcasts sit side by side.
+class IConvWeights {
+ public:
+  IConvWeights() = default;
+  IConvWeights(const int16_t* w, int64_t m, int64_t k);
+
+  int64_t m() const { return m_; }
+  const int32_t* pairs() const { return pairs_.data(); }
+
+ private:
+  int64_t m_ = 0;
+  util::aligned_vector<int32_t> pairs_;
+};
+
+/// int16 entries of one image's padded plane for igemm_conv: the plan's
+/// in_c planes of plane_h x plane_w, then kConvLanes zeros that the SIMD
+/// tiers may load past the plane's end (and multiply into no live lane).
+int64_t iconv_plane_int16s(const ConvReadPlan& plan);
+
+/// Writes one image's zero-padded int16 plane (iconv_plane_int16s(plan)
+/// entries, every one written), laid out as nn::fill_conv_plane's:
+/// image[(c * in_h + y) * in_w + x] lands at
+/// plane[(c * plane_h + y + pad) * plane_w + x + pad].
+void fill_iconv_plane(const ConvReadPlan& plan, const int16_t* image,
+                      int16_t* plane);
+
+/// One image's convolution, read with output positions in the SIMD lanes:
+///   C[oc * plan.positions + p] (int32) =
+///       sum over r of W[oc][r] * plane[plan.origin(p) + plan.taps[r]]
+/// for every output channel oc < w.m() and position p, where `plane` is
+/// fill_iconv_plane's and `w` was packed with k = plan.rows(); C is
+/// overwritten. Both this and nn::conv_read take their geometry from one
+/// ConvReadPlan. Per lane group (two per zmm on the AVX-512 tier, one per
+/// ymm on AVX2) each row pair of the receptive field is loaded from the
+/// plane as one or more contiguous runs, or gathered, interleaved once
+/// into int16 pairs, and multiplied by each channel's broadcast weight
+/// pair into one int32 accumulator per channel, stored with one masked
+/// store. Overflow contract as igemm with k = plan.rows().
+void igemm_conv(const ConvReadPlan& plan, const IConvWeights& w,
+                const int16_t* plane, int32_t* c);
 
 /// B operand packed once and reused across calls (static layer weights).
 /// Keeps both the raw row-major copy (scalar path) and the vpmaddwd panel

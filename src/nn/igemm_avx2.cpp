@@ -4,11 +4,16 @@
 // packed with consecutive k pairs interleaved per column (pack_ib_panel).
 // int32 accumulation is exact under the caller's overflow contract, so the
 // SIMD schedule is bit-identical to the scalar reference with no rounding
-// analysis needed.
+// analysis needed. The GEMM (igemm, the dense layers) reads B from that
+// panel; the conv read (igemm_conv) puts one lane group's output positions
+// in the int32 lanes and interleaves the int16 drive pairs straight from
+// the padded plane, one vpmaddwd per row pair and output channel.
 #include "nn/gemm_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -149,78 +154,150 @@ void avx2_igemm_acc_rows(const int16_t* a, const int16_t* b_panel, int32_t* c,
 
 namespace {
 
-// Loaded from kLaneMaskTable + kINR - l: int16 lanes >= l all ones.
-alignas(64) constexpr int16_t kLaneMaskTable[2 * kINR] = {
-    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
+// How a lane group's drives load: one contiguous run of the plane, two
+// (the group spans two output rows), or a gather.
+enum { kOneRun, kTwoRuns, kGather };
 
-inline __m256i lanes_from(int64_t l) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kLaneMaskTable + kINR - l));
+// Row pairs whose drive vectors are built (and the all-zero ones dropped)
+// before any of them feeds the accumulators.
+constexpr int64_t kPairChunk = 32;
+
+// The drive loads of one lane group: lane j of run 1 reads p1 + tap + j,
+// of run 2 p2 + tap + j, where `run2` selects run 2's int16 lanes. Whole
+// 8-lane loads may read up to kConvLanes - 1 int16 past the plane, into
+// the zero tail fill_iconv_plane leaves there. A gather reads each lane at
+// its origin. `live` selects the int32 lanes that hold positions.
+struct Lanes8 {
+  const int16_t* p1;
+  const int16_t* p2;
+  __m128i run2;
+  __m256i origin;
+  __m256i live;
+};
+
+// The 8 int16 drives of the row at tap offset t.
+template <int kLoad>
+inline __m128i row8(const Lanes8& lanes, int32_t t) {
+  const __m128i v =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lanes.p1 + t));
+  if (kLoad == kOneRun) return v;
+  return _mm_blendv_epi8(
+      v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(lanes.p2 + t)),
+      lanes.run2);
 }
 
-// Column runs per tile the vector path handles: a stride-1 conv tile
-// spans at most ceil(16 / out_w) + 1 output rows.
-constexpr int kMaxRuns = 4;
+// Lane j = (drive at tap t0, drive at tap t1) of the group's position j,
+// the int16 pair vpmaddwd multiplies by a weight pair.
+template <int kLoad>
+inline __m256i drive_pairs(const Lanes8& lanes, const int16_t* plane,
+                           int32_t t0, int32_t t1) {
+  if (kLoad == kGather) {
+    // The masked form with a zero source and an all-lanes mask: the
+    // unmasked intrinsic merges into an undefined vector, which GCC 12
+    // reports as maybe-uninitialized.
+    const __m256i all = _mm256_set1_epi32(-1);
+    const __m256i a = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), reinterpret_cast<const int*>(plane + t0),
+        lanes.origin, all, 2);
+    const __m256i b = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), reinterpret_cast<const int*>(plane + t1),
+        lanes.origin, all, 2);
+    return _mm256_blend_epi16(a, _mm256_slli_epi32(b, 16), 0xAA);
+  }
+  const __m128i a = row8<kLoad>(lanes, t0);
+  const __m128i b = row8<kLoad>(lanes, t1);
+  return _mm256_set_m128i(_mm_unpackhi_epi16(a, b), _mm_unpacklo_epi16(a, b));
+}
+
+// Output channels [c0, c0 + kCols) of one lane group: kCols int32
+// accumulators stay in registers across every row pair. Each chunk of row
+// pairs first builds its drive vectors and keeps the ones with a nonzero
+// lane (branch-free); only those feed the accumulators, one vpmaddwd +
+// vpaddd per channel. `out` is C at channel c0 and the group's first
+// position.
+template <int kCols, int kLoad>
+void conv_block(const Lanes8& lanes, const int16_t* plane,
+                const int32_t* taps, int64_t rows, const int32_t* pairs,
+                int64_t m, int64_t c0, int64_t positions, int32_t* out) {
+  __m256i acc[kCols];
+#pragma GCC unroll 16
+  for (int c = 0; c < kCols; ++c) acc[c] = _mm256_setzero_si256();
+  alignas(32) int32_t live_v[kPairChunk * 8];
+  const int32_t* live_w[kPairChunk];
+  const int64_t n_pairs = (rows + 1) / 2;
+  for (int64_t p0 = 0; p0 < n_pairs; p0 += kPairChunk) {
+    const int64_t p1 = std::min(n_pairs, p0 + kPairChunk);
+    int64_t n = 0;
+    for (int64_t p = p0; p < p1; ++p) {
+      // An odd k's last row pairs with itself; its weight pair is (w, 0).
+      const int32_t t0 = taps[2 * p];
+      const int32_t t1 = 2 * p + 1 < rows ? taps[2 * p + 1] : t0;
+      const __m256i x = drive_pairs<kLoad>(lanes, plane, t0, t1);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(live_v + 8 * n), x);
+      live_w[n] = pairs + p * m + c0;
+      n += _mm256_testz_si256(x, x) == 0;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const __m256i x =
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(live_v + 8 * i));
+      const int32_t* w = live_w[i];
+#pragma GCC unroll 16
+      for (int c = 0; c < kCols; ++c) {
+        acc[c] = _mm256_add_epi32(
+            acc[c], _mm256_madd_epi16(x, _mm256_set1_epi32(w[c])));
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int c = 0; c < kCols; ++c) {
+    _mm256_maskstore_epi32(out + c * positions, lanes.live, acc[c]);
+  }
+}
+
+using ConvBlockFn = void (*)(const Lanes8&, const int16_t*, const int32_t*,
+                             int64_t, const int32_t*, int64_t, int64_t,
+                             int64_t, int32_t*);
+
+// kConvBlocks[load][cols - 1].
+template <int kLoad, size_t... kI>
+constexpr std::array<ConvBlockFn, kIConvCols2> conv_block_row(
+    std::index_sequence<kI...>) {
+  return {&conv_block<static_cast<int>(kI) + 1, kLoad>...};
+}
+constexpr std::array<ConvBlockFn, kIConvCols2> kConvBlocks[3] = {
+    conv_block_row<kOneRun>(std::make_index_sequence<kIConvCols2>{}),
+    conv_block_row<kTwoRuns>(std::make_index_sequence<kIConvCols2>{}),
+    conv_block_row<kGather>(std::make_index_sequence<kIConvCols2>{})};
 
 }  // namespace
 
-void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
-                            int64_t k, const int32_t* col_off, int64_t n,
-                            int16_t* panel) {
-  const int64_t kp = k_pairs(k);
-  for (int64_t j0 = 0; j0 < n; j0 += kINR) {
-    const int32_t* col = col_off + j0;
-    const int64_t jw = std::min(kINR, n - j0);
-    // Split the tile into runs of consecutive source offsets. Run r starts
-    // at some lane l_r and reads lane l at src + base[r] + l; from[r]
-    // selects lanes >= l_r, so each later run overwrites the lanes past
-    // its start. More runs than kMaxRuns take one load per element.
-    int64_t base[kMaxRuns];
-    __m256i from[kMaxRuns];
-    int runs = 0;
-    for (int64_t l = 0; l < jw && runs <= kMaxRuns; ++l) {
-      if (l > 0 && col[l] == col[l - 1] + 1) continue;
-      if (runs < kMaxRuns) {
-        base[runs] = col[l] - l;
-        from[runs] = lanes_from(l);
-      }
-      ++runs;
-    }
-    const __m256i live = lanes_from(jw);  // dead lanes are zero
-    int16_t* tile = panel + (j0 / kINR) * kp * 2 * kINR;
-    if (runs > kMaxRuns) {
-      for (int64_t p = 0; p < kp; ++p) {
-        const int16_t* s0 = src + row_off[2 * p];
-        const int16_t* s1 = 2 * p + 1 < k ? src + row_off[2 * p + 1] : nullptr;
-        int16_t* dst = tile + p * 2 * kINR;
-        for (int64_t l = 0; l < kINR; ++l) {
-          dst[2 * l] = l < jw ? s0[col[l]] : int16_t{0};
-          dst[2 * l + 1] = l < jw && s1 != nullptr ? s1[col[l]] : int16_t{0};
-        }
-      }
-      continue;
-    }
-    const auto row = [&](const int16_t* s) {
-      __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + base[0]));
-      for (int r = 1; r < runs; ++r) {
-        const __m256i w =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + base[r]));
-        v = _mm256_blendv_epi8(v, w, from[r]);
-      }
-      return _mm256_andnot_si256(live, v);
-    };
-    for (int64_t p = 0; p < kp; ++p) {
-      const __m256i lo_k = row(src + row_off[2 * p]);
-      const __m256i hi_k = 2 * p + 1 < k ? row(src + row_off[2 * p + 1])
-                                         : _mm256_setzero_si256();
-      // Interleave the two k rows per column: (b[2p][j], b[2p+1][j]).
-      const __m256i a = _mm256_unpacklo_epi16(lo_k, hi_k);
-      const __m256i b = _mm256_unpackhi_epi16(lo_k, hi_k);
-      __m256i* dst = reinterpret_cast<__m256i*>(tile + p * 2 * kINR);
-      _mm256_store_si256(dst, _mm256_permute2x128_si256(a, b, 0x20));
-      _mm256_store_si256(dst + 1, _mm256_permute2x128_si256(a, b, 0x31));
+void avx2_igemm_conv(const ConvReadPlan& plan, const int32_t* pairs,
+                     int64_t m, const int16_t* plane, int32_t* c) {
+  const int64_t block = conv_block_pairs(m, kIConvCols2);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    const ConvLaneGroup& grp = plan.groups[g];
+    Lanes8 lanes;
+    // Lane j of run 2 reads p2 + j; origins ascend, so origin[split] >=
+    // split keeps p2 in the plane.
+    const int32_t split2 = grp.split < grp.live ? grp.split : 0;
+    lanes.p1 = plane + grp.origin[0];
+    lanes.p2 = plane + grp.origin[split2] - split2;
+    lanes.run2 = _mm_cmpgt_epi16(_mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7),
+                                 _mm_set1_epi16(static_cast<int16_t>(
+                                     grp.split - 1)));
+    lanes.origin =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(grp.origin));
+    const int load = grp.split == 0          ? kGather
+                     : grp.split < grp.live ? kTwoRuns
+                                            : kOneRun;
+    lanes.live = _mm256_cmpgt_epi32(_mm256_set1_epi32(grp.live), lane);
+    for (int64_t c0 = 0; c0 < m; c0 += block) {
+      const int64_t cols = std::min(block, m - c0);
+      kConvBlocks[load][cols - 1](
+          lanes, plane, plan.taps.data(), plan.rows(), pairs, m, c0,
+          plan.positions,
+          c + c0 * plan.positions + static_cast<int64_t>(g) * kConvLanes);
     }
   }
 }
@@ -229,8 +306,8 @@ void avx2_pack_gather_panel(const int16_t* src, const int32_t* row_off,
 
 void avx2_igemm_acc_rows(const int16_t*, const int16_t*, int32_t*, int64_t,
                          int64_t, int64_t, int64_t) {}
-void avx2_pack_gather_panel(const int16_t*, const int32_t*, int64_t,
-                            const int32_t*, int64_t, int16_t*) {}
+void avx2_igemm_conv(const ConvReadPlan&, const int32_t*, int64_t,
+                     const int16_t*, int32_t*) {}
 
 #endif  // __AVX2__
 

@@ -33,7 +33,8 @@ bool detect_avx512() {
 #if defined(QSNC_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512vl") &&
-         __builtin_cpu_supports("avx512dq");
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512bw");
 #else
   return false;
 #endif

@@ -6,11 +6,15 @@
 // There are three tiers:
 //   * scalar — the reference loops in gemm.cpp / igemm.cpp, generic x86-64;
 //   * avx2   — gemm_avx2.cpp / igemm_avx2.cpp (-mavx2 -mno-fma): every
-//              fp32 and integer GEMM; snc_read_avx2.cpp (-mavx2 -mfma):
-//              the SNC read on CPUs without AVX-512 that report FMA3;
+//              fp32 and integer GEMM and the integer conv read on CPUs
+//              without AVX-512; snc_read_avx2.cpp (-mavx2 -mfma): the SNC
+//              read on CPUs without AVX-512 that report FMA3;
 //   * avx512 — gemm_avx512.cpp (-mavx512f -mavx512vl -mavx512dq -mfma):
-//              the SNC read only (conv lanes read, row drive, epilogue);
-//              everything else stays on the AVX2 kernels.
+//              the SNC read (conv lanes read, row drive, epilogue);
+//              igemm_avx512.cpp (adds -mavx512bw, -mno-fma): the integer
+//              conv read (nn::igemm_conv). Everything else stays on the
+//              AVX2 kernels. The tier needs F, VL, DQ and BW (the int16 zmm
+//              operations); every AVX-512 CPU with DQ and VL has BW too.
 // Two overrides force the scalar path for every kernel:
 //   * QSNC_FORCE_SCALAR=1 in the environment (read once, at first dispatch);
 //   * set_force_scalar(true), the programmatic knob the equivalence tests
@@ -32,7 +36,7 @@ bool cpu_has_avx2();
 /// (the SNC read's AVX2 tier needs both).
 bool cpu_has_fma();
 
-/// True when the CPU supports AVX-512 F, VL and DQ *and* the AVX-512
+/// True when the CPU supports AVX-512 F, VL, DQ and BW *and* the AVX-512
 /// kernels were compiled in.
 bool cpu_has_avx512();
 
@@ -44,12 +48,14 @@ bool use_avx2();
 /// cpu_has_fma().
 bool use_avx2_fma();
 
-/// True when the SNC read should take the AVX-512 path: cpu_has_avx512()
-/// and neither override is active.
+/// True when the SNC read and the integer conv read should take the
+/// AVX-512 path: cpu_has_avx512() and neither override is active.
 bool use_avx512();
 
-/// The tier the SNC read currently dispatches to: "avx512", "avx2" or
-/// "scalar" (bench headers record it).
+/// The tier the SNC read currently dispatches to: "avx512" (AVX-512 F, VL,
+/// DQ and BW), "avx2" (with FMA3) or "scalar" (bench headers record it).
+/// The integer conv read takes the same tier, except that its AVX2 tier
+/// needs no FMA3.
 const char* dispatch_tier();
 
 /// Programmatic scalar override (test hook); returns the previous value.

@@ -261,9 +261,62 @@ std::vector<int16_t> im2col_i16(const std::vector<int16_t>& image,
   return std::vector<int16_t>(cols.begin(), cols.end());
 }
 
-// Stride 1 and 2, padding, odd patches (odd k pairs), out_hw not a multiple
-// of 16, and output rows narrower than a 16-lane tile (the per-lane gather
-// fallback) next to the lenet-mini shapes.
+using IConvFn = void (*)(const ConvReadPlan&, const int32_t*, int64_t,
+                         const int16_t*, int32_t*);
+
+struct IConvTier {
+  std::string name;
+  IConvFn read;
+};
+
+// Every compiled tier of the integer conv read this CPU runs, called
+// directly: the AVX2 tier runs on AVX-512 hosts too.
+std::vector<IConvTier> iconv_tiers() {
+  std::vector<IConvTier> tiers = {{"scalar", &kernels::scalar_igemm_conv}};
+  if (simd::cpu_has_avx2()) {
+    tiers.push_back({"avx2", &kernels::avx2_igemm_conv});
+  }
+  if (simd::cpu_has_avx512()) {
+    tiers.push_back({"avx512", &kernels::avx512_igemm_conv});
+  }
+  return tiers;
+}
+
+// igemm_conv through the dispatch (SIMD and forced scalar) and every tier
+// directly, each against the int16 im2col matrix times W by the naive
+// loop.
+void check_igemm_conv(const ConvGeometry& g, const std::vector<int16_t>& image,
+                      const std::vector<int16_t>& w) {
+  int64_t k = 0, n = 0;
+  const std::vector<int16_t> cols = im2col_i16(image, g, &k, &n);
+  std::vector<int32_t> want(static_cast<size_t>(g.m * n), 0);
+  naive_igemm_acc(w.data(), cols.data(), want.data(), g.m, k, n);
+
+  const ConvReadPlan plan = make_conv_read_plan(
+      g.channels, g.height, g.width, g.kernel, g.stride, g.pad);
+  ASSERT_EQ(plan.positions, n);
+  const IConvWeights packed(w.data(), g.m, k);
+  util::aligned_vector<int16_t> plane(
+      static_cast<size_t>(iconv_plane_int16s(plan)), -1);
+  fill_iconv_plane(plan, image.data(), plane.data());
+  for (bool force_scalar : {false, true}) {
+    ForceScalarGuard guard(force_scalar);
+    std::vector<int32_t> got(static_cast<size_t>(g.m * n), -7);
+    igemm_conv(plan, packed, plane.data(), got.data());
+    EXPECT_EQ(got, want) << "dispatch, force_scalar=" << force_scalar;
+  }
+  for (const IConvTier& tier : iconv_tiers()) {
+    std::vector<int32_t> got(static_cast<size_t>(g.m * n), -7);
+    tier.read(plan, packed.pairs(), g.m, plane.data(), got.data());
+    EXPECT_EQ(got, want) << tier.name;
+  }
+}
+
+// Stride 1 and 2, padding, odd patches (a pair tail, k = 1 included),
+// output rows narrower than a lane group (groups of three or more rows,
+// which gather) next to one- and two-run groups, last groups of 1..7 live
+// lanes, more channels than one register block and more row pairs than
+// one chunk, and the lenet-mini shapes.
 class IGemmConvTest : public ::testing::TestWithParam<ConvGeometry> {};
 
 TEST_P(IGemmConvTest, MatchesIm2colThenIgemmOnEveryPath) {
@@ -274,19 +327,7 @@ TEST_P(IGemmConvTest, MatchesIm2colThenIgemmOnEveryPath) {
   for (auto& x : image) x = static_cast<int16_t>(std::abs(x));
   for (size_t i = 0; i < image.size(); i += 2) image[i] = 0;  // sparse
   const auto w = random_i16(g.m * g.channels * g.kernel * g.kernel, 127, rng);
-
-  int64_t k = 0, n = 0;
-  const std::vector<int16_t> cols = im2col_i16(image, g, &k, &n);
-  std::vector<int32_t> want(static_cast<size_t>(g.m * n), 0);
-  naive_igemm_acc(w.data(), cols.data(), want.data(), g.m, k, n);
-
-  for (bool force_scalar : {false, true}) {
-    ForceScalarGuard guard(force_scalar);
-    std::vector<int32_t> got(static_cast<size_t>(g.m * n), -7);
-    igemm_conv(w.data(), image.data(), g.channels, g.height, g.width,
-               g.kernel, g.stride, g.pad, g.m, got.data());
-    EXPECT_EQ(got, want) << "force_scalar=" << force_scalar;
-  }
+  check_igemm_conv(g, image, w);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -298,7 +339,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeometry{3, 9, 3, 3, 1, 0, 7},     // out_w 1
                       ConvGeometry{1, 6, 5, 2, 1, 0, 3},     // out_w 4
                       ConvGeometry{4, 5, 5, 5, 1, 0, 9},     // one output
-                      ConvGeometry{2, 8, 8, 1, 1, 0, 5}),    // 1x1, k 2
+                      ConvGeometry{2, 8, 8, 1, 1, 0, 5},     // 1x1, k 2
+                      ConvGeometry{2, 9, 7, 3, 1, 0, 6},     // out_w 5
+                      ConvGeometry{2, 5, 5, 3, 1, 1, 4},     // out_w 5, 25
+                      ConvGeometry{1, 9, 9, 3, 1, 0, 4},     // 49: 1 live
+                      ConvGeometry{1, 6, 6, 1, 1, 0, 3},     // k 1
+                      ConvGeometry{2, 6, 6, 3, 1, 1, 29},    // 29 channels
+                      ConvGeometry{8, 6, 6, 3, 1, 1, 4},     // 36 pairs
+                      ConvGeometry{2, 10, 10, 5, 2, 2, 3}),  // stride 2, pad 2
     [](const ::testing::TestParamInfo<ConvGeometry>& info) {
       const ConvGeometry& g = info.param;
       return (::testing::Message()
@@ -308,54 +356,30 @@ INSTANTIATE_TEST_SUITE_P(
           .GetString();
     });
 
-// The AVX2 gather must emit exactly pack_ib_panel's layout, zero padding
-// included, not just a panel whose live lanes happen to give the same C.
-TEST(IGemmConvTest, GatherPanelEqualsPackedIm2col) {
-  if (!simd::use_avx2()) GTEST_SKIP() << "AVX2 kernels inactive";
-  for (const ConvGeometry& g : {ConvGeometry{3, 7, 9, 3, 1, 1, 1},
-                                ConvGeometry{1, 28, 28, 5, 1, 2, 1},
-                                ConvGeometry{2, 11, 10, 3, 2, 1, 1},
-                                ConvGeometry{3, 9, 3, 3, 1, 0, 1}}) {
-    Rng rng(g.height * 7 + g.width);
-    std::vector<int16_t> image = random_i16(g.channels * g.height * g.width,
-                                            15, rng);
-    int64_t k = 0, n = 0;
-    const std::vector<int16_t> cols = im2col_i16(image, g, &k, &n);
-    util::aligned_vector<int16_t> want(
-        static_cast<size_t>(kernels::ib_panel_int16s(k, n)));
-    kernels::pack_ib_panel(cols.data(), k, n, want.data());
-
-    // Offsets into the image zero-padded by g.pad, as igemm_conv builds it.
-    const int64_t hp = g.height + 2 * g.pad, wp = g.width + 2 * g.pad;
-    const int64_t slack = kernels::kGatherSlack;
-    std::vector<int16_t> padded(
-        static_cast<size_t>(g.channels * hp * wp + 2 * slack), 0);
-    for (int64_t c = 0; c < g.channels; ++c) {
-      for (int64_t y = 0; y < g.height; ++y) {
-        for (int64_t x = 0; x < g.width; ++x) {
-          padded[static_cast<size_t>(slack + (c * hp + y + g.pad) * wp + x +
-                                     g.pad)] =
-              image[static_cast<size_t>((c * g.height + y) * g.width + x)];
-        }
-      }
+// int16 extremes on either operand at the edge of the overflow contract
+// (max|W| * max|image| * k < 2^31, k = 150): every vpmaddwd pair sum and
+// every partial sum stays in int32.
+TEST(IGemmConvTest, EveryTierHandlesInt16ExtremesWithinContract) {
+  const ConvGeometry g{6, 14, 14, 5, 1, 0, 12};  // lenet conv2
+  const int64_t k = g.channels * g.kernel * g.kernel;
+  const int16_t bound = static_cast<int16_t>(((int64_t{1} << 31) - 1) /
+                                             (int64_t{32768} * k));
+  Rng rng(77);
+  const auto pick = [&](std::vector<int16_t>& v, int16_t lo, int16_t hi) {
+    for (auto& x : v) {
+      const float u = rng.uniform(0.0f, 1.0f);
+      x = u < 0.2f ? int16_t{0} : u < 0.6f ? lo : hi;
     }
-    const int64_t out_w = conv_out_extent(g.width, g.kernel, g.stride, g.pad);
-    std::vector<int32_t> row_off, col_off;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const int64_t c = kk / (g.kernel * g.kernel);
-      const int64_t ky = kk / g.kernel % g.kernel, kx = kk % g.kernel;
-      row_off.push_back(static_cast<int32_t>((c * hp + ky) * wp + kx));
-    }
-    for (int64_t j = 0; j < n; ++j) {
-      col_off.push_back(
-          static_cast<int32_t>((j / out_w * wp + j % out_w) * g.stride));
-    }
-    util::aligned_vector<int16_t> got(want.size(), -1);
-    kernels::avx2_pack_gather_panel(padded.data() + slack, row_off.data(), k,
-                                    col_off.data(), n, got.data());
-    EXPECT_EQ(got, want) << "geometry " << g.channels << "x" << g.height
-                         << "x" << g.width << " k" << g.kernel;
-  }
+  };
+  std::vector<int16_t> image(static_cast<size_t>(g.channels * g.height *
+                                                 g.width));
+  std::vector<int16_t> w(static_cast<size_t>(g.m * k));
+  pick(image, -32768, 32767);
+  pick(w, static_cast<int16_t>(-bound), bound);
+  check_igemm_conv(g, image, w);
+  pick(image, static_cast<int16_t>(-bound), bound);
+  pick(w, -32768, 32767);
+  check_igemm_conv(g, image, w);
 }
 
 }  // namespace
